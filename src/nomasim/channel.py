@@ -54,6 +54,12 @@ class SystemConfig:
             raise ValueError("rx_antennas must be >= tx_antennas so every user can cancel the other beams")
         if int(self.users_per_cluster) != self.users_per_cluster or self.users_per_cluster < 2:
             raise ValueError("users_per_cluster must be an integer >= 2")
+        for key in (
+            "bandwidth_hz", "noise_density_dbm_hz", "pathloss_fixed_db", "pathloss_slope", "tx_power_dbm",
+            "cell_radius_range_km",
+        ):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
         lo, hi = self.cell_radius_range_km

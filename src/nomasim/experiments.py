@@ -5,6 +5,10 @@ a sweep always uses the realization keyed by ``(rng_seed, cluster 0, t)``), so
 scheme comparisons are paired and per-trial inequalities survive averaging.
 Per-trial work is a pure function of ``(spec, trial)``; results are reduced in
 trial order, which keeps output byte-identical for any worker count.
+
+Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
+default trials and grid, what its grid holds, the series it reports and how
+one trial is evaluated.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -20,24 +24,8 @@ import numpy as np
 
 from . import __version__
 from .admission import AdmissionInstance, exhaustive_admit, greedy_admit
-from .channel import SystemConfig, draw_cluster
-from .rates import extend_split, noma_sum_rate, noma_user_rates, oma_user_rates, optimal_dof_fractions
-from .units import db_to_linear
-
-SWEEP_KINDS = (
-    "split_sweep_2user",
-    "split_sweep_3user",
-    "power_sweep",
-    "ergodic_power_sweep",
-    "fairness_2user",
-    "fairness_3user",
-    "admission_vs_sinr",
-    "admission_vs_requesting",
-    "oracle_compare_equal",
-    "oracle_compare_mixed",
-)
-
-_SURFACE_KINDS = ("split_sweep_3user", "fairness_3user")
+from .channel import ClusterRealization, SystemConfig, draw_cluster
+from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 
 # Decorrelates the threshold draws of the mixed-target benchmark from the
 # channel stream of the same trial.
@@ -84,29 +72,15 @@ class SweepSpec:
     enumeration_cap: int = 12
 
     def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
-            raise ValueError(f"unknown sweep kind '{self.kind}'")
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
+        entry = _kind_entry(self.kind)
         if int(self.trials) != self.trials or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        if self.kind in _SURFACE_KINDS:
-            if any(np.ndim(p) != 1 or len(p) != 2 for p in self.grid):
-                raise ValueError("surface sweeps need a grid of (x, y) pairs")
-            flat = [v for p in self.grid for v in p]
-        else:
-            if any(np.ndim(p) != 0 for p in self.grid):
-                raise ValueError("this sweep kind needs a grid of scalars")
-            flat = list(self.grid)
-        if self.kind.startswith(("split_sweep", "fairness")) and (
-            min(flat) < 0 or max(flat) > 1
-        ):
-            raise ValueError("power-share grids must stay inside [0, 1]")
-        if self.kind == "admission_vs_requesting":
-            if any(int(p) != p or p < 1 for p in self.grid):
-                raise ValueError("requesting-user grid must hold positive integers")
+        _check_grid(entry, self.grid)
         if not self.power_dbm_values or not self.target_sinr_db_values:
             raise ValueError("series value lists must be non-empty")
+        for key in ("power_dbm_values", "target_sinr_db_values", "threshold_choices_db", "base_split"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} entries must be finite")
         if int(self.requesting_users) != self.requesting_users or self.requesting_users < 1:
             raise ValueError("requesting_users must be a positive integer")
         w1, w2 = self.base_split
@@ -114,10 +88,18 @@ class SweepSpec:
             raise ValueError("base_split must be two non-negative shares summing to 1")
         if not 0 <= self.extension_fraction <= 1:
             raise ValueError("extension_fraction must lie in [0, 1]")
+        if entry.pools and max(self.grid) != self.requesting_users:
+            raise ValueError("requesting_users must equal the largest pool size in grid")
+        drawn = entry.users or self.requesting_users
+        if self.config.users_per_cluster != drawn:
+            raise ValueError(
+                f"{self.kind} draws {drawn}-user clusters, "
+                f"but config.users_per_cluster is {self.config.users_per_cluster}"
+            )
 
     @property
     def point_arity(self) -> int:
-        return 2 if self.kind in _SURFACE_KINDS else 1
+        return 2 if _KINDS[self.kind].surface else 1
 
 
 @dataclass(frozen=True)
@@ -137,112 +119,180 @@ class SweepResult:
     metadata: dict
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """Everything that tells one sweep kind from the others.
+
+    ``users`` is the cluster size drawn per trial; ``None`` draws
+    ``requesting_users``, which a grid of pool sizes (``pools``) must end at.
+    ``evaluate(spec, realization, trial)`` gives one trial's values, shape
+    ``(len(series(spec)), len(spec.grid))``.
+    """
+
+    users: int | None
+    trials: int
+    grid: tuple
+    series: Callable[[SweepSpec], tuple[tuple[str, str], ...]]
+    evaluate: Callable[[SweepSpec, ClusterRealization, int], np.ndarray]
+    surface: bool = False  # grid of (strong share, mid-user fraction) pairs
+    shares: bool = False  # grid entries are power shares in [0, 1]
+    pools: bool = False  # grid entries are requesting-pool sizes
+    defaults: dict = field(default_factory=dict)  # SweepSpec fields make_sweep sets
+
+
+def _kind_entry(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown sweep kind '{kind}'")
+    return _KINDS[kind]
+
+
+def _check_grid(entry: _Kind, grid) -> None:
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    if entry.surface:
+        if any(np.ndim(p) != 1 or len(p) != 2 for p in grid):
+            raise ValueError("surface sweeps need a grid of (x, y) pairs")
+        flat = [v for p in grid for v in p]
+    else:
+        if any(np.ndim(p) != 0 for p in grid):
+            raise ValueError("this sweep kind needs a grid of scalars")
+        flat = list(grid)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("grid entries must be finite")
+    if entry.shares and (min(flat) < 0 or max(flat) > 1):
+        raise ValueError("power-share grids must stay inside [0, 1]")
+    if entry.pools and any(int(p) != p or p < 1 for p in grid):
+        raise ValueError("requesting-user grid must hold positive integers")
+
+
 def _num_label(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
-def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **overrides) -> SweepSpec:
-    """Build a :class:`SweepSpec` with the conventional defaults per kind.
+def _sum_rate(rates: np.ndarray) -> np.ndarray:
+    return rates.sum(axis=-1)
 
-    The cluster size is normalized to what the kind needs (the split and
-    power sweeps carry both the 2- and 3-user schemes on one draw; admission
-    sweeps draw the full requesting pool).
+
+def _scheme_rows(pairs, reduce) -> np.ndarray:
+    """Superposed, then orthogonal ``reduce(rates)`` of each ``(gains, splits)`` pair."""
+    rows = []
+    for g, w in pairs:
+        rows.append(reduce(noma_user_rates(g, w)))
+        rows.append(reduce(oma_user_rates(g, w, optimal_dof_fractions(g, w))))
+    return np.stack(rows)
+
+
+def _rate_series(sizes, metric: str):
+    series = tuple((f"{scheme}_{k}user", metric) for k in sizes for scheme in ("noma", "oma"))
+    return lambda spec: series
+
+
+def _splits(grid, users: int) -> np.ndarray:
+    """Power splits of the grid points, one row per point.
+
+    A surface point (a, b) gives the strong user a and splits the remainder
+    b : 1 - b. A scalar share goes to the strong user and the remainder to the
+    weak user, or is halved over the two weaker users.
     """
-    if kind not in SWEEP_KINDS:
-        raise ValueError(f"unknown sweep kind '{kind}'")
-    grid = overrides.pop("grid", None)
-    defaults: dict = {}
-    if kind in ("split_sweep_2user", "power_sweep", "ergodic_power_sweep"):
-        config = replace(config, users_per_cluster=3)
-        default_trials = 1000 if kind == "ergodic_power_sweep" else 1
-        default_grid = (
-            value_grid(0.0, 1.0, 0.01)
-            if kind == "split_sweep_2user"
-            else value_grid(20.0, 50.0, 2.0)
-        )
-    elif kind == "split_sweep_3user":
-        config = replace(config, users_per_cluster=3)
-        default_trials, default_grid = 1, split_surface_grid()
-    elif kind == "fairness_2user":
-        config = replace(config, users_per_cluster=2)
-        default_trials, default_grid = 1, value_grid(0.0, 1.0, 0.01)
-    elif kind == "fairness_3user":
-        config = replace(config, users_per_cluster=3)
-        default_trials, default_grid = 1, split_surface_grid()
-    elif kind == "admission_vs_sinr":
-        requesting = int(overrides.get("requesting_users", 8))
-        config = replace(config, users_per_cluster=requesting)
-        default_trials, default_grid = 1000, value_grid(5.0, 20.0, 2.5)
-    elif kind == "admission_vs_requesting":
-        default_grid = tuple(float(n) for n in range(2, 13))
-        pool = int(max(grid if grid is not None else default_grid))
-        config = replace(config, users_per_cluster=pool)
-        default_trials = 1000
-        defaults["requesting_users"] = pool
-    else:  # oracle comparison kinds
-        requesting = int(overrides.get("requesting_users", 8))
-        config = replace(config, users_per_cluster=requesting)
-        default_trials, default_grid = 1000, value_grid(30.0, 50.0, 5.0)
-        if kind == "oracle_compare_equal":
-            defaults["target_sinr_db_values"] = (5.0, 10.0, 15.0)
-    defaults.update(overrides)
-    return SweepSpec(
-        kind=kind,
-        grid=tuple(grid) if grid is not None else default_grid,
-        trials=default_trials if trials is None else int(trials),
-        config=config,
-        **defaults,
-    )
+    pts = np.asarray(grid, dtype=float)
+    if pts.ndim == 2:
+        a, b = pts[:, 0], pts[:, 1]
+        return np.stack([a, b * (1 - a), (1 - a) * (1 - b)], axis=-1)
+    if users == 2:
+        return np.stack([pts, 1 - pts], axis=-1)
+    return np.stack([pts, (1 - pts) / 2, (1 - pts) / 2], axis=-1)
 
 
-def sweep_series(spec: SweepSpec) -> tuple[tuple[str, str], ...]:
-    """Ordered (scheme, metric) pairs a sweep reports per grid point."""
-    both_sizes = (
-        ("noma_2user", "sum_rate_bps_hz"),
-        ("oma_2user", "sum_rate_bps_hz"),
-        ("noma_3user", "sum_rate_bps_hz"),
-        ("oma_3user", "sum_rate_bps_hz"),
-    )
-    if spec.kind in ("split_sweep_2user", "power_sweep", "ergodic_power_sweep"):
-        return both_sizes
-    if spec.kind == "split_sweep_3user":
-        return both_sizes[2:]
-    if spec.kind == "fairness_2user":
-        return (("noma_2user", "jain_index"), ("oma_2user", "jain_index"))
-    if spec.kind == "fairness_3user":
-        return (("noma_3user", "jain_index"), ("oma_3user", "jain_index"))
-    if spec.kind == "admission_vs_sinr":
-        return tuple(
-            (f"greedy_p{_num_label(p)}", metric)
-            for p in spec.power_dbm_values
-            for metric in ("admitted_count", "sum_rate_bps_hz")
-        )
-    if spec.kind == "admission_vs_requesting":
-        return tuple(
-            (f"greedy_p{_num_label(p)}_s{_num_label(s)}", metric)
-            for p in spec.power_dbm_values
-            for s in spec.target_sinr_db_values
-            for metric in ("admitted_count", "sum_rate_bps_hz")
-        )
-    if spec.kind == "oracle_compare_equal":
-        return tuple(
-            (f"{scheme}_s{_num_label(s)}", metric)
-            for s in spec.target_sinr_db_values
-            for scheme in ("greedy", "exhaustive", "exhaustive_minus_greedy")
-            for metric in ("admitted_count", "sum_rate_bps_hz")
-        )
-    return tuple(
-        (f"{scheme}_mixed", metric)
-        for scheme in ("greedy", "exhaustive", "exhaustive_minus_greedy")
+def _share_values(sizes, reduce):
+    """Evaluator of a power-share grid over the strongest k users, k in ``sizes``."""
+
+    def evaluate(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+        g = realization.snr_gains
+        return _scheme_rows([(g[:k], _splits(spec.grid, k)) for k in sizes], reduce)
+
+    return evaluate
+
+
+def _power_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+    rho = np.array([spec.config.rho_at(p) for p in spec.grid])
+    g3 = rho[:, None] * realization.effective_gains[None, :3]
+    w2 = np.asarray(spec.base_split, dtype=float)
+    w3 = extend_split(w2, spec.extension_fraction).coefficients
+    return _scheme_rows([(g3[:, :2], w2), (g3, w3)], _sum_rate)
+
+
+def _admission_series(schemes, blocks):
+    """Count and sum-rate series of each scheme in each block ``blocks(spec)`` labels."""
+    return lambda spec: tuple(
+        (f"{scheme}_{block}", metric)
+        for block in blocks(spec)
+        for scheme in schemes
         for metric in ("admitted_count", "sum_rate_bps_hz")
     )
 
 
-def _jain_rows(rates: np.ndarray) -> np.ndarray:
-    s = rates.sum(axis=-1)
-    sq = (rates * rates).sum(axis=-1)
-    n = rates.shape[-1]
-    return s * s / (n * sq)
+def _admit(gains, thresholds_db, cap) -> list:
+    inst = AdmissionInstance.from_db(gains, thresholds_db)
+    seq = greedy_admit(inst)
+    if cap is None:
+        return [seq.admitted_count, seq.sum_rate_bps_hz]
+    ref = exhaustive_admit(inst, cap=cap)
+    return [
+        seq.admitted_count,
+        seq.sum_rate_bps_hz,
+        ref.admitted_count,
+        ref.sum_rate_bps_hz,
+        ref.admitted_count - seq.admitted_count,
+        ref.sum_rate_bps_hz - seq.sum_rate_bps_hz,
+    ]
+
+
+def _admission_rows(blocks, cap=None) -> np.ndarray:
+    """Series rows of ``blocks[i][j]``, the ``(gains, thresholds_db)`` instance of
+    block i at grid point j: admitted count and sum rate of sequential
+    admission and, given an enumeration ``cap``, of the enumeration reference
+    and of its excess over sequential admission.
+    """
+    values = np.array([[_admit(g, t, cap) for g, t in block] for block in blocks], dtype=float)
+    return values.transpose(0, 2, 1).reshape(-1, values.shape[1])
+
+
+def _sinr_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+    eff = realization.effective_gains
+    by_power = [spec.config.rho_at(p) * eff for p in spec.power_dbm_values]
+    return _admission_rows([[(g, np.full(g.size, float(s))) for s in spec.grid] for g in by_power])
+
+
+def _requesting_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+    # Requesting pools are nested in draw order (not in sorted order), so a
+    # longer list never removes anyone from a shorter one.
+    draw_order = np.empty_like(realization.effective_gains)
+    draw_order[realization.sort_order] = realization.effective_gains
+    pools = [np.sort(draw_order[: int(n)])[::-1] for n in spec.grid]
+    return _admission_rows(
+        [
+            [(pool * spec.config.rho_at(p), np.full(pool.size, float(s))) for pool in pools]
+            for p in spec.power_dbm_values
+            for s in spec.target_sinr_db_values
+        ]
+    )
+
+
+def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+    eff = realization.effective_gains
+    blocks = [
+        [(spec.config.rho_at(p) * eff, np.full(eff.size, float(s))) for p in spec.grid]
+        for s in spec.target_sinr_db_values
+    ]
+    rows = _admission_rows(blocks, spec.enumeration_cap)
+    diverged = (rows[4::6] != 0) | (np.abs(rows[5::6]) > _EQUAL_MODE_RATE_TOL)
+    if diverged.any():
+        i, j = np.argwhere(diverged)[0]
+        raise RuntimeError(
+            "equal-target admission diverged from the enumeration reference "
+            f"(trial {trial}, power {spec.grid[j]} dBm, target {spec.target_sinr_db_values[i]} dB)"
+        )
+    return rows
 
 
 def _mixed_thresholds_db(spec: SweepSpec, trial: int) -> np.ndarray:
@@ -252,127 +302,100 @@ def _mixed_thresholds_db(spec: SweepSpec, trial: int) -> np.ndarray:
     return rng.choice(np.asarray(spec.threshold_choices_db, dtype=float), size=spec.requesting_users)
 
 
-def _admission_pair(gains, thresholds_db, cap):
-    inst = AdmissionInstance.from_db(gains, thresholds_db)
-    return greedy_admit(inst), exhaustive_admit(inst, cap=cap)
+def _oracle_mixed_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+    eff, thr_db = realization.effective_gains, _mixed_thresholds_db(spec, trial)
+    blocks = [[(spec.config.rho_at(p) * eff, thr_db) for p in spec.grid]]
+    return _admission_rows(blocks, spec.enumeration_cap)
+
+
+def _power_labels(spec: SweepSpec) -> list[str]:
+    return [f"p{_num_label(p)}" for p in spec.power_dbm_values]
+
+
+def _power_target_labels(spec: SweepSpec) -> list[str]:
+    targets = spec.target_sinr_db_values
+    return [f"p{_num_label(p)}_s{_num_label(s)}" for p in spec.power_dbm_values for s in targets]
+
+
+def _target_labels(spec: SweepSpec) -> list[str]:
+    return [f"s{_num_label(s)}" for s in spec.target_sinr_db_values]
+
+
+_SHARE_GRID = value_grid(0.0, 1.0, 0.01)
+_SURFACE_GRID = split_surface_grid()
+_POWER_GRID = value_grid(20.0, 50.0, 2.0)
+_ORACLE_GRID = value_grid(30.0, 50.0, 5.0)
+_SUM_RATES = _rate_series((2, 3), "sum_rate_bps_hz")
+_SEQUENTIAL = ("greedy",)
+_ORACLE = ("greedy", "exhaustive", "exhaustive_minus_greedy")
+
+# The split and power sweeps draw three users and carry the 2- and 3-user
+# schemes on the same draw.
+_KINDS = {
+    "split_sweep_2user": _Kind(3, 1, _SHARE_GRID, _SUM_RATES, _share_values((2, 3), _sum_rate), shares=True),
+    "split_sweep_3user": _Kind(
+        3, 1, _SURFACE_GRID, _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_rate),
+        surface=True, shares=True,
+    ),
+    "power_sweep": _Kind(3, 1, _POWER_GRID, _SUM_RATES, _power_values),
+    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, _SUM_RATES, _power_values),
+    "fairness_2user": _Kind(
+        2, 1, _SHARE_GRID, _rate_series((2,), "jain_index"), _share_values((2,), jain_index), shares=True
+    ),
+    "fairness_3user": _Kind(
+        3, 1, _SURFACE_GRID, _rate_series((3,), "jain_index"), _share_values((3,), jain_index),
+        surface=True, shares=True,
+    ),
+    "admission_vs_sinr": _Kind(
+        None, 1000, value_grid(5.0, 20.0, 2.5), _admission_series(_SEQUENTIAL, _power_labels), _sinr_values
+    ),
+    "admission_vs_requesting": _Kind(
+        None, 1000, tuple(float(n) for n in range(2, 13)),
+        _admission_series(_SEQUENTIAL, _power_target_labels), _requesting_values, pools=True,
+    ),
+    "oracle_compare_equal": _Kind(
+        None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, _target_labels), _oracle_equal_values,
+        defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
+    ),
+    "oracle_compare_mixed": _Kind(
+        None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values
+    ),
+}
+SWEEP_KINDS = tuple(_KINDS)
+
+
+def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **overrides) -> SweepSpec:
+    """Build a :class:`SweepSpec` with the conventional defaults per kind.
+
+    The cluster size is normalized to what the kind draws (the split and
+    power sweeps carry both the 2- and 3-user schemes on one draw; admission
+    sweeps draw the full requesting pool, which a pool-size grid ends at).
+    """
+    entry = _kind_entry(kind)
+    grid = overrides.pop("grid", None)
+    grid = entry.grid if grid is None else tuple(grid)
+    fields = {**entry.defaults, **overrides}
+    if entry.pools:
+        _check_grid(entry, grid)  # before the pool size is read from it
+        fields.setdefault("requesting_users", int(max(grid)))
+    users = entry.users or int(fields.get("requesting_users", SweepSpec.requesting_users))
+    return SweepSpec(
+        kind=kind,
+        grid=grid,
+        trials=entry.trials if trials is None else int(trials),
+        config=replace(config, users_per_cluster=users),
+        **fields,
+    )
+
+
+def sweep_series(spec: SweepSpec) -> tuple[tuple[str, str], ...]:
+    """Ordered (scheme, metric) pairs a sweep reports per grid point."""
+    return _KINDS[spec.kind].series(spec)
 
 
 def _trial_values(spec: SweepSpec, trial: int) -> np.ndarray:
     """All series values of one trial, shape (n_series, n_grid)."""
-    cfg = spec.config
-    kind = spec.kind
-    realization = draw_cluster(cfg, 0, trial)
-    grid = spec.grid
-    out = np.empty((len(sweep_series(spec)), len(grid)))
-
-    if kind in ("split_sweep_2user", "split_sweep_3user"):
-        g = realization.snr_gains
-        if kind == "split_sweep_2user":
-            w1 = np.asarray(grid, dtype=float)
-            # Same strong-user share for both sizes; the remainder goes to the
-            # weak user, or is halved over the two weaker users.
-            splits2 = np.stack([w1, 1 - w1], axis=-1)
-            splits3 = np.stack([w1, (1 - w1) / 2, (1 - w1) / 2], axis=-1)
-            out[0] = noma_sum_rate(g[:2], splits2)
-            out[1] = oma_user_rates(g[:2], splits2, optimal_dof_fractions(g[:2], splits2)).sum(axis=-1)
-            out[2] = noma_sum_rate(g[:3], splits3)
-            out[3] = oma_user_rates(g[:3], splits3, optimal_dof_fractions(g[:3], splits3)).sum(axis=-1)
-        else:
-            pts = np.asarray(grid, dtype=float)
-            a, b = pts[:, 0], pts[:, 1]
-            splits = np.stack([a, b * (1 - a), (1 - a) * (1 - b)], axis=-1)
-            out[0] = noma_sum_rate(g, splits)
-            out[1] = oma_user_rates(g, splits, optimal_dof_fractions(g, splits)).sum(axis=-1)
-        return out
-
-    if kind in ("power_sweep", "ergodic_power_sweep"):
-        eff = realization.effective_gains
-        rho = np.array([cfg.rho_at(p) for p in grid])
-        g3 = rho[:, None] * eff[None, :3]
-        w2 = np.asarray(spec.base_split, dtype=float)
-        w3 = extend_split(w2, spec.extension_fraction).coefficients
-        out[0] = noma_sum_rate(g3[:, :2], w2)
-        out[1] = oma_user_rates(g3[:, :2], w2, optimal_dof_fractions(g3[:, :2], w2)).sum(axis=-1)
-        out[2] = noma_sum_rate(g3, w3)
-        out[3] = oma_user_rates(g3, w3, optimal_dof_fractions(g3, w3)).sum(axis=-1)
-        return out
-
-    if kind in ("fairness_2user", "fairness_3user"):
-        g = realization.snr_gains
-        if kind == "fairness_2user":
-            w1 = np.asarray(grid, dtype=float)
-            splits = np.stack([w1, 1 - w1], axis=-1)
-        else:
-            pts = np.asarray(grid, dtype=float)
-            a, b = pts[:, 0], pts[:, 1]
-            splits = np.stack([a, b * (1 - a), (1 - a) * (1 - b)], axis=-1)
-        out[0] = _jain_rows(noma_user_rates(g, splits))
-        out[1] = _jain_rows(oma_user_rates(g, splits, optimal_dof_fractions(g, splits)))
-        return out
-
-    if kind == "admission_vs_sinr":
-        eff = realization.effective_gains
-        row = 0
-        for p in spec.power_dbm_values:
-            g = cfg.rho_at(p) * eff
-            for j, s in enumerate(grid):
-                res = greedy_admit(AdmissionInstance.from_db(g, np.full(g.size, float(s))))
-                out[row, j] = res.admitted_count
-                out[row + 1, j] = res.sum_rate_bps_hz
-            row += 2
-        return out
-
-    if kind == "admission_vs_requesting":
-        # Requesting pools are nested in draw order (not in sorted order), so
-        # a longer list never removes anyone from a shorter one.
-        draw_order = np.empty_like(realization.effective_gains)
-        draw_order[realization.sort_order] = realization.effective_gains
-        row = 0
-        for p in spec.power_dbm_values:
-            rho = cfg.rho_at(p)
-            for s in spec.target_sinr_db_values:
-                for j, n in enumerate(grid):
-                    pool = np.sort(draw_order[: int(n)])[::-1] * rho
-                    res = greedy_admit(AdmissionInstance.from_db(pool, np.full(int(n), float(s))))
-                    out[row, j] = res.admitted_count
-                    out[row + 1, j] = res.sum_rate_bps_hz
-                row += 2
-        return out
-
-    # oracle comparison kinds; the grid axis is transmit power
-    eff = realization.effective_gains
-    if kind == "oracle_compare_equal":
-        row = 0
-        for s in spec.target_sinr_db_values:
-            thr = np.full(eff.size, float(s))
-            for j, p in enumerate(grid):
-                gre, exh = _admission_pair(cfg.rho_at(p) * eff, thr, spec.enumeration_cap)
-                if gre.admitted_count != exh.admitted_count or (
-                    abs(gre.sum_rate_bps_hz - exh.sum_rate_bps_hz) > _EQUAL_MODE_RATE_TOL
-                ):
-                    raise RuntimeError(
-                        "equal-target admission diverged from the enumeration reference "
-                        f"(trial {trial}, power {p} dBm, target {s} dB)"
-                    )
-                out[row, j] = gre.admitted_count
-                out[row + 1, j] = gre.sum_rate_bps_hz
-                out[row + 2, j] = exh.admitted_count
-                out[row + 3, j] = exh.sum_rate_bps_hz
-                out[row + 4, j] = exh.admitted_count - gre.admitted_count
-                out[row + 5, j] = exh.sum_rate_bps_hz - gre.sum_rate_bps_hz
-            row += 6
-        return out
-
-    thr_db = _mixed_thresholds_db(spec, trial)
-    for j, p in enumerate(grid):
-        gre, exh = _admission_pair(cfg.rho_at(p) * eff, thr_db, spec.enumeration_cap)
-        out[0, j] = gre.admitted_count
-        out[1, j] = gre.sum_rate_bps_hz
-        out[2, j] = exh.admitted_count
-        out[3, j] = exh.sum_rate_bps_hz
-        out[4, j] = exh.admitted_count - gre.admitted_count
-        out[5, j] = exh.sum_rate_bps_hz - gre.sum_rate_bps_hz
-    return out
+    return _KINDS[spec.kind].evaluate(spec, draw_cluster(spec.config, 0, trial), trial)
 
 
 def _trial_batch(spec: SweepSpec, trials: tuple[int, ...]) -> list[np.ndarray]:
@@ -422,37 +445,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(kind=spec.kind, rows=tuple(rows), metadata=metadata)
 
 
-def _run_family(spec: SweepSpec, kinds: tuple[str, ...], workers: int) -> SweepResult:
-    if spec.kind not in kinds:
-        raise ValueError(f"expected a sweep of kind {kinds}, got '{spec.kind}'")
-    return run_sweep(spec, workers=workers)
-
-
-def run_split_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sum rate of both schemes against the power-split grid (curve or surface)."""
-    return _run_family(spec, ("split_sweep_2user", "split_sweep_3user"), workers)
-
-
-def run_ergodic_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sum rate against transmit power, averaged over channel draws."""
-    return _run_family(spec, ("power_sweep", "ergodic_power_sweep"), workers)
-
-
-def run_fairness_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Jain index of both schemes against the power-split grid."""
-    return _run_family(spec, ("fairness_2user", "fairness_3user"), workers)
-
-
-def run_admission_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Mean admitted count and sum rate against target SINR or pool size."""
-    return _run_family(spec, ("admission_vs_sinr", "admission_vs_requesting"), workers)
-
-
-def run_oracle_compare(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sequential admission against the enumeration reference per power point."""
-    return _run_family(spec, ("oracle_compare_equal", "oracle_compare_mixed"), workers)
-
-
 def _build_metadata(spec: SweepSpec, series, mean: np.ndarray) -> dict:
     cfg = asdict(spec.config)
     cfg["cell_radius_range_km"] = list(spec.config.cell_radius_range_km)
@@ -476,9 +468,8 @@ def _build_metadata(spec: SweepSpec, series, mean: np.ndarray) -> dict:
         "config": cfg,
         "sweep": sweep,
     }
-    if spec.kind == "split_sweep_3user":
-        labels = [s for s, _ in series]
-        gap = mean[labels.index("noma_3user")] - mean[labels.index("oma_3user")]
+    if spec.point_arity == 2 and series[0] == ("noma_3user", "sum_rate_bps_hz"):
+        gap = mean[0] - mean[1]  # superposed minus orthogonal sum rate
         best = int(np.argmax(gap))
         meta["max_gap"] = {
             "gap_bps_hz": float(gap[best]),
@@ -508,7 +499,3 @@ def write_metadata(result: SweepResult, path) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def default_output_dir() -> str:
-    return os.environ.get("NOMASIM_OUT_DIR", ".")

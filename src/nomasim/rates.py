@@ -300,14 +300,17 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
     )
 
 
-def jain_index(rates) -> float:
-    """Fairness of a rate vector: 1 when equal, 1/n when one user gets all."""
+def jain_index(rates):
+    """Fairness of rate vectors along the last axis: 1 when equal, 1/n when one
+    user gets all. A 1-D input gives a float; stacked inputs give an array."""
     r = np.asarray(rates, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("rates must be a non-empty 1-D sequence")
+    if r.ndim == 0 or r.shape[-1] == 0:
+        raise ValueError("rates must be non-empty along the last axis")
     if np.any(r < 0):
         raise ValueError("rates must be non-negative")
-    denom = r.size * float(np.sum(r * r))
-    if denom == 0:
+    s = r.sum(axis=-1)
+    denom = r.shape[-1] * (r * r).sum(axis=-1)
+    if np.any(denom == 0):
         raise ValueError("jain_index is undefined for an all-zero rate vector")
-    return float(np.sum(r)) ** 2 / denom
+    index = s * s / denom
+    return float(index) if r.ndim == 1 else index

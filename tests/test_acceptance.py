@@ -32,8 +32,7 @@ from nomasim import (
     oma_sum_upper_bound,
     oma_user_rates,
     optimal_dof_fractions,
-    run_admission_sweep,
-    run_fairness_sweep,
+    run_sweep,
     sic_feasibility_check,
     two_user_gap,
     two_user_gap_maximizer,
@@ -84,7 +83,7 @@ def mixed_pairs(bench_gains):
 
 @pytest.fixture(scope="session")
 def sinr_sweep():
-    return run_admission_sweep(make_sweep("admission_vs_sinr", DEFAULT, trials=1000))
+    return run_sweep(make_sweep("admission_vs_sinr", DEFAULT, trials=1000))
 
 
 def test_c01_superposed_rate_never_below_best_orthogonal_rate():
@@ -222,7 +221,7 @@ def test_c08_admission_benchmark_windows_and_trends(sinr_sweep):
     )
     assert np.all(np.diff(stacked, axis=0) >= 0)
     # counts rise with the requesting-pool size
-    by_pool = run_admission_sweep(make_sweep("admission_vs_requesting", DEFAULT, trials=1000))
+    by_pool = run_sweep(make_sweep("admission_vs_requesting", DEFAULT, trials=1000))
     for p in ("30", "40", "50"):
         counts = series_means(by_pool, f"greedy_p{p}_s10", "admitted_count")
         assert np.all(np.diff(counts) >= 0)
@@ -245,12 +244,12 @@ def test_c09_detection_vectors_are_unit_norm_and_nulling():
 
 
 def test_c10_superposed_fairness_dominates_on_both_sweeps():
-    curve = run_fairness_sweep(make_sweep("fairness_2user", DEFAULT))
+    curve = run_sweep(make_sweep("fairness_2user", DEFAULT))
     assert np.all(
         series_means(curve, "noma_2user", "jain_index")
         >= series_means(curve, "oma_2user", "jain_index")
     )
-    surface = run_fairness_sweep(make_sweep("fairness_3user", DEFAULT))
+    surface = run_sweep(make_sweep("fairness_3user", DEFAULT))
     assert np.all(
         series_means(surface, "noma_3user", "jain_index")
         >= series_means(surface, "oma_3user", "jain_index")

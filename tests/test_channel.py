@@ -1,5 +1,7 @@
 """Channel draws, detection vectors, and the cell configuration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,16 @@ class TestSystemConfig:
             {"cell_radius_range_km": (0.0, 0.5)},
             {"rng_seed": -1},
             {"rng_seed": 1.5},
+            {"bandwidth_hz": math.inf},
+            {"noise_density_dbm_hz": math.nan},
+            {"pathloss_fixed_db": -math.inf},
+            {"pathloss_slope": math.nan},
+            {"tx_power_dbm": math.inf},
+            {"cell_radius_range_km": (0.1, math.inf)},
         ],
     )
     def test_invalid_configs_rejected(self, changes):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises((ValueError, TypeError), match="|".join(changes)):
             SystemConfig(**changes)
 
 

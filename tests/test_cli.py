@@ -101,6 +101,25 @@ class TestDispatch:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["ergodic", "--set", "grid=30,nan"], "grid"),
+            (["ergodic", "--set", "bandwidth_hz=inf"], "bandwidth_hz"),
+            (["ergodic", "--set", "pathloss_slope=nan"], "pathloss_slope"),
+            (
+                ["admission", "--by-requesting", "--set", "requesting_users=3", "--set", "grid=2,3,4"],
+                "requesting_users",
+            ),
+        ],
+    )
+    def test_bad_value_is_exit_code_2_naming_the_key(self, args, key, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(args + ["--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommands:
     def test_two_point_grid_writes_two_rows_per_scheme(self, tmp_path, capsys):

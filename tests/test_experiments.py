@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +13,6 @@ from nomasim import (
     SweepSpec,
     SystemConfig,
     make_sweep,
-    run_admission_sweep,
-    run_ergodic_sweep,
-    run_fairness_sweep,
-    run_oracle_compare,
-    run_split_sweep,
     run_sweep,
     split_surface_grid,
     sweep_series,
@@ -24,10 +20,24 @@ from nomasim import (
     write_csv,
     write_metadata,
 )
-from nomasim.experiments import default_output_dir
 
 
 CFG = SystemConfig()
+CFG3 = SystemConfig(users_per_cluster=3)
+
+# A one- or two-point grid per sweep kind, for runs that cover every kind.
+SMALL_GRIDS = {
+    "split_sweep_2user": (0.4,),
+    "split_sweep_3user": ((0.2, 0.6),),
+    "power_sweep": (30.0,),
+    "ergodic_power_sweep": (30.0, 50.0),
+    "fairness_2user": (0.4,),
+    "fairness_3user": ((0.2, 0.6),),
+    "admission_vs_sinr": (10.0,),
+    "admission_vs_requesting": (2.0, 3.0),
+    "oracle_compare_equal": (30.0,),
+    "oracle_compare_mixed": (30.0, 40.0),
+}
 
 
 def series_means(result, scheme, metric):
@@ -39,29 +49,29 @@ def series_means(result, scheme, metric):
 
 @pytest.fixture(scope="module")
 def split_curve():
-    return run_split_sweep(make_sweep("split_sweep_2user", CFG))
+    return run_sweep(make_sweep("split_sweep_2user", CFG))
 
 
 @pytest.fixture(scope="module")
 def split_surface():
-    return run_split_sweep(make_sweep("split_sweep_3user", CFG))
+    return run_sweep(make_sweep("split_sweep_3user", CFG))
 
 
 @pytest.fixture(scope="module")
 def fairness_curve():
-    return run_fairness_sweep(make_sweep("fairness_2user", CFG))
+    return run_sweep(make_sweep("fairness_2user", CFG))
 
 
 @pytest.fixture(scope="module")
 def ergodic():
-    return run_ergodic_sweep(
+    return run_sweep(
         make_sweep("ergodic_power_sweep", CFG, trials=40, grid=(30.0, 40.0, 50.0))
     )
 
 
 @pytest.fixture(scope="module")
 def vs_sinr():
-    return run_admission_sweep(make_sweep("admission_vs_sinr", CFG, trials=50))
+    return run_sweep(make_sweep("admission_vs_sinr", CFG, trials=50))
 
 
 class TestGrids:
@@ -83,34 +93,69 @@ class TestGrids:
 
 class TestSweepSpec:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="nope", grid=(1.0,), trials=1, config=CFG)
+        with pytest.raises(ValueError, match="unknown sweep kind"):
+            SweepSpec(kind="nope", grid=(1.0,), trials=1, config=CFG3)
 
     @pytest.mark.parametrize("trials", [0, -1, 1.5])
     def test_bad_trials_rejected(self, trials):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="power_sweep", grid=(30.0,), trials=trials, config=CFG)
+        with pytest.raises(ValueError, match="trials"):
+            SweepSpec(kind="power_sweep", grid=(30.0,), trials=trials, config=CFG3)
 
     def test_surface_kind_needs_pairs(self):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="split_sweep_3user", grid=(0.5,), trials=1, config=CFG)
+        with pytest.raises(ValueError, match="pairs"):
+            SweepSpec(kind="split_sweep_3user", grid=(0.5,), trials=1, config=CFG3)
 
     def test_scalar_kind_rejects_pairs(self):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="power_sweep", grid=((30.0, 40.0),), trials=1, config=CFG)
+        with pytest.raises(ValueError, match="scalars"):
+            SweepSpec(kind="power_sweep", grid=((30.0, 40.0),), trials=1, config=CFG3)
 
     def test_share_grid_bounded(self):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="split_sweep_2user", grid=(0.5, 1.5), trials=1, config=CFG)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SweepSpec(kind="split_sweep_2user", grid=(0.5, 1.5), trials=1, config=CFG3)
 
     def test_requesting_grid_must_be_integers(self):
-        with pytest.raises(ValueError):
-            SweepSpec(kind="admission_vs_requesting", grid=(2.5,), trials=1, config=CFG)
+        with pytest.raises(ValueError, match="positive integers"):
+            SweepSpec(
+                kind="admission_vs_requesting", grid=(2.5, 3.0), trials=1, config=CFG3, requesting_users=3
+            )
 
     def test_base_split_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="base_split"):
             SweepSpec(
-                kind="power_sweep", grid=(30.0,), trials=1, config=CFG, base_split=(0.2, 0.9)
+                kind="power_sweep", grid=(30.0,), trials=1, config=CFG3, base_split=(0.2, 0.9)
+            )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("grid", (30.0, math.nan)),
+            ("grid", (30.0, math.inf)),
+            ("power_dbm_values", (30.0, math.nan)),
+            ("target_sinr_db_values", (-math.inf,)),
+            ("threshold_choices_db", (5.0, math.nan)),
+            ("base_split", (math.nan, 0.8)),
+            ("extension_fraction", math.nan),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, key, value):
+        fields = {"grid": (30.0,), key: value}
+        with pytest.raises(ValueError, match=key):
+            SweepSpec(kind="power_sweep", trials=1, config=CFG3, **fields)
+
+    def test_config_must_match_the_drawn_cluster_size(self):
+        with pytest.raises(ValueError, match="8-user clusters"):
+            SweepSpec(
+                kind="admission_vs_sinr", grid=(10.0,), trials=1, config=SystemConfig(users_per_cluster=4)
+            )
+
+    def test_pool_grid_must_end_at_requesting_users(self):
+        with pytest.raises(ValueError, match="largest pool size"):
+            SweepSpec(
+                kind="admission_vs_requesting",
+                grid=(2.0, 3.0, 4.0),
+                trials=1,
+                config=CFG3,
+                requesting_users=3,
             )
 
 
@@ -139,6 +184,17 @@ class TestMakeSweep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_sweep("bogus", CFG)
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"grid": (2.0, 3.0, 4.0), "requesting_users": 3}, "largest pool size"),
+            ({"grid": (math.inf, 2.0)}, "grid entries must be finite"),
+        ],
+    )
+    def test_pool_grid_conflicts_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            make_sweep("admission_vs_requesting", CFG, **overrides)
 
 
 class TestSeriesLabels:
@@ -261,7 +317,7 @@ class TestAdmissionSweeps:
         assert np.all((counts >= 0) & (counts <= 8))
 
     def test_counts_rise_with_requesting_pool(self):
-        result = run_admission_sweep(
+        result = run_sweep(
             make_sweep("admission_vs_requesting", CFG, trials=30, grid=tuple(range(2, 9)))
         )
         counts = series_means(result, "greedy_p30_s10", "admitted_count")
@@ -270,7 +326,7 @@ class TestAdmissionSweeps:
 
 class TestOracleCompare:
     def test_equal_targets_never_disagree(self):
-        result = run_oracle_compare(
+        result = run_sweep(
             make_sweep("oracle_compare_equal", CFG, trials=30, grid=(30.0, 50.0))
         )
         for s in ("5", "10", "15"):
@@ -290,8 +346,9 @@ class TestExecution:
         spec = make_sweep("ergodic_power_sweep", CFG, trials=5, grid=(30.0, 40.0))
         assert run_sweep(spec).rows == run_sweep(spec).rows
 
-    def test_parallel_matches_serial(self):
-        spec = make_sweep("ergodic_power_sweep", CFG, trials=8, grid=(30.0, 50.0))
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_parallel_matches_serial(self, kind):
+        spec = make_sweep(kind, CFG, trials=3, grid=SMALL_GRIDS[kind])
         assert run_sweep(spec, workers=1).rows == run_sweep(spec, workers=2).rows
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5])
@@ -300,31 +357,10 @@ class TestExecution:
         with pytest.raises(ValueError):
             run_sweep(spec, workers=workers)
 
-    def test_wrappers_guard_their_kind(self):
-        fairness = make_sweep("fairness_2user", CFG)
-        admission = make_sweep("admission_vs_sinr", CFG, trials=1)
-        with pytest.raises(ValueError):
-            run_split_sweep(fairness)
-        with pytest.raises(ValueError):
-            run_ergodic_sweep(fairness)
-        with pytest.raises(ValueError):
-            run_fairness_sweep(admission)
-        with pytest.raises(ValueError):
-            run_admission_sweep(fairness)
-        with pytest.raises(ValueError):
-            run_oracle_compare(admission)
-
     def test_every_kind_is_runnable(self):
         # one-trial smoke pass over the whole kind table
         for kind in SWEEP_KINDS:
-            grid = ((0.2, 0.6),) if kind in ("split_sweep_3user", "fairness_3user") else None
-            if kind.startswith("admission_vs_requesting"):
-                grid = (2.0, 3.0)
-            elif kind.startswith(("power", "ergodic", "admission", "oracle")):
-                grid = (30.0,)
-            elif kind.startswith(("split_sweep_2user", "fairness_2user")):
-                grid = (0.4,)
-            spec = make_sweep(kind, CFG, trials=1, **({"grid": grid} if grid else {}))
+            spec = make_sweep(kind, CFG, trials=1, grid=SMALL_GRIDS[kind])
             result = run_sweep(spec)
             assert len(result.rows) == len(spec.grid) * len(sweep_series(spec))
 
@@ -366,9 +402,3 @@ class TestSerialization:
         c = run_sweep(make_sweep("power_sweep", SystemConfig(rng_seed=7), grid=(30.0,)))
         assert a.metadata["build_tag"] == b.metadata["build_tag"]
         assert a.metadata["build_tag"] != c.metadata["build_tag"]
-
-    def test_output_dir_env_override(self, monkeypatch):
-        monkeypatch.delenv("NOMASIM_OUT_DIR", raising=False)
-        assert default_output_dir() == "."
-        monkeypatch.setenv("NOMASIM_OUT_DIR", "/tmp/somewhere")
-        assert default_output_dir() == "/tmp/somewhere"

@@ -256,6 +256,12 @@ class TestJainIndex:
         with pytest.raises(ValueError):
             jain_index([0.0, 0.0])
 
+    def test_stacked_rows_match_one_vector_at_a_time(self):
+        rates = np.array([[2.5, 2.5, 2.5], [0.0, 0.0, 7.0], [1.0, 3.0, 0.5]])
+        np.testing.assert_array_equal(jain_index(rates), [jain_index(r) for r in rates])
+        with pytest.raises(ValueError):
+            jain_index(np.array([[1.0, 3.0], [0.0, 0.0]]))
+
     def test_equalizing_split_reaches_one(self):
         # bisect the two-user split until both rates match, fairness peaks there
         g = np.array([8.0, 2.0])
