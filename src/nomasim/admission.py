@@ -8,9 +8,13 @@ subset search over the same per-subset allocation rule serves as the
 optimality reference.
 
 Gains are on SNR scale (transmit-to-noise ratio and path loss folded in) and
-sorted in decreasing order; targets are linear. Allocation runs on plain
-Python floats so the sequential scheme and the subset search share bit-equal
-arithmetic, and so the per-user cost stays a handful of scalar operations.
+sorted in decreasing order; targets are linear. Per instance, allocation runs
+on plain Python floats so the sequential scheme and the subset search share
+bit-equal arithmetic, and so the per-user cost stays a handful of scalar
+operations. Sweeps run the sequential scheme on many instances at once
+(:func:`_sequential_admit_batch`): the same IEEE operations in the same order
+on arrays, so its counts and sum rates equal :func:`greedy_admit`'s bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,6 +34,16 @@ _RATE_TIE_TOL = 1e-12
 DEFAULT_ENUMERATION_CAP = 12
 
 
+def _check_instances(gains: np.ndarray, thresholds: np.ndarray) -> None:
+    """Reject invalid admission inputs; the last axis is the admission order."""
+    if not np.all(np.isfinite(gains)) or np.any(gains < 0):
+        raise ValueError("gains must be finite and non-negative")
+    if np.any(np.diff(gains, axis=-1) > 0):
+        raise ValueError("gains must be sorted in non-increasing order")
+    if not np.all(np.isfinite(thresholds)) or np.any(thresholds <= 0):
+        raise ValueError("sinr_thresholds must be finite and positive")
+
+
 @dataclass(frozen=True)
 class AdmissionInstance:
     """One admission problem: decreasing SNR-scale gains plus linear targets."""
@@ -44,12 +58,7 @@ class AdmissionInstance:
             raise ValueError("gains must be a non-empty 1-D sequence")
         if t.shape != g.shape:
             raise ValueError("sinr_thresholds must match gains in length")
-        if not np.all(np.isfinite(g)) or np.any(g < 0):
-            raise ValueError("gains must be finite and non-negative")
-        if np.any(np.diff(g) > 0):
-            raise ValueError("gains must be sorted in non-increasing order")
-        if not np.all(np.isfinite(t)) or np.any(t <= 0):
-            raise ValueError("sinr_thresholds must be finite and positive")
+        _check_instances(g, t)
         g.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "gains", g)
@@ -132,6 +141,41 @@ def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
         sum_rate_bps_hz=rate,
         achieved_sinrs=sinrs,
     )
+
+
+def _sequential_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential admission of a whole batch of instances: counts and sum rates.
+
+    ``gains`` and the linear ``thresholds`` broadcast to one shape whose last
+    axis is the admission order; the leading axes are the batch (e.g. trials
+    x powers x targets). Inputs are validated once for the batch, as
+    :class:`AdmissionInstance` validates one instance. The recurrence walks
+    the users once, doing :func:`greedy_admit`'s operations in its order on
+    the whole batch, and the rate terms go through ``math.log2`` as there
+    (numpy's log2 can differ from it in the last bit), so the results equal
+    :func:`greedy_admit`'s bit for bit. Zero-gain users end admission, so
+    padding an instance with trailing zero gains leaves its result unchanged.
+    """
+    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ValueError("gains must be non-empty along the last axis")
+    _check_instances(g, t)
+    total = np.zeros(g.shape[:-1])
+    rate = np.zeros(g.shape[:-1])
+    count = np.zeros(g.shape[:-1], dtype=int)
+    admitted = np.ones(g.shape[:-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(g.shape[-1]):
+            gk, tk = g[..., k], t[..., k]
+            need = tk * total + tk / gk
+            admitted &= (gk > 0.0) & ~(need > 1.0 - total)
+            sinr = need[admitted] * gk[admitted] / (1.0 + gk[admitted] * total[admitted])
+            term = np.zeros(rate.shape)
+            term[admitted] = np.fromiter(map(math.log2, (1.0 + sinr).tolist()), dtype=float, count=sinr.size)
+            rate = rate + term
+            total = np.where(admitted, total + need, total)
+            count += admitted
+    return count, rate
 
 
 def cumulative_power_closed_form(instance: AdmissionInstance, count: int) -> float:

@@ -10,6 +10,7 @@ the decoding order assumed everywhere else in the package.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,6 +98,10 @@ class ClusterRealization:
     transmit-to-noise power ratio of the config the draw came from, so
     ``rho * effective_gains`` are the SNR-scale gains the rate and admission
     code expects. ``sort_order[l]`` is the draw-order index of sorted user l.
+
+    A batched draw stacks trials on a leading axis of every per-user array
+    (``channels[t, l]``, ``effective_gains[t, l]``, ...); ``precoder`` and
+    ``rho`` are shared by all trials.
     """
 
     channels: np.ndarray
@@ -112,6 +117,35 @@ class ClusterRealization:
         return self.rho * self.effective_gains
 
 
+def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
+    """Combiners of a stack of (n_rx, n_tx) channels, one stacked SVD for all.
+
+    Each matrix is handled on its own by the SVD and matmul kernels, so a
+    combiner does not depend on what else is in the stack.
+    """
+    n_rx, n_tx = channels.shape[-2:]
+    own = channels[..., own_column_index]
+    if n_tx == 1:
+        u = np.broadcast_to(np.eye(n_rx, dtype=complex), channels.shape[:-2] + (n_rx, n_rx))
+        rank = np.zeros(channels.shape[:-2], dtype=int)
+    else:
+        others = [j for j in range(n_tx) if j != own_column_index]
+        u, s = np.linalg.svd(channels[..., others])[:2]
+        top = s[..., :1]
+        rank = np.where(top[..., 0] > 0, np.count_nonzero(s > top * _RANK_RTOL, axis=-1), 0)
+    if np.any(rank >= n_rx):
+        raise DegenerateChannelError("interfering columns span the entire receive space")
+    # Columns of u from the rank on span the orthogonal complement of the
+    # interfering columns. u^H own is taken as the conjugate of own^H u, which
+    # needs no conjugated copy of u.
+    in_complement = np.arange(n_rx) >= rank[..., None]
+    w = np.where(in_complement, (own.conj()[..., None, :] @ u)[..., 0, :].conj(), 0.0)
+    norm = np.sqrt(np.sum(w.real**2 + w.imag**2, axis=-1))
+    if not ((norm > 0) & np.isfinite(norm)).all():
+        raise DegenerateChannelError("own column lies in the span of the interfering columns")
+    return (u @ (w / norm[..., None])[..., None])[..., 0]
+
+
 def compute_detection_vector(channel: np.ndarray, own_column_index: int) -> np.ndarray:
     """Unit-norm combiner orthogonal to every precoder column except one.
 
@@ -119,7 +153,8 @@ def compute_detection_vector(channel: np.ndarray, own_column_index: int) -> np.n
     columns and, inside that subspace, points along the projection of the own
     column, which maximizes the effective gain. Raises
     :class:`DegenerateChannelError` when the complement is empty or the own
-    column has no component in it.
+    column has no component in it. :func:`draw_cluster` runs the same kernel
+    on every user of a batch of trials at once.
     """
     h = np.asarray(channel, dtype=complex)
     if h.ndim != 2:
@@ -129,24 +164,12 @@ def compute_detection_vector(channel: np.ndarray, own_column_index: int) -> np.n
         raise ValueError("own_column_index out of range")
     if n_rx < n_tx:
         raise ValueError("need rx antennas >= tx antennas to cancel all interfering columns")
-    own = h[:, own_column_index]
-    others = np.delete(h, own_column_index, axis=1)
-    if others.shape[1] == 0:
-        basis = np.eye(n_rx, dtype=complex)
-    else:
-        u, s, _ = np.linalg.svd(others)
-        rank = int(np.count_nonzero(s > s[0] * _RANK_RTOL)) if s.size and s[0] > 0 else 0
-        basis = u[:, rank:]
-    if basis.shape[1] == 0:
-        raise DegenerateChannelError("interfering columns span the entire receive space")
-    w = basis.conj().T @ own
-    norm = float(np.linalg.norm(w))
-    if not (norm > 0 and math.isfinite(norm)):
-        raise DegenerateChannelError("own column lies in the span of the interfering columns")
-    return basis @ (w / norm)
+    return _combiners(h[None], own_column_index)[0]
 
 
-def draw_cluster(config: SystemConfig, cluster_index: int = 0, trial_seed: int = 0) -> ClusterRealization:
+def draw_cluster(
+    config: SystemConfig, cluster_index: int = 0, trial_seed: int | Sequence[int] = 0
+) -> ClusterRealization:
     """Draw one cluster of users and build their combiners.
 
     Fading entries are i.i.d. circularly-symmetric complex Gaussian with unit
@@ -154,40 +177,53 @@ def draw_cluster(config: SystemConfig, cluster_index: int = 0, trial_seed: int =
     resulting path loss scales each channel matrix. The stream is keyed by
     ``(rng_seed, cluster_index, trial_seed)`` so a given triple always
     reproduces the same realization, independent of call order.
+
+    ``trial_seed`` may also be a 1-D sequence of trial seeds. Each trial still
+    draws from its own stream, and the result stacks the trials on a leading
+    axis; trial ``i`` of it equals ``draw_cluster(config, cluster_index,
+    trial_seed[i])`` bit for bit.
     """
     if not 0 <= cluster_index < config.tx_antennas:
         raise ValueError("cluster_index must select one precoder column")
-    if int(trial_seed) != trial_seed or trial_seed < 0:
-        raise ValueError("trial_seed must be a non-negative integer")
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.rng_seed, int(cluster_index), int(trial_seed)])
-    )
+    ndim = np.ndim(trial_seed)
+    trials = list(trial_seed) if ndim == 1 else [trial_seed]
+    if ndim > 1 or not trials:
+        raise ValueError("trial_seed must be an integer or a non-empty 1-D sequence of them")
+    for t in trials:
+        if int(t) != t or t < 0:
+            raise ValueError("trial_seed must be a non-negative integer")
     n_users = config.users_per_cluster
     n_rx, n_tx = config.rx_antennas, config.tx_antennas
 
     lo, hi = config.cell_radius_range_km
-    distances = rng.uniform(lo, hi, size=n_users)
-    fading = (
-        rng.standard_normal((n_users, n_rx, n_tx)) + 1j * rng.standard_normal((n_users, n_rx, n_tx))
-    ) / math.sqrt(2.0)
+    distances = np.empty((len(trials), n_users))
+    channels = np.empty((len(trials), n_users, n_rx, n_tx), dtype=complex)
+    for i, t in enumerate(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, int(cluster_index), int(t)]))
+        distances[i] = rng.uniform(lo, hi, size=n_users)
+        channels[i].real = rng.standard_normal((n_users, n_rx, n_tx))
+        channels[i].imag = rng.standard_normal((n_users, n_rx, n_tx))
+    channels /= math.sqrt(2.0)  # unit-variance fading
     pathloss_db = config.pathloss_fixed_db + config.pathloss_slope * np.log10(distances)
-    amplitude = 10.0 ** (-pathloss_db / 20.0)
-    channels = amplitude[:, None, None] * fading
+    channels *= (10.0 ** (-pathloss_db / 20.0))[..., None, None]
 
-    detection = np.stack(
-        [compute_detection_vector(channels[l], cluster_index) for l in range(n_users)]
-    )
-    gains = np.abs(np.einsum("ln,ln->l", detection.conj(), channels[:, :, cluster_index])) ** 2
+    detection = _combiners(channels, cluster_index)
+    own = channels[..., cluster_index]
+    z = (detection.conj()[..., None, :] @ own[..., :, None])[..., 0, 0]
+    gains = z.real**2 + z.imag**2
 
-    order = np.array(sorted(range(n_users), key=lambda i: (-gains[i], i)))
+    order = np.argsort(-gains, axis=-1, kind="stable")  # ties keep draw order
+    pick = (np.arange(len(trials))[:, None], order)
     arrays = dict(
-        channels=channels[order],
-        precoder=np.eye(n_tx, dtype=complex),
-        detection_vectors=detection[order],
-        effective_gains=gains[order],
-        distances_km=distances[order],
+        channels=channels[pick],
+        detection_vectors=detection[pick],
+        effective_gains=gains[pick],
+        distances_km=distances[pick],
         sort_order=order,
     )
+    if ndim == 0:
+        arrays = {k: a[0] for k, a in arrays.items()}
+    arrays["precoder"] = np.eye(n_tx, dtype=complex)
     for a in arrays.values():
         a.setflags(write=False)
     return ClusterRealization(rho=config.rho, **arrays)

@@ -145,14 +145,22 @@ def _metadata_path(csv_path: str) -> str:
     return (root if ext == ".csv" else csv_path) + ".meta.json"
 
 
-def _resolve_config(inv: CliInvocation) -> tuple[SystemConfig, dict]:
+def _resolve_config(inv: CliInvocation, reads: tuple[str, ...] = ()) -> tuple[SystemConfig, dict]:
+    """Cell config and sweep settings of an invocation; ``reads`` lists the
+    sweep keys a non-sweep subcommand accepts."""
     base = SystemConfig()
     if inv.subcommand == "oracle-compare":
         # dense deployment so the enumeration comparison is not ceiling-bound
         base = base.with_(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
+    elif inv.subcommand == "verify":
+        base = base.with_(rng_seed=0)  # the verification checks' own default seed
     config, sweep_kwargs = parse_config(inv.config_path, inv.overrides, base=base)
     if inv.seed is not None:
         config = config.with_(rng_seed=inv.seed)
+    if inv.subcommand not in _KIND_BY_COMMAND:
+        unread = [key for key in sweep_kwargs if key not in reads]
+        if unread:
+            raise ConfigError(f"{inv.subcommand} does not read the sweep key '{unread[0]}'")
     return config, sweep_kwargs
 
 
@@ -162,7 +170,10 @@ def _run_sweep_command(inv: CliInvocation) -> int:
     config, sweep_kwargs = _resolve_config(inv)
     trials = inv.trials if inv.trials is not None else sweep_kwargs.pop("trials", None)
     sweep_kwargs.pop("trials", None)
-    spec = make_sweep(kind, config, trials=trials, **sweep_kwargs)
+    try:
+        spec = make_sweep(kind, config, trials=trials, **sweep_kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{inv.subcommand}: {e}") from None
     result = run_sweep(spec, workers=inv.workers)
     out = inv.out_path or os.path.join(os.environ.get("NOMASIM_OUT_DIR", "."), f"{kind}.csv")
     write_csv(result, out)
@@ -198,10 +209,9 @@ def _run_gap_command(inv: CliInvocation) -> int:
 
 
 def _run_verify_command(inv: CliInvocation) -> int:
-    config, _ = _resolve_config(inv)
-    trials = inv.trials if inv.trials is not None else 1000
-    seed = inv.seed if inv.seed is not None else 0
-    results = run_verification(trials=trials, seed=seed, config=config)
+    config, sweep_kwargs = _resolve_config(inv, reads=("trials",))
+    trials = inv.trials if inv.trials is not None else sweep_kwargs.get("trials", 1000)
+    results = run_verification(trials=trials, seed=config.rng_seed, config=config)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

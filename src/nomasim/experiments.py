@@ -3,12 +3,14 @@
 Every sweep evaluates all of its schemes on the same channel draws (trial t of
 a sweep always uses the realization keyed by ``(rng_seed, cluster 0, t)``), so
 scheme comparisons are paired and per-trial inequalities survive averaging.
-Per-trial work is a pure function of ``(spec, trial)``; results are reduced in
-trial order, which keeps output byte-identical for any worker count.
+Trials are evaluated a chunk at a time, on arrays with a leading trial axis.
+Each trial's values are a pure function of ``(spec, trial)``, whatever chunk
+it falls in, and results are reduced in trial order, which keeps output
+byte-identical for any chunking and any worker count.
 
 Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
-default trials and grid, what its grid holds, the series it reports and how
-one trial is evaluated.
+default trials and grid, what its grid holds, the sweep keys it reads, the
+series it reports and how a chunk of trials is evaluated.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -23,9 +26,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .admission import AdmissionInstance, exhaustive_admit, greedy_admit
+from .admission import AdmissionInstance, _sequential_admit_batch, exhaustive_admit
 from .channel import ClusterRealization, SystemConfig, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
+from .units import db_to_linear
 
 # Decorrelates the threshold draws of the mixed-target benchmark from the
 # channel stream of the same trial.
@@ -37,6 +41,10 @@ _THRESHOLD_STREAM = 104729
 ORACLE_BENCHMARK_RADIUS_KM = (0.01, 0.15)
 
 _EQUAL_MODE_RATE_TOL = 1e-12
+
+# Trials per array pass: enough to spread the per-call overhead of the array
+# kernels, few enough that a chunk's temporaries stay around a megabyte.
+_CHUNK_TRIALS = 256
 
 
 def value_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -125,15 +133,20 @@ class _Kind:
 
     ``users`` is the cluster size drawn per trial; ``None`` draws
     ``requesting_users``, which a grid of pool sizes (``pools``) must end at.
-    ``evaluate(spec, realization, trial)`` gives one trial's values, shape
-    ``(len(series(spec)), len(spec.grid))``.
+    ``evaluate(spec, realization, trials)`` gives the values of a chunk of
+    trials, shape ``(len(trials), len(series(spec)), len(spec.grid))``, from
+    the chunk's batched draw (trial axis first) and its trial indices; trial
+    i's values must not depend on the rest of the chunk. ``reads`` names the
+    :class:`SweepSpec` fields besides ``grid`` the kind uses, the only ones
+    :func:`make_sweep` accepts as overrides.
     """
 
     users: int | None
     trials: int
     grid: tuple
     series: Callable[[SweepSpec], tuple[tuple[str, str], ...]]
-    evaluate: Callable[[SweepSpec, ClusterRealization, int], np.ndarray]
+    evaluate: Callable[[SweepSpec, ClusterRealization, np.ndarray], np.ndarray]
+    reads: tuple[str, ...] = ()
     surface: bool = False  # grid of (strong share, mid-user fraction) pairs
     shares: bool = False  # grid entries are power shares in [0, 1]
     pools: bool = False  # grid entries are requesting-pool sizes
@@ -174,12 +187,13 @@ def _sum_rate(rates: np.ndarray) -> np.ndarray:
 
 
 def _scheme_rows(pairs, reduce) -> np.ndarray:
-    """Superposed, then orthogonal ``reduce(rates)`` of each ``(gains, splits)`` pair."""
+    """Superposed, then orthogonal ``reduce(rates)`` of each ``(gains, splits)``
+    pair, on the series axis after the leading trial axis."""
     rows = []
     for g, w in pairs:
         rows.append(reduce(noma_user_rates(g, w)))
         rows.append(reduce(oma_user_rates(g, w, optimal_dof_fractions(g, w))))
-    return np.stack(rows)
+    return np.stack(rows, axis=1)
 
 
 def _rate_series(sizes, metric: str):
@@ -206,19 +220,22 @@ def _splits(grid, users: int) -> np.ndarray:
 def _share_values(sizes, reduce):
     """Evaluator of a power-share grid over the strongest k users, k in ``sizes``."""
 
-    def evaluate(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
-        g = realization.snr_gains
-        return _scheme_rows([(g[:k], _splits(spec.grid, k)) for k in sizes], reduce)
+    def evaluate(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
+        g = realization.snr_gains[:, None, :]
+        return _scheme_rows([(g[..., :k], _splits(spec.grid, k)) for k in sizes], reduce)
 
     return evaluate
 
 
-def _power_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
-    rho = np.array([spec.config.rho_at(p) for p in spec.grid])
-    g3 = rho[:, None] * realization.effective_gains[None, :3]
+def _rho(config: SystemConfig, powers_dbm) -> np.ndarray:
+    return np.array([config.rho_at(p) for p in powers_dbm])
+
+
+def _power_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
+    g3 = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :3]
     w2 = np.asarray(spec.base_split, dtype=float)
     w3 = extend_split(w2, spec.extension_fraction).coefficients
-    return _scheme_rows([(g3[:, :2], w2), (g3, w3)], _sum_rate)
+    return _scheme_rows([(g3[..., :2], w2), (g3, w3)], _sum_rate)
 
 
 def _admission_series(schemes, blocks):
@@ -231,66 +248,62 @@ def _admission_series(schemes, blocks):
     )
 
 
-def _admit(gains, thresholds_db, cap) -> list:
-    inst = AdmissionInstance.from_db(gains, thresholds_db)
-    seq = greedy_admit(inst)
-    if cap is None:
-        return [seq.admitted_count, seq.sum_rate_bps_hz]
-    ref = exhaustive_admit(inst, cap=cap)
-    return [
-        seq.admitted_count,
-        seq.sum_rate_bps_hz,
-        ref.admitted_count,
-        ref.sum_rate_bps_hz,
-        ref.admitted_count - seq.admitted_count,
-        ref.sum_rate_bps_hz - seq.sum_rate_bps_hz,
-    ]
+def _admission_rows(gains, thresholds, cap=None) -> np.ndarray:
+    """Series rows of a batch of admission instances.
 
-
-def _admission_rows(blocks, cap=None) -> np.ndarray:
-    """Series rows of ``blocks[i][j]``, the ``(gains, thresholds_db)`` instance of
-    block i at grid point j: admitted count and sum rate of sequential
-    admission and, given an enumeration ``cap``, of the enumeration reference
-    and of its excess over sequential admission.
+    ``gains`` and linear ``thresholds`` broadcast to ``(trials, blocks...,
+    grid, users)``. The result, ``(trials, series, grid)``, holds per block
+    the admitted count and sum rate of sequential admission and, given an
+    enumeration ``cap``, of the enumeration reference (one instance at a
+    time) and of its excess over sequential admission.
     """
-    values = np.array([[_admit(g, t, cap) for g, t in block] for block in blocks], dtype=float)
-    return values.transpose(0, 2, 1).reshape(-1, values.shape[1])
-
-
-def _sinr_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
-    eff = realization.effective_gains
-    by_power = [spec.config.rho_at(p) * eff for p in spec.power_dbm_values]
-    return _admission_rows([[(g, np.full(g.size, float(s))) for s in spec.grid] for g in by_power])
-
-
-def _requesting_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
-    # Requesting pools are nested in draw order (not in sorted order), so a
-    # longer list never removes anyone from a shorter one.
-    draw_order = np.empty_like(realization.effective_gains)
-    draw_order[realization.sort_order] = realization.effective_gains
-    pools = [np.sort(draw_order[: int(n)])[::-1] for n in spec.grid]
-    return _admission_rows(
-        [
-            [(pool * spec.config.rho_at(p), np.full(pool.size, float(s))) for pool in pools]
-            for p in spec.power_dbm_values
-            for s in spec.target_sinr_db_values
+    gains, thresholds = np.broadcast_arrays(gains, thresholds)
+    count, rate = _sequential_admit_batch(gains, thresholds)
+    rows = [count, rate]
+    if cap is not None:
+        users = gains.shape[-1]
+        ref = [
+            exhaustive_admit(AdmissionInstance(g, t), cap=cap)
+            for g, t in zip(gains.reshape(-1, users), thresholds.reshape(-1, users))
         ]
-    )
+        ref_count = np.array([r.admitted_count for r in ref], dtype=float).reshape(count.shape)
+        ref_rate = np.array([r.sum_rate_bps_hz for r in ref]).reshape(rate.shape)
+        rows += [ref_count, ref_rate, ref_count - count, ref_rate - rate]
+    values = np.stack(rows, axis=-2)  # (trials, blocks..., series, grid)
+    return values.reshape(len(values), -1, values.shape[-1])
 
 
-def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
+def _sinr_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
+    rho = _rho(spec.config, spec.power_dbm_values)
+    gains = rho[:, None, None] * realization.effective_gains[:, None, None, :]
+    return _admission_rows(gains, db_to_linear(spec.grid)[:, None])
+
+
+def _requesting_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
+    # Requesting pools are nested in draw order (not in sorted order), so a
+    # longer list never removes anyone from a shorter one. Each pool is padded
+    # with zero gains to the full list, which leaves its admission unchanged.
     eff = realization.effective_gains
-    blocks = [
-        [(spec.config.rho_at(p) * eff, np.full(eff.size, float(s))) for p in spec.grid]
-        for s in spec.target_sinr_db_values
-    ]
-    rows = _admission_rows(blocks, spec.enumeration_cap)
-    diverged = (rows[4::6] != 0) | (np.abs(rows[5::6]) > _EQUAL_MODE_RATE_TOL)
+    draw_order = np.take_along_axis(eff, np.argsort(realization.sort_order, axis=-1), axis=-1)
+    pools = np.zeros(eff.shape[:1] + (len(spec.grid),) + eff.shape[1:])
+    for j, n in enumerate(spec.grid):
+        pools[:, j, : int(n)] = np.sort(draw_order[:, : int(n)], axis=-1)[:, ::-1]
+    rho = _rho(spec.config, spec.power_dbm_values)
+    gains = rho[:, None, None, None] * pools[:, None, None]
+    targets = db_to_linear(spec.target_sinr_db_values)
+    return _admission_rows(gains, targets[:, None, None])
+
+
+def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
+    gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, None, :]
+    targets = db_to_linear(spec.target_sinr_db_values)
+    rows = _admission_rows(gains, targets[:, None, None], spec.enumeration_cap)
+    diverged = (rows[:, 4::6] != 0) | (np.abs(rows[:, 5::6]) > _EQUAL_MODE_RATE_TOL)
     if diverged.any():
-        i, j = np.argwhere(diverged)[0]
+        t, i, j = np.argwhere(diverged)[0]
         raise RuntimeError(
             "equal-target admission diverged from the enumeration reference "
-            f"(trial {trial}, power {spec.grid[j]} dBm, target {spec.target_sinr_db_values[i]} dB)"
+            f"(trial {trials[t]}, power {spec.grid[j]} dBm, target {spec.target_sinr_db_values[i]} dB)"
         )
     return rows
 
@@ -302,10 +315,10 @@ def _mixed_thresholds_db(spec: SweepSpec, trial: int) -> np.ndarray:
     return rng.choice(np.asarray(spec.threshold_choices_db, dtype=float), size=spec.requesting_users)
 
 
-def _oracle_mixed_values(spec: SweepSpec, realization: ClusterRealization, trial: int) -> np.ndarray:
-    eff, thr_db = realization.effective_gains, _mixed_thresholds_db(spec, trial)
-    blocks = [[(spec.config.rho_at(p) * eff, thr_db) for p in spec.grid]]
-    return _admission_rows(blocks, spec.enumeration_cap)
+def _oracle_mixed_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
+    thresholds = db_to_linear(np.stack([_mixed_thresholds_db(spec, int(t)) for t in trials]))
+    gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :]
+    return _admission_rows(gains, thresholds[:, None, :], spec.enumeration_cap)
 
 
 def _power_labels(spec: SweepSpec) -> list[str]:
@@ -329,6 +342,9 @@ _SUM_RATES = _rate_series((2, 3), "sum_rate_bps_hz")
 _SEQUENTIAL = ("greedy",)
 _ORACLE = ("greedy", "exhaustive", "exhaustive_minus_greedy")
 
+_RATE_KEYS = ("base_split", "extension_fraction")
+_ORACLE_KEYS = ("requesting_users", "enumeration_cap")
+
 # The split and power sweeps draw three users and carry the 2- and 3-user
 # schemes on the same draw.
 _KINDS = {
@@ -337,8 +353,8 @@ _KINDS = {
         3, 1, _SURFACE_GRID, _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_rate),
         surface=True, shares=True,
     ),
-    "power_sweep": _Kind(3, 1, _POWER_GRID, _SUM_RATES, _power_values),
-    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, _SUM_RATES, _power_values),
+    "power_sweep": _Kind(3, 1, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS),
+    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS),
     "fairness_2user": _Kind(
         2, 1, _SHARE_GRID, _rate_series((2,), "jain_index"), _share_values((2,), jain_index), shares=True
     ),
@@ -347,18 +363,21 @@ _KINDS = {
         surface=True, shares=True,
     ),
     "admission_vs_sinr": _Kind(
-        None, 1000, value_grid(5.0, 20.0, 2.5), _admission_series(_SEQUENTIAL, _power_labels), _sinr_values
+        None, 1000, value_grid(5.0, 20.0, 2.5), _admission_series(_SEQUENTIAL, _power_labels), _sinr_values,
+        reads=("power_dbm_values", "requesting_users"),
     ),
     "admission_vs_requesting": _Kind(
         None, 1000, tuple(float(n) for n in range(2, 13)),
-        _admission_series(_SEQUENTIAL, _power_target_labels), _requesting_values, pools=True,
+        _admission_series(_SEQUENTIAL, _power_target_labels), _requesting_values,
+        reads=("power_dbm_values", "target_sinr_db_values", "requesting_users"), pools=True,
     ),
     "oracle_compare_equal": _Kind(
         None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, _target_labels), _oracle_equal_values,
-        defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
+        reads=("target_sinr_db_values",) + _ORACLE_KEYS, defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
     ),
     "oracle_compare_mixed": _Kind(
-        None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values
+        None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values,
+        reads=("threshold_choices_db",) + _ORACLE_KEYS,
     ),
 }
 SWEEP_KINDS = tuple(_KINDS)
@@ -370,8 +389,14 @@ def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **ove
     The cluster size is normalized to what the kind draws (the split and
     power sweeps carry both the 2- and 3-user schemes on one draw; admission
     sweeps draw the full requesting pool, which a pool-size grid ends at).
+    Overrides are ``grid`` and the fields the kind reads; any other key is
+    rejected, since it would be recorded in the sidecar without effect.
     """
     entry = _kind_entry(kind)
+    unread = [key for key in overrides if key != "grid" and key not in entry.reads]
+    if unread:
+        reads = ", ".join(("grid",) + entry.reads)
+        raise ValueError(f"sweep kind '{kind}' does not read '{unread[0]}' (it reads {reads})")
     grid = overrides.pop("grid", None)
     grid = entry.grid if grid is None else tuple(grid)
     fields = {**entry.defaults, **overrides}
@@ -393,33 +418,34 @@ def sweep_series(spec: SweepSpec) -> tuple[tuple[str, str], ...]:
     return _KINDS[spec.kind].series(spec)
 
 
-def _trial_values(spec: SweepSpec, trial: int) -> np.ndarray:
-    """All series values of one trial, shape (n_series, n_grid)."""
-    return _KINDS[spec.kind].evaluate(spec, draw_cluster(spec.config, 0, trial), trial)
-
-
-def _trial_batch(spec: SweepSpec, trials: tuple[int, ...]) -> list[np.ndarray]:
-    return [_trial_values(spec, t) for t in trials]
+def _evaluate_trials(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
+    """Values of trials ``start`` to ``stop - 1``, shape (trials, n_series, n_grid),
+    evaluated ``_CHUNK_TRIALS`` trials at a time."""
+    evaluate = _KINDS[spec.kind].evaluate
+    chunks = []
+    for first in range(start, stop, _CHUNK_TRIALS):
+        trials = np.arange(first, min(first + _CHUNK_TRIALS, stop))
+        chunks.append(evaluate(spec, draw_cluster(spec.config, 0, trials), trials))
+    return np.concatenate(chunks)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute a sweep and reduce per-trial values to mean and stderr rows.
 
-    ``workers`` only changes how trials are scheduled; the reduction always
-    happens in trial order, so results are identical for any width.
+    ``workers`` only changes how trials are scheduled: each worker takes a
+    contiguous range of trials and evaluates it chunk by chunk. The reduction
+    always happens in trial order, so results are identical for any width.
     """
     if int(workers) != workers or workers < 1:
         raise ValueError("workers must be a positive integer")
-    trials = list(range(spec.trials))
     if workers == 1 or spec.trials == 1:
-        values = _trial_batch(spec, tuple(trials))
+        stacked = _evaluate_trials(spec, 0, spec.trials)
     else:
-        chunk = math.ceil(len(trials) / workers)
-        batches = [tuple(trials[i : i + chunk]) for i in range(0, len(trials), chunk)]
+        share = math.ceil(spec.trials / workers)
+        starts = range(0, spec.trials, share)
+        stops = [min(start + share, spec.trials) for start in starts]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_trial_batch, [spec] * len(batches), batches)
-            values = [v for batch in results for v in batch]
-    stacked = np.stack(values)  # (trials, n_series, n_grid)
+            stacked = np.concatenate(list(pool.map(_evaluate_trials, [spec] * len(starts), starts, stops)))
     mean = stacked.mean(axis=0)
     if spec.trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)
@@ -482,6 +508,20 @@ def _build_metadata(spec: SweepSpec, series, mean: np.ndarray) -> dict:
     return meta
 
 
+def _write_atomically(path, write) -> None:
+    """Run ``write(fh)`` on a temporary file next to ``path``, then rename it
+    over ``path``, so a failed write never leaves a partial output behind."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(result: SweepResult, path) -> None:
     """Serialize rows as ``sweep_point[,sweep_point2],scheme,metric,mean,stderr,trials``."""
     arity = len(result.rows[0].sweep_point) if result.rows else 1
@@ -491,11 +531,12 @@ def write_csv(result: SweepResult, path) -> None:
         cells = [repr(float(v)) for v in row.sweep_point]
         cells += [row.scheme, row.metric, repr(row.mean), repr(row.stderr), str(row.trials)]
         lines.append(",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_metadata(result: SweepResult, path) -> None:
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         json.dump(result.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    _write_atomically(path, write)

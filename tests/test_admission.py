@@ -16,6 +16,7 @@ from nomasim import (
     greedy_admit,
     greedy_optimality_condition,
 )
+from nomasim.admission import _sequential_admit_batch
 
 
 def random_instance(rng, size=None):
@@ -163,6 +164,60 @@ class TestGreedyAdmit:
         assert res.admitted_count == 0
         assert res.residual_power == 1.0
         assert res.sum_rate_bps_hz == 0.0
+
+
+class TestSequentialBatch:
+    """The array form of the sequential rule against greedy_admit, exactly."""
+
+    @staticmethod
+    def assert_matches_greedy(gains, thresholds):
+        count, rate = _sequential_admit_batch(gains, thresholds)
+        g, t = np.broadcast_arrays(gains, thresholds)
+        for idx in np.ndindex(count.shape):
+            res = greedy_admit(AdmissionInstance(g[idx], t[idx]))
+            assert count[idx] == res.admitted_count
+            assert rate[idx] == res.sum_rate_bps_hz  # bit for bit, not approximately
+        return count
+
+    def test_random_instances_match_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        gains = np.sort(10.0 ** rng.uniform(-2, 4, (400, 8)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(400, 8)) / 10.0)
+        count = self.assert_matches_greedy(gains, thresholds)
+        assert len(np.unique(count)) >= 4  # several stopping points are exercised
+
+    def test_zero_gain_users_end_admission(self):
+        gains = np.array([[50.0, 40.0, 0.0, 0.0], [50.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        count = self.assert_matches_greedy(gains, np.full(4, 1.0))
+        np.testing.assert_array_equal(count, [2, 1, 0])
+
+    def test_all_rejected_and_all_admitted(self):
+        gains = np.array([[1e-9, 1e-10, 1e-11], [1e6, 1e6, 1e6]])
+        count = self.assert_matches_greedy(gains, np.full(3, 0.1))
+        np.testing.assert_array_equal(count, [0, 3])
+
+    def test_broadcast_batch_axes(self):
+        # trials x powers x targets, targets broadcast from a column
+        rng = np.random.default_rng(22)
+        eff = np.sort(rng.exponential(size=(6, 5)), axis=-1)[:, ::-1]
+        gains = np.array([1.0, 10.0, 100.0])[:, None, None] * eff[:, None, None, :]
+        count = self.assert_matches_greedy(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
+        assert count.shape == (6, 3, 4)
+
+    @pytest.mark.parametrize(
+        "gains,thresholds",
+        [
+            ([[1.0, 2.0]], [1.0, 1.0]),  # ascending gains
+            ([[2.0, -1.0]], [1.0, 1.0]),  # negative gain
+            ([[2.0, 1.0]], [1.0, 0.0]),  # zero target
+            ([[np.inf, 1.0]], [1.0, 1.0]),  # non-finite gain
+            ([[2.0, 1.0]], [np.nan, 1.0]),  # non-finite target
+            (np.zeros((2, 0)), np.zeros((2, 0))),  # no users
+        ],
+    )
+    def test_rejects_malformed_input(self, gains, thresholds):
+        with pytest.raises(ValueError):
+            _sequential_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
 
 
 class TestClosedForm:

@@ -171,3 +171,41 @@ class TestDrawCluster:
         r = draw_cluster(cfg, 0, 2)
         with pytest.raises(ValueError):
             r.effective_gains[0] = 0.0
+
+
+class TestBatchedDraw:
+    @pytest.mark.parametrize("users", [2, 3, 8])
+    @pytest.mark.parametrize("cluster_index", [0, 1, 2])
+    def test_batch_equals_per_trial_draws_bit_for_bit(self, users, cluster_index):
+        cfg = SystemConfig(users_per_cluster=users, rng_seed=31)
+        trials = [0, 5, 1, 17, 2, 40]
+        batch = draw_cluster(cfg, cluster_index, trials)
+        assert batch.effective_gains.shape == (len(trials), users)
+        np.testing.assert_array_equal(batch.precoder, np.eye(cfg.tx_antennas))
+        for i, t in enumerate(trials):
+            one = draw_cluster(cfg, cluster_index, t)
+            for name in ("channels", "detection_vectors", "effective_gains", "distances_km", "sort_order"):
+                np.testing.assert_array_equal(getattr(batch, name)[i], getattr(one, name), err_msg=name)
+
+    def test_batch_element_does_not_depend_on_its_neighbours(self):
+        cfg = SystemConfig(users_per_cluster=3)
+        wide = draw_cluster(cfg, 0, range(300))
+        narrow = draw_cluster(cfg, 0, range(250, 260))
+        np.testing.assert_array_equal(wide.detection_vectors[250:260], narrow.detection_vectors)
+        np.testing.assert_array_equal(wide.effective_gains[250:260], narrow.effective_gains)
+
+    def test_batched_arrays_are_read_only(self, cfg):
+        r = draw_cluster(cfg, 0, [1, 2])
+        with pytest.raises(ValueError):
+            r.channels[0, 0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("trial_seed", [[], [[0, 1]], [0, -1], [0, 1.5]])
+    def test_bad_batches_rejected(self, cfg, trial_seed):
+        with pytest.raises(ValueError):
+            draw_cluster(cfg, 0, trial_seed)
+
+    def test_detection_vector_is_the_batch_kernel_of_one(self, cfg):
+        r = draw_cluster(cfg, 1, [3, 4])
+        for l in range(cfg.users_per_cluster):
+            v = compute_detection_vector(r.channels[1, l], 1)
+            np.testing.assert_array_equal(v, r.detection_vectors[1, l])

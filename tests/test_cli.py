@@ -120,6 +120,24 @@ class TestDispatch:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["admission", "--set", "target_sinr_db_values=5,10"], "target_sinr_db_values"),
+            (["ergodic", "--set", "enumeration_cap=8"], "enumeration_cap"),
+            (["oracle-compare", "--mixed", "--set", "target_sinr_db_values=5"], "target_sinr_db_values"),
+            (["gap", "--set", "grid=0.5"], "grid"),
+            (["verify", "--set", "requesting_users=4"], "requesting_users"),
+        ],
+    )
+    def test_key_the_subcommand_does_not_read_is_exit_code_2(self, args, key, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(args + ["--trials", "2", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and args[0] in err
+        assert not out.exists()
+
 
 class TestSweepCommands:
     def test_two_point_grid_writes_two_rows_per_scheme(self, tmp_path, capsys):
@@ -205,3 +223,14 @@ class TestVerifyCommand:
         assert len(lines) == 11
         assert all(l.startswith("PASS") for l in lines)
         assert "11/11 checks passed" in out
+
+    def test_config_seed_and_trials_are_used(self, capsys, tmp_path):
+        main(["verify", "--trials", "3"])
+        default = capsys.readouterr().out
+        main(["verify", "--trials", "3", "--set", "rng_seed=5"])
+        assert capsys.readouterr().out != default
+        main(["verify", "--set", "trials=3", "--set", "rng_seed=0"])
+        assert capsys.readouterr().out == default
+        path = write_config(tmp_path, "rng_seed = 5\ntrials = 4\n")
+        main(["verify", "--config", path, "--seed", "0", "--trials", "3"])
+        assert capsys.readouterr().out == default  # the flags win over the file

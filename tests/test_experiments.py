@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nomasim import (
     write_csv,
     write_metadata,
 )
+from nomasim import experiments
 
 
 CFG = SystemConfig()
@@ -186,6 +188,28 @@ class TestMakeSweep:
             make_sweep("bogus", CFG)
 
     @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("admission_vs_sinr", "target_sinr_db_values", (5.0, 10.0)),
+            ("ergodic_power_sweep", "enumeration_cap", 8),
+            ("split_sweep_2user", "base_split", (0.5, 0.5)),
+            ("oracle_compare_equal", "threshold_choices_db", (5.0,)),
+            ("oracle_compare_mixed", "target_sinr_db_values", (5.0,)),
+            ("admission_vs_requesting", "enumeration_cap", 8),
+            ("power_sweep", "no_such_field", 1),
+        ],
+    )
+    def test_keys_the_kind_does_not_read_are_rejected(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"'{kind}' does not read '{key}'"):
+            make_sweep(kind, CFG, **{key: value})
+
+    def test_keys_the_kind_reads_are_accepted(self):
+        for kind, entry in experiments._KINDS.items():
+            defaults = make_sweep(kind, CFG)
+            spec = make_sweep(kind, CFG, **{key: getattr(defaults, key) for key in entry.reads})
+            assert spec == defaults
+
+    @pytest.mark.parametrize(
         "overrides,match",
         [
             ({"grid": (2.0, 3.0, 4.0), "requesting_users": 3}, "largest pool size"),
@@ -348,8 +372,13 @@ class TestExecution:
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_parallel_matches_serial(self, kind):
-        spec = make_sweep(kind, CFG, trials=3, grid=SMALL_GRIDS[kind])
-        assert run_sweep(spec, workers=1).rows == run_sweep(spec, workers=2).rows
+        # Chunks start at 0 and 256 in one process, at 0, 256, 258 and 514
+        # over two workers, and at 0, 172 and 344 over three.
+        trials = 2 * experiments._CHUNK_TRIALS + 3
+        spec = make_sweep(kind, CFG, trials=trials, grid=SMALL_GRIDS[kind])
+        serial = run_sweep(spec, workers=1).rows
+        assert serial == run_sweep(spec, workers=2).rows
+        assert serial == run_sweep(spec, workers=3).rows
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5])
     def test_worker_count_validated(self, workers):
@@ -395,6 +424,40 @@ class TestSerialization:
         assert meta["config"]["cell_radius_range_km"] == list(CFG.cell_radius_range_km)
         assert meta["build_tag"].startswith("nomasim-")
         assert "+cfg." in meta["build_tag"]
+
+    @pytest.mark.parametrize("writer", [write_csv, write_metadata])
+    def test_failed_write_leaves_existing_output_intact(self, tmp_path, monkeypatch, split_curve, writer):
+        path = tmp_path / "out.csv"
+        path.write_text("previous run\n")
+
+        class HalfWrite:
+            """A file whose first write stores half of the text, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(experiments, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            writer(split_curve, path)
+        assert path.read_text() == "previous run\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_write_replaces_existing_output(self, tmp_path, split_curve):
+        path = tmp_path / "out.csv"
+        path.write_text("previous run\n")
+        write_csv(split_curve, path)
+        assert path.read_text().startswith("sweep_point,scheme,metric")
+        assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_build_tag_tracks_the_setup(self):
         a = run_sweep(make_sweep("power_sweep", CFG, grid=(30.0,)))
