@@ -3,18 +3,21 @@
 Users request service with individual SINR targets. Power shares are assigned
 sequentially in decreasing-gain order, giving each user exactly the share that
 meets its target given the interference already committed; admission stops at
-the first user whose required share exceeds what is left. An exhaustive
-subset search over the same per-subset allocation rule serves as the
-optimality reference.
+the first user whose required share exceeds what is left. The optimum (most
+users, then the highest sum rate) is the yardstick: an exhaustive subset
+search over the same per-subset allocation rule defines it, and a composition
+DP computes it exactly without enumerating subsets.
 
 Gains are on SNR scale (transmit-to-noise ratio and path loss folded in) and
 sorted in decreasing order; targets are linear. Per instance, allocation runs
 on plain Python floats so the sequential scheme and the subset search share
 bit-equal arithmetic, and so the per-user cost stays a handful of scalar
-operations. Sweeps run the sequential scheme on many instances at once
-(:func:`_sequential_admit_batch`): the same IEEE operations in the same order
-on arrays, so its counts and sum rates equal :func:`greedy_admit`'s bit for
-bit.
+operations. Sweeps run both rules on many instances at once: the sequential
+scheme through :func:`_sequential_admit_batch` (the same IEEE operations in
+the same order on arrays, so its counts and sum rates equal
+:func:`greedy_admit`'s bit for bit) and the optimum through
+:func:`_optimal_admit_batch` (counts equal to :func:`exhaustive_admit`'s,
+sum rates within rounding).
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ from .units import db_to_linear
 _RATE_TIE_TOL = 1e-12
 
 DEFAULT_ENUMERATION_CAP = 12
+
+# Float64 states one pass of the composition DP holds per array: enough
+# instances per pass to spread the per-step overhead of its array operations,
+# few enough that a pass's three working arrays (96 KiB) stay in cache.
+_DP_PASS_STATES = 1 << 12
+
+# The DP adds powers in another order than the sequential allocation, so an
+# instance with a composition this close to the power budget is solved again
+# by enumeration, whose feasibility decision then stands.
+_BUDGET_EDGE_TOL = 1e-9
 
 
 def _check_instances(gains: np.ndarray, thresholds: np.ndarray) -> None:
@@ -243,6 +256,118 @@ def exhaustive_admit(
         sum_rate_bps_hz=rate,
         achieved_sinrs=sinrs,
     )
+
+
+def _composition_pass(cost, level, values, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts, sum rates and budget-edge flags of one pass of instances.
+
+    ``cost`` is target over gain per user, ``level`` each user's target level
+    and ``values`` each instance's level targets (0 for a level it lacks);
+    ``dims`` bounds the count per level over the pass. ``power[b, c]`` is the
+    least total power of a subset of the users walked so far with ``c[l]``
+    users at level ``l``. Walking from the weakest user to the strongest,
+    putting user k in front of such a subset costs ``cost[k] * factor[c]``
+    with ``factor[c] = prod_l (1 + values[l]) ** c[l]``, and leaves the later
+    users' shares unchanged. The pick is the feasible composition (power at
+    most 1; the empty one always is) with the most users, then the largest
+    ``sum_l c[l] * log2(1 + values[l])``. A level an instance lacks
+    multiplies by exactly 1.0 and adds exactly 0.0, so an instance's results
+    do not depend on the rest of its pass.
+
+    States are flattened in C order, so adding a user at level ``l`` is a
+    shift by that level's stride. A shift off the top of level ``l`` wraps
+    into another state, but only ever carries inf: a state counting as many
+    level-``l`` users as the instance has is unreachable while one of them is
+    still to come.
+    """
+    batch, users = cost.shape
+    counts = np.indices(dims).reshape(len(dims), -1)  # c[l] of each state
+    factor = np.ones((batch, counts.shape[1]))
+    rate = np.zeros_like(factor)
+    for l, c in enumerate(counts):
+        steps = np.repeat(1.0 + values[:, l, None], dims[l], axis=-1)
+        steps[:, 0] = 1.0
+        factor *= np.cumprod(steps, axis=-1)[:, c]
+        log_base = np.fromiter(map(math.log2, (1.0 + values[:, l]).tolist()), dtype=float, count=batch)
+        rate += c * log_base[:, None]
+
+    strides = [math.prod(dims[l + 1 :]) for l in range(len(dims))]
+    at = level[:, :, None] == np.arange(len(dims))  # (batch, users, levels)
+    present = at.any(axis=0).tolist()
+    power = np.full(factor.shape, np.inf)
+    power[:, 0] = 0.0
+    candidate = np.empty_like(power)
+    for k in range(users - 1, -1, -1):
+        np.multiply(factor, cost[:, k, None], out=candidate)
+        candidate += power
+        for l, stride in enumerate(strides):
+            if present[k][l]:
+                grown = power[:, stride:]
+                np.minimum(grown, candidate[:, :-stride], out=grown, where=at[:, k, l, None])
+
+    total = counts.sum(axis=0)
+    feasible = power <= 1.0
+    best = (feasible * total).max(axis=-1)
+    rate[~(feasible & (total == best[:, None]))] = -np.inf
+    edge = ((power >= 1.0 - _BUDGET_EDGE_TOL) & (power <= 1.0 + _BUDGET_EDGE_TOL)).any(axis=-1)
+    return best, rate.max(axis=-1), edge
+
+
+def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal admission of a whole batch of instances: counts and sum rates.
+
+    Same contract as :func:`_sequential_admit_batch`, with the objective of
+    :func:`exhaustive_admit`: most users, then the highest sum rate. Every
+    admitted user sits at its target, so the objective depends only on the
+    composition (how many users are admitted at each distinct target), and
+    :func:`_composition_pass` finds each composition's least power. The
+    result is the feasible composition (power at most 1) with the most users,
+    then the largest ``sum_l c_l * log2(1 + t_l)``; nobody admitted gives
+    rate 0.0. Counts equal :func:`exhaustive_admit`'s and rates agree within
+    rounding: an instance with a composition whose power lies within
+    ``_BUDGET_EDGE_TOL`` of the budget is solved again by enumeration.
+    Instances run in passes of at most ``_DP_PASS_STATES`` states (or one
+    instance, if it alone has more), whose sizes are the per-level maxima
+    within the pass; instances of like shape share a pass.
+    """
+    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ValueError("gains must be non-empty along the last axis")
+    _check_instances(g, t)
+    shape, users = g.shape[:-1], g.shape[-1]
+    g, t = g.reshape(-1, users), t.reshape(-1, users)
+    # Levels of an instance: its distinct targets, ascending.
+    ordered = np.sort(t, axis=-1)
+    distinct = np.ones(ordered.shape, dtype=bool)
+    distinct[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    level = (distinct[:, None, :] & (ordered[:, None, :] < t[:, :, None])).sum(axis=-1)
+    n_levels = int(distinct.sum(axis=-1).max())
+    sizes = (level[:, :, None] == np.arange(n_levels)).sum(axis=1)
+    values = np.zeros((len(t), n_levels))
+    np.put_along_axis(values, level, t, axis=-1)
+    with np.errstate(divide="ignore"):
+        cost = t / g  # a zero gain costs inf
+
+    count = np.empty(len(t), dtype=int)
+    rate = np.empty(len(t))
+    edge = np.empty(len(t), dtype=bool)
+    bounds = [tuple(s + 1 for s in row) for row in sizes.tolist()]
+    order = sorted(range(len(t)), key=bounds.__getitem__)  # like shapes share a pass
+    start = 0
+    while start < len(t):
+        dims, stop = bounds[order[start]], start + 1
+        while stop < len(t):
+            grown = tuple(map(max, dims, bounds[order[stop]]))
+            if (stop + 1 - start) * math.prod(grown) > _DP_PASS_STATES:
+                break
+            dims, stop = grown, stop + 1
+        part = order[start:stop]
+        count[part], rate[part], edge[part] = _composition_pass(cost[part], level[part], values[part], dims)
+        start = stop
+    for i in np.flatnonzero(edge):
+        ref = exhaustive_admit(AdmissionInstance(g[i], t[i]), cap=users)
+        count[i], rate[i] = ref.admitted_count, ref.sum_rate_bps_hz
+    return count.reshape(shape), rate.reshape(shape)
 
 
 def greedy_optimality_condition(instance: AdmissionInstance, admitted_count: int) -> bool:

@@ -150,7 +150,7 @@ def _resolve_config(inv: CliInvocation, reads: tuple[str, ...] = ()) -> tuple[Sy
     sweep keys a non-sweep subcommand accepts."""
     base = SystemConfig()
     if inv.subcommand == "oracle-compare":
-        # dense deployment so the enumeration comparison is not ceiling-bound
+        # dense deployment so the comparison with the optimum is not ceiling-bound
         base = base.with_(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
     elif inv.subcommand == "verify":
         base = base.with_(rng_seed=0)  # the verification checks' own default seed
@@ -243,10 +243,13 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="overrides",
         help="override one setting (repeatable, applied after --config)",
     )
-    common.add_argument("--out", metavar="PATH", help="output CSV path (default <kind>.csv in $NOMASIM_OUT_DIR or .)")
     common.add_argument("--seed", type=int, help="override the base RNG seed")
-    common.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
-    common.add_argument("--workers", type=int, default=1, help="parallel trial workers (does not affect output)")
+    # Each subcommand accepts only the flags it reads.
+    trials = argparse.ArgumentParser(add_help=False, parents=[common])
+    trials.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[trials])
+    sweep.add_argument("--out", metavar="PATH", help="output CSV path (default <kind>.csv in $NOMASIM_OUT_DIR or .)")
+    sweep.add_argument("--workers", type=int, default=1, help="parallel trial workers (does not affect output)")
 
     parser = argparse.ArgumentParser(
         prog="nomasim",
@@ -254,20 +257,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("sweep-split", parents=[common], help="sum rate against the power-split grid")
+    p = sub.add_parser("sweep-split", parents=[sweep], help="sum rate against the power-split grid")
     p.add_argument("--surface", action="store_true", help="three-user split surface instead of the two-user curve")
-    sub.add_parser("sweep-power", parents=[common], help="sum rate against transmit power, one draw")
-    sub.add_parser("ergodic", parents=[common], help="mean sum rate against transmit power")
-    p = sub.add_parser("fairness", parents=[common], help="Jain index against the power-split grid")
+    sub.add_parser("sweep-power", parents=[sweep], help="sum rate against transmit power, one draw")
+    sub.add_parser("ergodic", parents=[sweep], help="mean sum rate against transmit power")
+    p = sub.add_parser("fairness", parents=[sweep], help="Jain index against the power-split grid")
     p.add_argument("--surface", action="store_true", help="three-user split surface instead of the two-user curve")
     p = sub.add_parser("gap", parents=[common], help="two-user rate-gap maximizer for one channel draw")
     p.add_argument("--trial", type=int, default=0, dest="trial_index", help="channel draw index")
     p.add_argument("--grid-points", type=int, default=10001, help="dense grid size for the argmax cross-check")
-    p = sub.add_parser("admission", parents=[common], help="admitted users against target SINR")
+    p = sub.add_parser("admission", parents=[sweep], help="admitted users against target SINR")
     p.add_argument("--by-requesting", action="store_true", help="sweep the requesting-pool size instead")
-    p = sub.add_parser("oracle-compare", parents=[common], help="sequential admission against full enumeration")
+    p = sub.add_parser("oracle-compare", parents=[sweep], help="sequential admission against the exact optimum")
     p.add_argument("--mixed", action="store_true", help="per-user random 5/10/15 dB targets instead of equal ones")
-    sub.add_parser("verify", parents=[common], help="run the randomized invariant checks")
+    sub.add_parser("verify", parents=[trials], help="run the randomized invariant checks")
     return parser
 
 
@@ -277,10 +280,10 @@ def main(argv=None) -> int:
         subcommand=args.subcommand,
         config_path=args.config,
         overrides=tuple(args.overrides),
-        out_path=args.out,
+        out_path=getattr(args, "out", None),
         seed=args.seed,
-        trials=args.trials,
-        workers=args.workers,
+        trials=getattr(args, "trials", None),
+        workers=getattr(args, "workers", 1),
         surface=getattr(args, "surface", False),
         mixed=getattr(args, "mixed", False),
         by_requesting=getattr(args, "by_requesting", False),

@@ -10,7 +10,10 @@ byte-identical for any chunking and any worker count.
 
 Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
 default trials and grid, what its grid holds, the sweep keys it reads, the
-series it reports and how a chunk of trials is evaluated.
+series it reports and how a chunk of trials is evaluated. The oracle kinds
+set sequential admission against the exact optimum, which the composition DP
+of :mod:`nomasim.admission` computes for a whole chunk at once; subset
+enumeration stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .admission import AdmissionInstance, _sequential_admit_batch, exhaustive_admit
+from .admission import _optimal_admit_batch, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 from .units import db_to_linear
@@ -35,7 +38,7 @@ from .units import db_to_linear
 # channel stream of the same trial.
 _THRESHOLD_STREAM = 104729
 
-# Serving area for the admission benchmark against the enumeration reference.
+# Serving area for the admission benchmark against the optimum.
 # The comparison tolerances assume a dense deployment where most requesting
 # users are admissible; the wide default cell is kept for the other sweeps.
 ORACLE_BENCHMARK_RADIUS_KM = (0.01, 0.15)
@@ -98,6 +101,10 @@ class SweepSpec:
             raise ValueError("extension_fraction must lie in [0, 1]")
         if entry.pools and max(self.grid) != self.requesting_users:
             raise ValueError("requesting_users must equal the largest pool size in grid")
+        if "enumeration_cap" in entry.reads and self.requesting_users > self.enumeration_cap:
+            raise ValueError(
+                f"requesting_users {self.requesting_users} is above the enumeration cap {self.enumeration_cap}"
+            )
         drawn = entry.users or self.requesting_users
         if self.config.users_per_cluster != drawn:
             raise ValueError(
@@ -248,27 +255,20 @@ def _admission_series(schemes, blocks):
     )
 
 
-def _admission_rows(gains, thresholds, cap=None) -> np.ndarray:
+def _admission_rows(gains, thresholds, optimum: bool = False) -> np.ndarray:
     """Series rows of a batch of admission instances.
 
     ``gains`` and linear ``thresholds`` broadcast to ``(trials, blocks...,
     grid, users)``. The result, ``(trials, series, grid)``, holds per block
-    the admitted count and sum rate of sequential admission and, given an
-    enumeration ``cap``, of the enumeration reference (one instance at a
-    time) and of its excess over sequential admission.
+    the admitted count and sum rate of sequential admission and, given
+    ``optimum``, of the exact optimum (the composition DP, whose counts equal
+    the enumeration reference's) and of its excess over sequential admission.
     """
-    gains, thresholds = np.broadcast_arrays(gains, thresholds)
     count, rate = _sequential_admit_batch(gains, thresholds)
     rows = [count, rate]
-    if cap is not None:
-        users = gains.shape[-1]
-        ref = [
-            exhaustive_admit(AdmissionInstance(g, t), cap=cap)
-            for g, t in zip(gains.reshape(-1, users), thresholds.reshape(-1, users))
-        ]
-        ref_count = np.array([r.admitted_count for r in ref], dtype=float).reshape(count.shape)
-        ref_rate = np.array([r.sum_rate_bps_hz for r in ref]).reshape(rate.shape)
-        rows += [ref_count, ref_rate, ref_count - count, ref_rate - rate]
+    if optimum:
+        best_count, best_rate = _optimal_admit_batch(gains, thresholds)
+        rows += [best_count, best_rate, best_count - count, best_rate - rate]
     values = np.stack(rows, axis=-2)  # (trials, blocks..., series, grid)
     return values.reshape(len(values), -1, values.shape[-1])
 
@@ -297,12 +297,12 @@ def _requesting_values(spec: SweepSpec, realization: ClusterRealization, trials:
 def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
     gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, None, :]
     targets = db_to_linear(spec.target_sinr_db_values)
-    rows = _admission_rows(gains, targets[:, None, None], spec.enumeration_cap)
+    rows = _admission_rows(gains, targets[:, None, None], optimum=True)
     diverged = (rows[:, 4::6] != 0) | (np.abs(rows[:, 5::6]) > _EQUAL_MODE_RATE_TOL)
     if diverged.any():
         t, i, j = np.argwhere(diverged)[0]
         raise RuntimeError(
-            "equal-target admission diverged from the enumeration reference "
+            "equal-target admission diverged from the optimum "
             f"(trial {trials[t]}, power {spec.grid[j]} dBm, target {spec.target_sinr_db_values[i]} dB)"
         )
     return rows
@@ -318,7 +318,7 @@ def _mixed_thresholds_db(spec: SweepSpec, trial: int) -> np.ndarray:
 def _oracle_mixed_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
     thresholds = db_to_linear(np.stack([_mixed_thresholds_db(spec, int(t)) for t in trials]))
     gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :]
-    return _admission_rows(gains, thresholds[:, None, :], spec.enumeration_cap)
+    return _admission_rows(gains, thresholds[:, None, :], optimum=True)
 
 
 def _power_labels(spec: SweepSpec) -> list[str]:
@@ -433,12 +433,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute a sweep and reduce per-trial values to mean and stderr rows.
 
     ``workers`` only changes how trials are scheduled: each worker takes a
-    contiguous range of trials and evaluates it chunk by chunk. The reduction
-    always happens in trial order, so results are identical for any width.
+    contiguous range of trials and evaluates it chunk by chunk. The pool gets
+    at most one worker per chunk, and none starts for a single chunk, where
+    its start-up costs more than it saves. The reduction always happens in
+    trial order, so results are identical for any width.
     """
     if int(workers) != workers or workers < 1:
         raise ValueError("workers must be a positive integer")
-    if workers == 1 or spec.trials == 1:
+    workers = min(workers, math.ceil(spec.trials / _CHUNK_TRIALS))
+    if workers == 1:
         stacked = _evaluate_trials(spec, 0, spec.trials)
     else:
         share = math.ceil(spec.trials / workers)

@@ -63,38 +63,48 @@ def _random_thresholds(rng, size: int) -> np.ndarray:
     return db_to_linear(rng.choice(np.array([5.0, 10.0, 15.0]), size=size))
 
 
-def _check_zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> CheckResult:
-    violations = 0
-    worst = 0.0
+def _grouped_trials(trials: int, key) -> dict:
+    """Trials ``0 .. trials - 1`` grouped by ``key(t)``, each group in trial
+    order, so a group's clusters come from one batched draw."""
+    groups: dict = {}
     for t in range(trials):
-        cfg = config.with_(rng_seed=rng_seed, users_per_cluster=2 + t % 3)
-        ci = t % cfg.tx_antennas
-        r = draw_cluster(cfg, ci, t)
-        norms = np.linalg.norm(r.detection_vectors, axis=1)
-        prods = np.einsum("ln,lnm->lm", r.detection_vectors.conj(), r.channels @ r.precoder)
-        leak = float(np.abs(np.delete(prods, ci, axis=1)).max())
-        bad = float(np.abs(norms - 1.0).max())
-        sorted_ok = bool(np.all(np.diff(r.effective_gains) <= 0))
-        measure = max(bad - 1e-12, leak - 1e-10, 0.0 if sorted_ok else 1.0)
-        worst = max(worst, measure)
-        if measure > 0:
-            violations += 1
-    return CheckResult("zero_forcing", trials, violations, worst, "norm tol 1e-12, leakage tol 1e-10")
+        groups.setdefault(key(t), []).append(t)
+    return groups
+
+
+def _check_zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> CheckResult:
+    measures = []
+    groups = _grouped_trials(trials, lambda t: (2 + t % 3, t % config.tx_antennas))
+    for (users, ci), ts in groups.items():
+        r = draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=users), ci, ts)
+        norms = np.linalg.norm(r.detection_vectors, axis=-1)
+        prods = np.einsum("tln,tlnm->tlm", r.detection_vectors.conj(), r.channels @ r.precoder)
+        leak = np.abs(np.delete(prods, ci, axis=-1)).max(axis=(1, 2))
+        bad = np.abs(norms - 1.0).max(axis=-1)
+        unsorted = np.any(np.diff(r.effective_gains, axis=-1) > 0, axis=-1).astype(float)
+        measures.append(np.maximum.reduce([bad - 1e-12, leak - 1e-10, unsorted]))
+    measure = np.concatenate(measures)
+    return CheckResult(
+        "zero_forcing", trials, int(np.count_nonzero(measure > 0)), max(0.0, float(measure.max())),
+        "norm tol 1e-12, leakage tol 1e-10",
+    )
 
 
 def _check_determinism(config: SystemConfig, rng_seed: int, trials: int) -> CheckResult:
-    violations = 0
-    worst = 0.0
-    for t in range(trials):
-        cfg = config.with_(rng_seed=rng_seed)
-        a = draw_cluster(cfg, t % cfg.tx_antennas, t)
-        b = draw_cluster(cfg, t % cfg.tx_antennas, t)
-        diff = float(np.abs(a.effective_gains - b.effective_gains).max())
-        diff = max(diff, float(np.abs(a.channels - b.channels).max()))
-        worst = max(worst, diff)
-        if diff != 0.0:
-            violations += 1
-    return CheckResult("draw_determinism", trials, violations, worst, "bit-identical redraws")
+    # Each group is drawn twice, the second time in reverse trial order.
+    cfg = config.with_(rng_seed=rng_seed)
+    diffs = []
+    for ci, ts in _grouped_trials(trials, lambda t: t % cfg.tx_antennas).items():
+        a = draw_cluster(cfg, ci, ts)
+        b = draw_cluster(cfg, ci, ts[::-1])
+        gain_diff = np.abs(a.effective_gains - b.effective_gains[::-1]).max(axis=-1)
+        channel_diff = np.abs(a.channels - b.channels[::-1]).max(axis=(1, 2, 3))
+        diffs.append(np.maximum(gain_diff, channel_diff))
+    diff = np.concatenate(diffs)
+    return CheckResult(
+        "draw_determinism", trials, int(np.count_nonzero(diff != 0.0)), max(0.0, float(diff.max())),
+        "bit-identical redraws",
+    )
 
 
 def _check_oma_bound(rng, trials: int, dof_samples: int = 100) -> CheckResult:
@@ -115,13 +125,15 @@ def _check_oma_bound(rng, trials: int, dof_samples: int = 100) -> CheckResult:
 
 
 def _check_noma_dominance(config: SystemConfig, rng_seed: int, rng, trials: int) -> CheckResult:
+    gains: dict[int, np.ndarray] = {}
+    for size, ts in _grouped_trials(trials, lambda t: 2 + t % 5).items():
+        snr = draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts).snr_gains
+        gains.update(zip(ts, snr))
     violations = 0
     worst = math.inf
     for t in range(trials):
-        size = 2 + t % 5
-        cfg = config.with_(rng_seed=rng_seed, users_per_cluster=size)
-        g = draw_cluster(cfg, 0, t).snr_gains
-        w = _random_split(rng, size)
+        g = gains[t]
+        w = _random_split(rng, g.size)
         slack = float(noma_sum_rate(g, w) - oma_sum_rate(g, w, optimal_dof_fractions(g, w)))
         worst = min(worst, slack)
         if slack < -1e-9:

@@ -22,6 +22,7 @@ from nomasim import (
     SystemConfig,
     cluster_size_rate_delta,
     cumulative_power_closed_form,
+    db_to_linear,
     draw_cluster,
     exhaustive_admit,
     extend_split,
@@ -37,6 +38,7 @@ from nomasim import (
     two_user_gap,
     two_user_gap_maximizer,
 )
+from nomasim.admission import _optimal_admit_batch
 from nomasim.experiments import _mixed_thresholds_db
 
 DEFAULT = SystemConfig()
@@ -187,6 +189,17 @@ def test_c06c_mixed_target_gap_stays_within_benchmark_tolerance(mixed_pairs):
     rel = (mean_rates[:, 1] - mean_rates[:, 0]) / mean_rates[:, 1]
     assert np.all(rel >= 0.0)
     assert np.all(rel <= 0.05)
+
+
+def test_c06d_composition_dp_matches_enumeration(bench_gains, mixed_pairs):
+    counts, rates, _ = mixed_pairs
+    spec = make_sweep("oracle_compare_mixed", BENCH, trials=1000)
+    rho = np.array([BENCH.rho_at(p) for p in POWERS])
+    gains = rho[:, None] * np.array(bench_gains)[:, None, :]
+    thresholds = np.stack([db_to_linear(_mixed_thresholds_db(spec, t)) for t in range(1000)])
+    count, rate = _optimal_admit_batch(gains, thresholds[:, None, :])  # all 5000 instances at once
+    np.testing.assert_array_equal(count, counts[..., 1])
+    np.testing.assert_allclose(rate, rates[..., 1], rtol=0, atol=1e-12)
 
 
 def test_c07_cumulative_power_closed_form_matches_running_sum():

@@ -1,4 +1,4 @@
-"""Sequential and enumerated admission: allocation, closed form, edge behavior."""
+"""Sequential, enumerated and DP admission: allocation, closed form, edge behavior."""
 
 import math
 
@@ -16,7 +16,8 @@ from nomasim import (
     greedy_admit,
     greedy_optimality_condition,
 )
-from nomasim.admission import _sequential_admit_batch
+from nomasim import admission
+from nomasim.admission import _optimal_admit_batch, _sequential_admit_batch
 
 
 def random_instance(rng, size=None):
@@ -24,6 +25,17 @@ def random_instance(rng, size=None):
     g = np.sort(10.0 ** rng.uniform(-1, 4, n))[::-1]
     t_db = rng.choice([5.0, 10.0, 15.0], size=n)
     return AdmissionInstance.from_db(g, t_db)
+
+
+# Batches both batch kernels reject.
+MALFORMED_BATCHES = [
+    ([[1.0, 2.0]], [1.0, 1.0]),  # ascending gains
+    ([[2.0, -1.0]], [1.0, 1.0]),  # negative gain
+    ([[2.0, 1.0]], [1.0, 0.0]),  # zero target
+    ([[np.inf, 1.0]], [1.0, 1.0]),  # non-finite gain
+    ([[2.0, 1.0]], [np.nan, 1.0]),  # non-finite target
+    (np.zeros((2, 0)), np.zeros((2, 0))),  # no users
+]
 
 
 class CountingFloat:
@@ -204,17 +216,7 @@ class TestSequentialBatch:
         count = self.assert_matches_greedy(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
         assert count.shape == (6, 3, 4)
 
-    @pytest.mark.parametrize(
-        "gains,thresholds",
-        [
-            ([[1.0, 2.0]], [1.0, 1.0]),  # ascending gains
-            ([[2.0, -1.0]], [1.0, 1.0]),  # negative gain
-            ([[2.0, 1.0]], [1.0, 0.0]),  # zero target
-            ([[np.inf, 1.0]], [1.0, 1.0]),  # non-finite gain
-            ([[2.0, 1.0]], [np.nan, 1.0]),  # non-finite target
-            (np.zeros((2, 0)), np.zeros((2, 0))),  # no users
-        ],
-    )
+    @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
     def test_rejects_malformed_input(self, gains, thresholds):
         with pytest.raises(ValueError):
             _sequential_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
@@ -286,6 +288,99 @@ class TestExhaustiveAdmit:
         assert best.admitted_count >= greedy.admitted_count
         if best.admitted_count == greedy.admitted_count:
             assert best.sum_rate_bps_hz >= greedy.sum_rate_bps_hz - 1e-9
+
+
+@st.composite
+def small_batches(draw):
+    """Batches of 1-10-user instances with at most three target levels. Gains
+    come from a short list that may hold 0, so equal and zero gains occur."""
+    users = draw(st.integers(1, 10))
+    batch = draw(st.integers(1, 5))
+    levels = draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=3))
+    pool = draw(st.lists(st.just(0.0) | st.floats(0.05, 1e4), min_size=1, max_size=6))
+
+    def rows(values):
+        row = st.lists(st.sampled_from(values), min_size=users, max_size=users)
+        return np.array(draw(st.lists(row, min_size=batch, max_size=batch)))
+
+    return np.sort(rows(pool), axis=-1)[:, ::-1], rows(levels)
+
+
+class TestOptimalBatch:
+    """The composition DP against exhaustive_admit: counts exact, rates within 1e-12."""
+
+    @staticmethod
+    def assert_matches_enumeration(gains, thresholds):
+        count, rate = _optimal_admit_batch(gains, thresholds)
+        g, t = np.broadcast_arrays(gains, thresholds)
+        assert count.shape == rate.shape == g.shape[:-1]
+        for idx in np.ndindex(count.shape):
+            ref = exhaustive_admit(AdmissionInstance(g[idx], t[idx]))
+            assert count[idx] == ref.admitted_count
+            assert abs(rate[idx] - ref.sum_rate_bps_hz) <= 1e-12
+        return count, rate
+
+    @given(small_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration(self, batch):
+        count, rate = self.assert_matches_enumeration(*batch)
+        for i, (g, t) in enumerate(zip(*batch)):
+            alone = _optimal_admit_batch(g, t)  # and does not depend on the rest of its batch
+            assert (alone[0], alone[1]) == (count[i], rate[i])
+
+    def test_nobody_and_everybody_admitted(self):
+        gains = np.array([[1e-9, 1e-10, 1e-11], [1e6, 1e6, 1e6], [0.0, 0.0, 0.0]])
+        count, rate = self.assert_matches_enumeration(gains, np.array([0.1, 1.0, 0.1]))
+        np.testing.assert_array_equal(count, [0, 3, 0])
+        assert rate[0] == rate[2] == 0.0
+
+    def test_batch_of_one(self):
+        count, rate = self.assert_matches_enumeration([10.0, 9.0, 8.0], [1.0, 1000.0, 1.0])
+        assert count.shape == () and count == 2  # skips the blocker the sequential scan stops at
+
+    def test_broadcast_batch_axes(self):
+        # trials x powers x targets, targets broadcast from a column
+        rng = np.random.default_rng(23)
+        eff = np.sort(rng.exponential(size=(6, 5)), axis=-1)[:, ::-1]
+        gains = np.array([1.0, 10.0, 100.0])[:, None, None] * eff[:, None, None, :]
+        count, _ = self.assert_matches_enumeration(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
+        assert count.shape == (6, 3, 4)
+
+    def test_budget_edge_goes_to_enumeration(self, monkeypatch):
+        calls = []
+
+        def spy(instance, cap=admission.DEFAULT_ENUMERATION_CAP):
+            calls.append(instance)
+            return exhaustive_admit(instance, cap)
+
+        monkeypatch.setattr(admission, "exhaustive_admit", spy)
+        count, rate = _optimal_admit_batch([[2.0], [4.0]], [2.0])  # the first needs exactly the budget
+        assert len(calls) == 1 and calls[0].gains.tolist() == [2.0]
+        np.testing.assert_array_equal(count, [1, 1])
+        assert rate[0] == rate[1] == math.log2(3.0)
+
+    def test_distinct_targets_stay_within_the_pass_budget(self, monkeypatch):
+        passes = []
+        run_pass = admission._composition_pass
+
+        def spy(cost, level, values, dims):
+            passes.append((len(cost), dims))
+            return run_pass(cost, level, values, dims)
+
+        monkeypatch.setattr(admission, "_composition_pass", spy)
+        rng = np.random.default_rng(24)
+        gains = np.sort(10.0 ** rng.uniform(0, 3, (300, 8)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** rng.uniform(-1, 1, (300, 8))  # eight distinct targets per instance
+        self.assert_matches_enumeration(gains, thresholds)
+        assert len(passes) > 1
+        for batch, dims in passes:
+            assert dims == (2,) * 8
+            assert batch * math.prod(dims) <= admission._DP_PASS_STATES
+
+    @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
+    def test_rejects_malformed_input(self, gains, thresholds):
+        with pytest.raises(ValueError):
+            _optimal_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
 
 
 class TestOptimalityCondition:

@@ -96,6 +96,32 @@ class TestDispatch:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gap", "--trials", "5"],
+            ["gap", "--workers", "2"],
+            ["gap", "--out", "x.csv"],
+            ["verify", "--workers", "2"],
+            ["verify", "--out", "x.csv"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_exit_code_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+
+    def test_pool_above_the_enumeration_cap_is_exit_code_2(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = main(
+            ["oracle-compare", "--mixed", "--trials", "1", "--set", "requesting_users=5",
+             "--set", "enumeration_cap=4", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "enumeration cap 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_is_exit_code_2(self, capsys, tmp_path):
         rc = main(["sweep-power", "--set", "nope=1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -132,7 +158,8 @@ class TestDispatch:
     )
     def test_key_the_subcommand_does_not_read_is_exit_code_2(self, args, key, capsys, tmp_path):
         out = tmp_path / "x.csv"
-        rc = main(args + ["--trials", "2", "--out", str(out)])
+        flags = {"gap": [], "verify": ["--trials", "2"]}.get(args[0], ["--trials", "2", "--out", str(out)])
+        rc = main(args + flags)
         assert rc == 2
         err = capsys.readouterr().err
         assert key in err and args[0] in err

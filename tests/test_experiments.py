@@ -121,6 +121,12 @@ class TestSweepSpec:
                 kind="admission_vs_requesting", grid=(2.5, 3.0), trials=1, config=CFG3, requesting_users=3
             )
 
+    @pytest.mark.parametrize("kind", ["oracle_compare_equal", "oracle_compare_mixed"])
+    def test_oracle_pool_above_the_enumeration_cap_rejected(self, kind):
+        with pytest.raises(ValueError, match="requesting_users 13 is above the enumeration cap 12"):
+            make_sweep(kind, CFG, requesting_users=13)
+        assert make_sweep(kind, CFG, requesting_users=13, enumeration_cap=13).requesting_users == 13
+
     def test_base_split_must_sum_to_one(self):
         with pytest.raises(ValueError, match="base_split"):
             SweepSpec(
@@ -379,6 +385,14 @@ class TestExecution:
         serial = run_sweep(spec, workers=1).rows
         assert serial == run_sweep(spec, workers=2).rows
         assert serial == run_sweep(spec, workers=3).rows
+
+    def test_no_pool_for_a_single_chunk(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for one chunk of trials")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        spec = make_sweep("ergodic_power_sweep", CFG, trials=experiments._CHUNK_TRIALS, grid=(30.0,))
+        assert run_sweep(spec, workers=4).rows == run_sweep(spec).rows
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5])
     def test_worker_count_validated(self, workers):
