@@ -41,17 +41,13 @@ from .experiments import (
 )
 from .rates import (
     ClusterSizeDelta,
-    DofSplit,
     PowerSplit,
-    RateReport,
     SicFeasibility,
     cluster_size_rate_delta,
     extend_split,
     jain_index,
     noma_sum_rate,
-    noma_user_rate,
     noma_user_rates,
-    oma_optimal_dof,
     oma_sum_rate,
     oma_sum_upper_bound,
     oma_user_rates,
@@ -71,10 +67,8 @@ __all__ = [
     "ClusterSizeDelta",
     "DEFAULT_ENUMERATION_CAP",
     "DegenerateChannelError",
-    "DofSplit",
     "ORACLE_BENCHMARK_RADIUS_KM",
     "PowerSplit",
-    "RateReport",
     "SWEEP_KINDS",
     "SicFeasibility",
     "SweepResult",
@@ -96,9 +90,7 @@ __all__ = [
     "linear_to_db",
     "make_sweep",
     "noma_sum_rate",
-    "noma_user_rate",
     "noma_user_rates",
-    "oma_optimal_dof",
     "oma_sum_rate",
     "oma_sum_upper_bound",
     "oma_user_rates",

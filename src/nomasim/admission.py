@@ -156,7 +156,7 @@ def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
     )
 
 
-def _sequential_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
+def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     """Sequential admission of a whole batch of instances: counts and sum rates.
 
     ``gains`` and the linear ``thresholds`` broadcast to one shape whose last
@@ -168,6 +168,9 @@ def _sequential_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     (numpy's log2 can differ from it in the last bit), so the results equal
     :func:`greedy_admit`'s bit for bit. Zero-gain users end admission, so
     padding an instance with trailing zero gains leaves its result unchanged.
+    With ``detail``, each user's power share and achieved SINR (zero for the
+    rejected) follow: :func:`greedy_admit`'s ``power_coefficients`` and
+    ``achieved_sinrs``, bit for bit.
     """
     g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
     if g.ndim == 0 or g.shape[-1] == 0:
@@ -177,40 +180,57 @@ def _sequential_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     rate = np.zeros(g.shape[:-1])
     count = np.zeros(g.shape[:-1], dtype=int)
     admitted = np.ones(g.shape[:-1], dtype=bool)
+    if detail:
+        shares, sinrs = np.zeros(g.shape), np.zeros(g.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(g.shape[-1]):
             gk, tk = g[..., k], t[..., k]
             need = tk * total + tk / gk
             admitted &= (gk > 0.0) & ~(need > 1.0 - total)
             sinr = need[admitted] * gk[admitted] / (1.0 + gk[admitted] * total[admitted])
+            if detail:
+                shares[..., k][admitted] = need[admitted]
+                sinrs[..., k][admitted] = sinr
             term = np.zeros(rate.shape)
             term[admitted] = np.fromiter(map(math.log2, (1.0 + sinr).tolist()), dtype=float, count=sinr.size)
             rate = rate + term
             total = np.where(admitted, total + need, total)
             count += admitted
-    return count, rate
+    return (count, rate, shares, sinrs) if detail else (count, rate)
 
 
-def cumulative_power_closed_form(instance: AdmissionInstance, count: int) -> float:
+def cumulative_power_closed_form(instance, count):
     """Total power the first ``count`` users take, in closed form.
 
     Equivalent to running the sequential allocation and summing, but built
     from an independent expression: each user's target over its gain, grown by
     the compound ``(target + 1)`` factors of everyone admitted after it.
+    ``instance`` is one :class:`AdmissionInstance`, giving a float, or a
+    ``(gains, thresholds)`` pair stacking instances on leading axes, validated
+    as :func:`_sequential_admit_batch` validates them, with ``count`` an
+    integer array over those axes; the result is then an array. Either way
+    each instance goes through the same operations in the same order.
     """
-    if int(count) != count or not 0 <= count <= len(instance):
+    if isinstance(instance, AdmissionInstance):
+        g, t = instance.gains, instance.sinr_thresholds
+    else:
+        g, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in instance))
+        _check_instances(g, t)
+    n = g.shape[-1]
+    c = np.asarray(count)
+    if c.dtype.kind not in "iuf" or np.any(c != np.round(c)) or np.any((c < 0) | (c > n)):
         raise ValueError("count must be an integer within the requesting list")
-    g = instance.gains
-    t = instance.sinr_thresholds
+    counted = np.arange(n) < c[..., None]
+    if np.any(counted & ~(g > 0)):
+        raise ValueError("all counted users need a positive gain")
     total = 0.0
-    for k in range(count):
-        if not g[k] > 0:
-            raise ValueError("all counted users need a positive gain")
-        term = t[k] / g[k]
-        for i in range(k + 1, count):
-            term *= t[i] + 1.0
-        total += term
-    return float(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            term = t[..., k] / g[..., k]
+            for i in range(k + 1, n):
+                term = term * np.where(counted[..., i], t[..., i] + 1.0, 1.0)
+            total = total + np.where(counted[..., k], term, 0.0)
+    return float(total) if isinstance(instance, AdmissionInstance) else total
 
 
 def exhaustive_admit(

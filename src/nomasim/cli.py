@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -128,6 +130,7 @@ class CliInvocation:
     by_requesting: bool = False
     trial_index: int = 0
     grid_points: int = 10001
+    as_json: bool = False
 
 
 _KIND_BY_COMMAND = {
@@ -212,12 +215,18 @@ def _run_verify_command(inv: CliInvocation) -> int:
     config, sweep_kwargs = _resolve_config(inv, reads=("trials",))
     trials = inv.trials if inv.trials is not None else sweep_kwargs.get("trials", 1000)
     results = run_verification(trials=trials, seed=config.rng_seed, config=config)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failed += 0 if r.passed else 1
-        print(f"{status}  {r.name:30s} trials={r.trials:6d} violations={r.violations:4d} worst={r.worst:.3e}  ({r.note})")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    failed = sum(not r.passed for r in results)
+    if inv.as_json:
+        rows = [asdict(r) for r in results]
+        for row in rows:
+            del row["note"]
+            row["worst"] = row["worst"] if math.isfinite(row["worst"]) else None  # JSON has no NaN or infinity
+        print(json.dumps(rows, indent=2))
+    else:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status}  {r.name:30s} trials={r.trials:6d} violations={r.violations:4d} worst={r.worst:.3e}  ({r.note})")
+        print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -270,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by-requesting", action="store_true", help="sweep the requesting-pool size instead")
     p = sub.add_parser("oracle-compare", parents=[sweep], help="sequential admission against the exact optimum")
     p.add_argument("--mixed", action="store_true", help="per-user random 5/10/15 dB targets instead of equal ones")
-    sub.add_parser("verify", parents=[trials], help="run the randomized invariant checks")
+    p = sub.add_parser("verify", parents=[trials], help="run the randomized invariant checks")
+    p.add_argument("--json", action="store_true", help="print each check's numbers and tolerance as JSON")
     return parser
 
 
@@ -289,6 +299,7 @@ def main(argv=None) -> int:
         by_requesting=getattr(args, "by_requesting", False),
         trial_index=getattr(args, "trial_index", 0),
         grid_points=getattr(args, "grid_points", 10001),
+        as_json=getattr(args, "json", False),
     )
     try:
         return run(invocation)

@@ -7,7 +7,12 @@ the signals of users 1..l-1 before its own and treats the rest as noise.
 Rates are in bps/Hz.
 
 Gain and coefficient arguments broadcast over leading axes, so a whole grid of
-power splits can be evaluated in one call.
+power splits or a stack of instances is evaluated in one call. The users axis
+is short (2-6 users in practice), so the kernels loop over it and do array work
+on the leading axes; a short last axis costs numpy a loop per row. The running
+and plain sums over users add the columns in order, the IEEE operations of
+``np.cumsum`` and (below 8 users) of ``.sum(axis=-1)``, so results equal the
+whole-array expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +28,6 @@ def _as_coeffs(split) -> np.ndarray:
     if isinstance(split, PowerSplit):
         return split.coefficients
     return np.asarray(split, dtype=float)
-
-
-def _as_fractions(dof) -> np.ndarray:
-    if isinstance(dof, DofSplit):
-        return dof.fractions
-    return np.asarray(dof, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -58,137 +57,144 @@ class PowerSplit:
         return self.coefficients.size
 
 
-@dataclass(frozen=True)
-class DofSplit:
-    """Orthogonal time/frequency shares; non-negative, summing to 1."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.fractions, dtype=float))
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("fractions must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(lam)) or np.any(lam < -_SUM_TOL):
-            raise ValueError("fractions must be finite and non-negative")
-        if abs(lam.sum() - 1.0) > 1e-9:
-            raise ValueError("fractions must sum to 1")
-        lam.setflags(write=False)
-        object.__setattr__(self, "fractions", lam)
-
-    def __len__(self) -> int:
-        return self.fractions.size
+def _users(x: np.ndarray) -> list:
+    """Per-user columns of ``x`` (users on the last axis); numpy scalars for
+    one instance, whose arithmetic costs less than that of 0-d arrays."""
+    return list(x) if x.ndim == 1 else [x[..., k] for k in range(x.shape[-1])]
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Per-user rates plus the derived aggregates."""
-
-    per_user_bps_hz: np.ndarray
-    sum_bps_hz: float
-    jain: float
-
-    @classmethod
-    def from_rates(cls, per_user) -> "RateReport":
-        r = np.asarray(per_user, dtype=float)
-        return cls(per_user_bps_hz=r, sum_bps_hz=float(r.sum()), jain=jain_index(r))
+def _columns(gains, split) -> tuple[list, list]:
+    """Per-user columns of gains and shares."""
+    g = np.asarray(gains, dtype=float)
+    w = _as_coeffs(split)
+    if g.shape[-1:] != w.shape[-1:]:
+        raise ValueError("gains and split must have the same number of users")
+    return _users(g), _users(w)
 
 
-def noma_user_rates(gains, split) -> np.ndarray:
-    """Rates of all users under superposed transmission.
+def _sum_users(columns):
+    """Sum of per-user columns, added in user order. Below 8 users these are
+    the IEEE operations of ``.sum(axis=-1)``; numpy adds 8 or more pairwise."""
+    total = columns[0]
+    for c in columns[1:]:
+        total = total + c
+    return total
+
+
+def _noma_columns(g: list, w: list) -> list:
+    """Superposed per-user rates, one column per user.
 
     User l sees the power of users decoded after it (indices > l) removed by
     its own successive decoding and the power of users decoded before it as
-    interference.
+    interference. ``running`` is ``np.cumsum``'s running sum, so the earlier
+    power ``running - w_l`` is bit-equal to ``cumsum(w) - w``.
     """
-    g = np.asarray(gains, dtype=float)
-    w = _as_coeffs(split)
-    earlier = np.cumsum(w, axis=-1) - w
-    return np.log2(1.0 + w * g / (1.0 + g * earlier))
+    running = 0.0
+    rates = []
+    for gk, wk in zip(g, w):
+        running = running + wk
+        rates.append(np.log2(1.0 + wk * gk / (1.0 + gk * (running - wk))))
+    return rates
 
 
-def noma_user_rate(gains, split, user_index: int) -> float:
-    """Rate of one user (0-based index in decoding order)."""
-    rates = noma_user_rates(gains, split)
-    if not 0 <= user_index < rates.shape[-1]:
-        raise ValueError("user_index out of range")
-    return float(rates[..., user_index])
+def noma_user_rates(gains, split) -> np.ndarray:
+    """Rates of all users under superposed transmission."""
+    return np.stack(_noma_columns(*_columns(gains, split)), axis=-1)
 
 
 def noma_sum_rate(gains, split):
     """Cluster sum rate under superposed transmission."""
-    return noma_user_rates(gains, split).sum(axis=-1)
+    return _sum_users(_noma_columns(*_columns(gains, split)))
+
+
+def _oma_columns(gains, split, dof) -> list:
+    """Orthogonal per-user rates, one column per user; a zero share
+    contributes a zero rate regardless of its power (the share -> 0 limit)."""
+    g, w = _columns(gains, split)
+    lam = np.asarray(dof, dtype=float)
+    if lam.shape[-1:] != (len(w),):
+        raise ValueError("dof fractions must have one entry per user")
+    rates = []
+    for gk, wk, lk in zip(g, w, _users(lam)):
+        safe = np.where(lk > 0, lk, 1.0)
+        rates.append(np.where(lk > 0, lk * np.log2(1.0 + wk * gk / safe), 0.0))
+    return rates
 
 
 def oma_user_rates(gains, split, dof) -> np.ndarray:
-    """Rates when users are separated into orthogonal resource shares.
-
-    A zero share contributes a zero rate regardless of its power (the
-    share -> 0 limit).
-    """
-    g = np.asarray(gains, dtype=float)
-    w = _as_coeffs(split)
-    lam = _as_fractions(dof)
-    safe = np.where(lam > 0, lam, 1.0)
-    return np.where(lam > 0, lam * np.log2(1.0 + w * g / safe), 0.0)
+    """Rates when users are separated into orthogonal resource shares."""
+    return np.stack(_oma_columns(gains, split, dof), axis=-1)
 
 
 def oma_sum_rate(gains, split, dof):
-    return oma_user_rates(gains, split, dof).sum(axis=-1)
+    return _sum_users(_oma_columns(gains, split, dof))
+
+
+def _received(g: list, w: list) -> list:
+    return [wk * gk for gk, wk in zip(g, w)]
 
 
 def optimal_dof_fractions(gains, split) -> np.ndarray:
-    """Array version of :func:`oma_optimal_dof` (broadcasts, skips wrapping)."""
-    p = _as_coeffs(split) * np.asarray(gains, dtype=float)
-    total = p.sum(axis=-1, keepdims=True)
-    n = p.shape[-1]
-    with np.errstate(invalid="ignore"):
-        lam = np.where(total > 0, p / np.where(total > 0, total, 1.0), 1.0 / n)
-    return lam
-
-
-def oma_optimal_dof(gains, split) -> DofSplit:
     """Resource shares proportional to each user's received power.
 
     This split maximizes the orthogonal-sharing sum rate, which then equals
     :func:`oma_sum_upper_bound`. If no user receives any power the split is
     uniform (every share then yields zero rate anyway).
     """
-    return DofSplit(optimal_dof_fractions(gains, split))
+    p = _received(*_columns(gains, split))
+    total = _sum_users(p)
+    positive = total > 0
+    denom = np.where(positive, total, 1.0)
+    with np.errstate(invalid="ignore"):
+        lam = np.stack([pk / denom for pk in p], axis=-1)
+    lam[~positive] = 1.0 / len(p)
+    return lam
 
 
 def oma_sum_upper_bound(gains, split):
     """Largest sum rate orthogonal sharing can reach for this power split."""
-    p = _as_coeffs(split) * np.asarray(gains, dtype=float)
-    return np.log2(1.0 + p.sum(axis=-1))
+    return np.log2(1.0 + _sum_users(_received(*_columns(gains, split))))
 
 
 @dataclass(frozen=True)
 class SicFeasibility:
     """Outcome of the decoding-order check.
 
-    ``margins[l, k]`` (l < k, NaN elsewhere) is the rate headroom receiver l
-    has when decoding the signal intended for the later user k, relative to
-    user k's own rate. All margins non-negative means every receiver can run
-    its cancellation chain at the nominal rates.
+    ``margins[..., l, k]`` (l < k, NaN elsewhere) is the rate headroom
+    receiver l has when decoding the signal intended for the later user k,
+    relative to user k's own rate. All margins non-negative means every
+    receiver can run its cancellation chain at the nominal rates. For stacked
+    instances ``feasible`` is an array over the leading axes.
     """
 
-    feasible: bool
+    feasible: bool | np.ndarray
     margins: np.ndarray
 
 
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("gains and splits must be finite")
+
+
 def sic_feasibility_check(gains, split, tol: float = 1e-12) -> SicFeasibility:
-    """Check that earlier receivers can decode every later user's signal."""
+    """Check that earlier receivers can decode every later user's signal.
+
+    Users are on the last axis; leading axes stack instances.
+    """
     g = np.asarray(gains, dtype=float)
     w = _as_coeffs(split)
-    if g.ndim != 1 or w.shape != g.shape:
-        raise ValueError("gains and split must be 1-D of equal length")
-    earlier = np.cumsum(w) - w
-    # cross[l, k]: rate of user k's signal when decoded at receiver l
-    cross = np.log2(1.0 + w[None, :] * g[:, None] / (1.0 + g[:, None] * earlier[None, :]))
-    margins = cross - np.diag(cross)[None, :]
-    margins = np.where(np.triu(np.ones_like(margins, dtype=bool), k=1), margins, np.nan)
-    feasible = bool(np.all(margins[~np.isnan(margins)] >= -tol))
-    return SicFeasibility(feasible=feasible, margins=margins)
+    if g.ndim == 0 or w.shape != g.shape:
+        raise ValueError("gains and split must have equal shapes, users on the last axis")
+    _require_finite(g, w)
+    earlier = np.cumsum(w, axis=-1) - w
+    rx = g[..., :, None]
+    # cross[..., l, k]: rate of user k's signal when decoded at receiver l
+    cross = np.log2(1.0 + w[..., None, :] * rx / (1.0 + rx * earlier[..., None, :]))
+    margins = cross - np.diagonal(cross, axis1=-2, axis2=-1)[..., None, :]
+    later = np.triu(np.ones(margins.shape[-2:], dtype=bool), k=1)
+    margins = np.where(later, margins, np.nan)
+    feasible = np.all(margins >= -tol, axis=(-2, -1), where=later)
+    return SicFeasibility(feasible=bool(feasible) if g.ndim == 1 else feasible, margins=margins)
 
 
 def two_user_gap(gains, omega1):
@@ -199,8 +205,8 @@ def two_user_gap(gains, omega1):
     w1 = np.asarray(omega1, dtype=float)
     if np.any(w1 < -_SUM_TOL) or np.any(w1 > 1 + _SUM_TOL):
         raise ValueError("omega1 must lie in [0, 1]")
-    split = np.stack([w1, 1.0 - w1], axis=-1)
-    return noma_sum_rate(g, split) - oma_sum_upper_bound(g, split)
+    g, w = [g[..., 0], g[..., 1]], [w1, 1.0 - w1]
+    return _sum_users(_noma_columns(g, w)) - np.log2(1.0 + _sum_users(_received(g, w)))
 
 
 def two_user_gap_maximizer(scaled_gain):
@@ -237,14 +243,15 @@ class ClusterSizeDelta:
 
     ``delta`` is the direct rate difference, ``delta_factored`` the same
     quantity rebuilt from the three ratio factors. Under the domination
-    precondition each factor is at most 1, hence ``delta <= 0``.
+    precondition each factor is at most 1, hence ``delta <= 0``. For stacked
+    instances every field is an array over the leading axes.
     """
 
-    delta: float
-    delta_factored: float
-    head_factor: float
-    chain_factor: float
-    tail_factor: float
+    delta: float | np.ndarray
+    delta_factored: float | np.ndarray
+    head_factor: float | np.ndarray
+    chain_factor: float | np.ndarray
+    tail_factor: float | np.ndarray
 
 
 def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta:
@@ -255,27 +262,30 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
     share exceeding its ``split_small`` value. The delta is computed both as a
     direct difference of sum rates and through a telescoped product of three
     per-boundary factors; the two agree to rounding error and the factors
-    localize where rate is lost.
+    localize where rate is lost. Users are on the last axis; leading axes,
+    the same for all three arguments, stack instances.
     """
     g = np.asarray(gains, dtype=float)
     w = _as_coeffs(split_small)
     th = _as_coeffs(split_large)
-    if g.ndim != 1 or w.ndim != 1 or th.ndim != 1:
-        raise ValueError("gains and splits must be 1-D")
-    l = w.size
-    if g.size != l + 1 or th.size != l + 1:
+    if not (g.ndim == w.ndim == th.ndim >= 1 and g.shape[:-1] == w.shape[:-1] == th.shape[:-1]):
+        raise ValueError("gains and splits must stack instances on the same leading axes")
+    l = w.shape[-1]
+    if g.shape[-1] != l + 1 or th.shape[-1] != l + 1:
         raise ValueError("need len(gains) == len(split_large) == len(split_small) + 1")
-    if np.any(np.diff(g) > 0) or np.any(g < 0):
+    _require_finite(g, w, th)
+    if (g[..., 1:] > g[..., :-1]).any() or (g < 0).any():
         raise ValueError("gains must be non-negative and non-increasing")
-    if abs(w.sum() - 1.0) > 1e-9 or abs(th.sum() - 1.0) > 1e-9:
+    if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any() or (np.abs(th.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("both splits must use the full power budget")
-    if np.any(th[:l] > w + 1e-12):
+    if (th[..., :l] > w + 1e-12).any():
         raise ValueError("split_large must not raise any existing user's share")
 
-    delta = float(noma_sum_rate(g, th) - noma_sum_rate(g[:l], w))
+    delta = noma_sum_rate(g, th) - noma_sum_rate(g[..., :l], w)
 
-    a = np.cumsum(w)   # a[j]: share of power used by users 0..j in the small split
-    b = np.cumsum(th)
+    a = np.cumsum(w, axis=-1)  # a[j]: share of power used by users 0..j in the small split
+    b = np.cumsum(th, axis=-1)
+    a, b, g = _users(a), _users(b), _users(g)
 
     def ratio(x, y, gain):
         return (1.0 + x * gain) / (1.0 + y * gain)
@@ -290,14 +300,10 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
         for j in range(1, l - 1):
             chain *= ratio(b[j], a[j], g[j]) * ratio(a[j], b[j], g[j + 1])
         tail = ratio(b[l - 1], a[l - 1], g[l - 1]) * ratio(b[l], b[l - 1], g[l])
-    factored = float(np.log2(head) + np.log2(chain) + np.log2(tail))
-    return ClusterSizeDelta(
-        delta=delta,
-        delta_factored=factored,
-        head_factor=float(head),
-        chain_factor=float(chain),
-        tail_factor=float(tail),
-    )
+    factored = np.log2(head) + np.log2(chain) + np.log2(tail)
+    batch = th.shape[:-1]
+    fields = (delta, factored, head, chain, tail)
+    return ClusterSizeDelta(*(float(x) if not batch else np.full(batch, x) for x in fields))
 
 
 def jain_index(rates):

@@ -1,24 +1,31 @@
-"""Randomized self-checks of the library's provable properties.
+"""Randomized self-checks of the library's provable properties: the check library.
 
 Each check replays one guarantee (bound, dominance, feasibility, optimality
-condition) on freshly drawn instances and counts violations. ``worst`` is the
-largest violation measure seen, negative or zero when the property held with
-room to spare; the tolerance it is compared against is recorded in ``note``.
+condition) on random instances. Instances are drawn one at a time, by fixed
+RNG calls in a fixed order, then stacked per size and measured in one call
+per size group; only the enumeration reference and the two-user gap grid
+(one draw per grid, which bounds peak memory) run per instance. A
+:class:`Guarantee` holds a check's tolerance and direction: a ``max_excess``
+measure must not exceed the tolerance and ``worst`` is the largest one; a
+``min_slack`` measure must not fall below it and ``worst`` is the smallest.
+A non-finite measure is always a violation. ``nomasim verify`` runs the
+measure functions below on its own draws, the acceptance gate on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .admission import (
     AdmissionInstance,
+    _sequential_admit_batch,
     aligned_thresholds,
     cumulative_power_closed_form,
     exhaustive_admit,
-    greedy_admit,
 )
 from .channel import SystemConfig, draw_cluster
 from .rates import (
@@ -34,6 +41,9 @@ from .rates import (
 )
 from .units import db_to_linear
 
+MAX_EXCESS = "max_excess"
+MIN_SLACK = "min_slack"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -42,10 +52,180 @@ class CheckResult:
     violations: int
     worst: float
     note: str
+    tolerance: float = 0.0
+    direction: str = MAX_EXCESS
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+
+@dataclass(frozen=True)
+class Guarantee:
+    """One checked property: its tolerance, direction and note.
+
+    ``floor`` is the ``worst`` of a ``max_excess`` check whose measures all
+    stay below it (0.0 where measures are excesses net of their tolerances).
+    """
+
+    name: str
+    tolerance: float
+    direction: str
+    note: str
+    floor: float = 0.0
+
+    def tally(self, measure) -> CheckResult:
+        """Violations and worst case of the per-instance measures."""
+        m = np.asarray(measure, dtype=float).ravel()
+        if self.direction == MAX_EXCESS:
+            beyond = m > self.tolerance
+            worst = np.max(m, initial=self.floor)
+        else:
+            beyond = m < self.tolerance
+            worst = np.min(m, initial=math.inf)
+        violations = int(np.count_nonzero(beyond | ~np.isfinite(m)))
+        return CheckResult(self.name, m.size, violations, float(worst), self.note, self.tolerance, self.direction)
+
+
+ZERO_FORCING = Guarantee("zero_forcing", 0.0, MAX_EXCESS, "norm tol 1e-12, leakage tol 1e-10")
+DETERMINISM = Guarantee("draw_determinism", 0.0, MAX_EXCESS, "bit-identical redraws")
+OMA_BOUND = Guarantee("oma_bound_tightness", 1e-9, MAX_EXCESS, "tol 1e-9", floor=-math.inf)
+NOMA_DOMINANCE = Guarantee("noma_dominance", -1e-9, MIN_SLACK, "slack tol -1e-9 (worst is min slack)")
+NOMA_LOWER_BOUND = Guarantee("noma_lower_bound", -1e-9, MIN_SLACK, "slack tol -1e-9 (worst is min slack)")
+SIC_FEASIBILITY = Guarantee("sic_feasibility", -1e-12, MIN_SLACK, "margin tol -1e-12 (worst is min margin)")
+GAP_MAXIMIZER = Guarantee("gap_maximizer", 0.0, MAX_EXCESS, "argmax within one grid step; gap >= 0, zero at ends")
+CLUSTER_GROWTH = Guarantee(
+    "cluster_size_monotonicity", 0.0, MAX_EXCESS, "delta <= 0, factors <= 1, routes agree 1e-9", -math.inf
+)
+CLOSED_FORM = Guarantee("closed_form", 1e-12, MAX_EXCESS, "closed form equals the running sum")
+GREEDY_INVARIANTS = Guarantee(
+    "greedy_invariants", 0.0, MAX_EXCESS, "tight targets, budget, closed form, power-monotone"
+)
+EXHAUSTIVE_DOMINANCE = Guarantee(
+    "exhaustive_dominance", 0.0, MAX_EXCESS, "enumeration never below the sequential scheme"
+)
+ALIGNED_CONDITION = Guarantee(
+    "aligned_condition_optimality", 0.0, MAX_EXCESS, "aligned targets imply enumeration-equal counts"
+)
+
+
+def _largest(*measures):
+    """Element-wise maximum that keeps NaN (Python's ``max`` may drop it)."""
+    return reduce(np.maximum, measures)
+
+
+# Measures over stacked instances: users on the last axis, one value per instance.
+
+
+def zero_forcing_excess(realization, cluster_index: int) -> np.ndarray:
+    """Worst excess of a batched draw over the unit-norm (1e-12) and
+    leakage (1e-10) tolerances; 1.0 where effective gains are unsorted."""
+    r = realization
+    norms = np.linalg.norm(r.detection_vectors, axis=-1)
+    prods = np.einsum("tln,tlnm->tlm", r.detection_vectors.conj(), r.channels @ r.precoder)
+    leak = np.abs(np.delete(prods, cluster_index, axis=-1)).max(axis=(1, 2))
+    bad = np.abs(norms - 1.0).max(axis=-1)
+    unsorted = np.any(np.diff(r.effective_gains, axis=-1) > 0, axis=-1).astype(float)
+    return _largest(bad - 1e-12, leak - 1e-10, unsorted)
+
+
+def oma_bound_excess(gains, split, sampled_dofs) -> np.ndarray:
+    """How far sampled orthogonal shares (``sampled_dofs``: samples on the
+    axis before the users) exceed the orthogonal bound, or the optimal
+    shares miss it."""
+    bound = oma_sum_upper_bound(gains, split)
+    sampled = oma_sum_rate(gains[..., None, :], split[..., None, :], sampled_dofs).max(axis=-1)
+    attained = oma_sum_rate(gains, split, optimal_dof_fractions(gains, split))
+    return np.maximum(sampled - bound, np.abs(attained - bound))
+
+
+def noma_dominance_slack(gains, split) -> np.ndarray:
+    """Superposed sum rate minus the best orthogonal sum rate."""
+    return noma_sum_rate(gains, split) - oma_sum_rate(gains, split, optimal_dof_fractions(gains, split))
+
+
+def noma_lower_bound_slack(gains, split) -> np.ndarray:
+    """Superposed sum rate minus the single-stream rate of the total power."""
+    return noma_sum_rate(gains, split) - oma_sum_upper_bound(gains, split)
+
+
+def sic_min_margin(gains, split) -> np.ndarray:
+    """Smallest decoding margin of each instance (at least two users)."""
+    m = sic_feasibility_check(gains, split).margins
+    later = np.triu(np.ones(m.shape[-2:], dtype=bool), k=1)
+    return np.min(m, axis=(-2, -1), where=later, initial=math.inf)
+
+
+def gap_maximizer_excess(pairs, grid) -> np.ndarray:
+    """Excess of the grid argmax over one step from the closed-form
+    maximizer, and of the gap's negativity or its end values over 1e-9.
+
+    ``pairs`` stacks two-user gains. Each pair is evaluated on the grid on
+    its own: a trials x grid block would raise peak memory for no gain.
+    """
+    step = grid[1] - grid[0]
+    at, low, first, last = np.array([
+        (grid[int(np.argmax(gaps))], gaps.min(), gaps[0], gaps[-1])
+        for gaps in (two_user_gap(g, grid) for g in pairs)
+    ]).T
+    deviation = np.abs(at - two_user_gap_maximizer(pairs[:, 0]))
+    negativity = _largest(-low, np.abs(first), np.abs(last))
+    return _largest(deviation - step, negativity - 1e-9)
+
+
+def cluster_growth_excess(gains, split_small, split_large) -> np.ndarray:
+    """Excess of the rate change over 0, of the factors over 1 (both 1e-12)
+    and of the two routes' disagreement over 1e-9."""
+    d = cluster_size_rate_delta(gains, split_small, split_large)
+    factor_excess = _largest(d.head_factor, d.chain_factor, d.tail_factor) - 1.0
+    return _largest(d.delta - 1e-12, factor_excess - 1e-12, np.abs(d.delta - d.delta_factored) - 1e-9)
+
+
+def closed_form_error(gains, thresholds) -> np.ndarray:
+    """Distance of the closed-form cumulative power from the exact sum of
+    the sequential scheme's shares."""
+    count, _, shares, _ = _sequential_admit_batch(gains, thresholds, detail=True)
+    running = np.fromiter(map(math.fsum, shares.reshape(-1, shares.shape[-1]).tolist()), dtype=float)
+    return np.abs(cumulative_power_closed_form((gains, thresholds), count) - running.reshape(count.shape))
+
+
+def greedy_invariant_excess(gains, thresholds) -> np.ndarray:
+    """Worst excess of the sequential scheme over its invariants: admitted
+    users sit at their targets (relative 1e-9), no prefix overspends the
+    budget (1e-12), the closed form holds (1e-12), and doubling every gain
+    admits no fewer users (1.0 where it does)."""
+    count, _, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
+    admitted = np.arange(shares.shape[-1]) < count[..., None]
+    miss = np.max(np.abs(sinrs - thresholds), axis=-1, where=admitted, initial=0.0)
+    with np.errstate(invalid="ignore"):
+        tight = np.where(count > 0, miss / np.max(thresholds, axis=-1, where=admitted, initial=0.0), 0.0)
+    prefix_excess = np.maximum(np.cumsum(shares, axis=-1).max(axis=-1) - 1.0, 0.0)
+    agree = closed_form_error(gains, thresholds) - CLOSED_FORM.tolerance
+    monotone_break = (_sequential_admit_batch(2.0 * gains, thresholds)[0] < count).astype(float)
+    return _largest(tight - 1e-9, prefix_excess - 1e-12, agree, monotone_break, 0.0)
+
+
+def _enumerated(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    refs = [exhaustive_admit(AdmissionInstance(g, t)) for g, t in zip(gains, thresholds)]
+    return np.array([r.admitted_count for r in refs]), np.array([r.sum_rate_bps_hz for r in refs])
+
+
+def exhaustive_dominance_excess(gains, thresholds) -> np.ndarray:
+    """Users, or else sum rate beyond 1e-12, by which the sequential scheme
+    beats enumeration; instances stacked on the first axis."""
+    count, rate = _sequential_admit_batch(gains, thresholds)
+    best_count, best_rate = _enumerated(gains, thresholds)
+    short = np.maximum(count - best_count, 0)
+    rate_short = np.where(best_count == count, np.maximum(rate - best_rate - 1e-12, 0.0), 0.0)
+    return np.maximum(short, rate_short)
+
+
+def aligned_count_gap(gains, thresholds) -> np.ndarray:
+    """Users by which enumeration and the sequential scheme disagree."""
+    return np.abs(_enumerated(gains, thresholds)[0] - _sequential_admit_batch(gains, thresholds)[0]).astype(float)
+
+
+# Draws: each check's RNG calls, one instance at a time in trial order.
 
 
 def _random_gains(rng, size: int) -> np.ndarray:
@@ -53,10 +233,6 @@ def _random_gains(rng, size: int) -> np.ndarray:
     scale = 10.0 ** rng.uniform(-1.0, 4.0)
     g = scale * rng.lognormal(mean=0.0, sigma=1.5, size=size)
     return np.sort(g)[::-1]
-
-
-def _random_split(rng, size: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(size))
 
 
 def _random_thresholds(rng, size: int) -> np.ndarray:
@@ -72,25 +248,24 @@ def _grouped_trials(trials: int, key) -> dict:
     return groups
 
 
-def _check_zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> CheckResult:
-    measures = []
+def evaluate_by_size(measure, instances) -> np.ndarray:
+    """``measure`` of instances (tuples of arrays) stacked per size of their
+    first array: one call per size group, results concatenated."""
+    groups: dict = {}
+    for inst in instances:
+        groups.setdefault(np.shape(inst[0]), []).append(inst)
+    return np.concatenate([np.empty(0)] + [measure(*map(np.stack, zip(*g))).ravel() for g in groups.values()])
+
+
+def _zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> np.ndarray:
     groups = _grouped_trials(trials, lambda t: (2 + t % 3, t % config.tx_antennas))
-    for (users, ci), ts in groups.items():
-        r = draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=users), ci, ts)
-        norms = np.linalg.norm(r.detection_vectors, axis=-1)
-        prods = np.einsum("tln,tlnm->tlm", r.detection_vectors.conj(), r.channels @ r.precoder)
-        leak = np.abs(np.delete(prods, ci, axis=-1)).max(axis=(1, 2))
-        bad = np.abs(norms - 1.0).max(axis=-1)
-        unsorted = np.any(np.diff(r.effective_gains, axis=-1) > 0, axis=-1).astype(float)
-        measures.append(np.maximum.reduce([bad - 1e-12, leak - 1e-10, unsorted]))
-    measure = np.concatenate(measures)
-    return CheckResult(
-        "zero_forcing", trials, int(np.count_nonzero(measure > 0)), max(0.0, float(measure.max())),
-        "norm tol 1e-12, leakage tol 1e-10",
-    )
+    return np.concatenate([
+        zero_forcing_excess(draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=users), ci, ts), ci)
+        for (users, ci), ts in groups.items()
+    ])
 
 
-def _check_determinism(config: SystemConfig, rng_seed: int, trials: int) -> CheckResult:
+def _redraw_differences(config: SystemConfig, rng_seed: int, trials: int) -> np.ndarray:
     # Each group is drawn twice, the second time in reverse trial order.
     cfg = config.with_(rng_seed=rng_seed)
     diffs = []
@@ -100,190 +275,52 @@ def _check_determinism(config: SystemConfig, rng_seed: int, trials: int) -> Chec
         gain_diff = np.abs(a.effective_gains - b.effective_gains[::-1]).max(axis=-1)
         channel_diff = np.abs(a.channels - b.channels[::-1]).max(axis=(1, 2, 3))
         diffs.append(np.maximum(gain_diff, channel_diff))
-    diff = np.concatenate(diffs)
-    return CheckResult(
-        "draw_determinism", trials, int(np.count_nonzero(diff != 0.0)), max(0.0, float(diff.max())),
-        "bit-identical redraws",
-    )
+    return np.concatenate(diffs)
 
 
-def _check_oma_bound(rng, trials: int, dof_samples: int = 100) -> CheckResult:
-    violations = 0
-    worst = -math.inf
+def _gains_and_splits(rng, trials: int, dof_samples: int = 0) -> list:
+    """Per trial, gains and a split of ``2 + t % 5`` users, then as many
+    sampled orthogonal shares as asked for."""
+    draws = []
     for t in range(trials):
         size = 2 + t % 5
-        g = _random_gains(rng, size)
-        w = _random_split(rng, size)
-        bound = float(oma_sum_upper_bound(g, w))
-        sampled = oma_sum_rate(g, w, rng.dirichlet(np.ones(size), size=dof_samples))
-        attained = float(oma_sum_rate(g, w, optimal_dof_fractions(g, w)))
-        measure = max(float(sampled.max()) - bound, abs(attained - bound))
-        worst = max(worst, measure)
-        if measure > 1e-9:
-            violations += 1
-    return CheckResult("oma_bound_tightness", trials, violations, worst, "tol 1e-9")
+        draw = (_random_gains(rng, size), rng.dirichlet(np.ones(size)))
+        draws.append(draw + (rng.dirichlet(np.ones(size), size=dof_samples),) if dof_samples else draw)
+    return draws
 
 
-def _check_noma_dominance(config: SystemConfig, rng_seed: int, rng, trials: int) -> CheckResult:
+def _cluster_splits(config: SystemConfig, rng_seed: int, rng, trials: int) -> list:
     gains: dict[int, np.ndarray] = {}
     for size, ts in _grouped_trials(trials, lambda t: 2 + t % 5).items():
-        snr = draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts).snr_gains
-        gains.update(zip(ts, snr))
-    violations = 0
-    worst = math.inf
+        gains.update(zip(ts, draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts).snr_gains))
+    return [(gains[t], rng.dirichlet(np.ones(gains[t].size))) for t in range(trials)]
+
+
+def _growth_draws(rng, trials: int) -> list:
+    draws = []
     for t in range(trials):
-        g = gains[t]
-        w = _random_split(rng, g.size)
-        slack = float(noma_sum_rate(g, w) - oma_sum_rate(g, w, optimal_dof_fractions(g, w)))
-        worst = min(worst, slack)
-        if slack < -1e-9:
-            violations += 1
-    return CheckResult("noma_dominance", trials, violations, worst, "slack tol -1e-9 (worst is min slack)")
+        g, w = _random_gains(rng, 2 + t % 5), rng.dirichlet(np.ones(1 + t % 5))
+        draws.append((g, w, extend_split(w, float(rng.uniform(0.0, 1.0))).coefficients))
+    return draws
 
 
-def _check_noma_lower_bound(rng, trials: int) -> CheckResult:
-    violations = 0
-    worst = math.inf
-    for t in range(trials):
-        size = 2 + t % 5
-        g = _random_gains(rng, size)
-        w = _random_split(rng, size)
-        slack = float(noma_sum_rate(g, w) - np.log2(1.0 + (w * g).sum()))
-        worst = min(worst, slack)
-        if slack < -1e-9:
-            violations += 1
-    return CheckResult("noma_lower_bound", trials, violations, worst, "slack tol -1e-9 (worst is min slack)")
+def _admission_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    draws = [(_random_gains(rng, 8), _random_thresholds(rng, 8)) for _ in range(trials)]
+    return np.array([g for g, _ in draws]), np.array([t for _, t in draws])
 
 
-def _check_sic_feasibility(rng, trials: int) -> CheckResult:
-    violations = 0
-    worst = math.inf
-    for t in range(trials):
-        size = 2 + t % 5
-        g = _random_gains(rng, size)
-        w = _random_split(rng, size)
-        report = sic_feasibility_check(g, w)
-        m = report.margins
-        margin = float(np.nanmin(m)) if np.any(np.isfinite(m)) else 0.0
-        worst = min(worst, margin)
-        if not report.feasible:
-            violations += 1
-    return CheckResult("sic_feasibility", trials, violations, worst, "margin tol -1e-12 (worst is min margin)")
-
-
-def _check_gap_maximizer(rng, trials: int, grid_points: int = 10001) -> CheckResult:
-    grid = np.linspace(0.0, 1.0, grid_points)
-    step = grid[1] - grid[0]
-    violations = 0
-    worst = 0.0
-    for t in range(trials):
-        g = _random_gains(rng, 2)
-        gaps = two_user_gap(g, grid)
-        star = two_user_gap_maximizer(g[0])
-        deviation = abs(float(grid[int(np.argmax(gaps))]) - star)
-        negativity = max(-float(gaps.min()), abs(float(gaps[0])), abs(float(gaps[-1])))
-        measure = max(deviation - step, negativity - 1e-9, 0.0)
-        worst = max(worst, measure)
-        if measure > 0:
-            violations += 1
-    return CheckResult(
-        "gap_maximizer", trials, violations, worst, "argmax within one grid step; gap >= 0, zero at ends"
-    )
-
-
-def _check_cluster_size_monotonicity(rng, trials: int) -> CheckResult:
-    violations = 0
-    worst = -math.inf
-    for t in range(trials):
-        small = 1 + t % 5
-        g = _random_gains(rng, small + 1)
-        w = _random_split(rng, small)
-        theta = extend_split(w, float(rng.uniform(0.0, 1.0)))
-        d = cluster_size_rate_delta(g, w, theta)
-        factor_excess = max(d.head_factor, d.chain_factor, d.tail_factor) - 1.0
-        measure = max(d.delta - 1e-12, factor_excess - 1e-12, abs(d.delta - d.delta_factored) - 1e-9)
-        worst = max(worst, measure)
-        if measure > 0:
-            violations += 1
-    return CheckResult(
-        "cluster_size_monotonicity", trials, violations, worst, "delta <= 0, factors <= 1, routes agree 1e-9"
-    )
-
-
-def _check_greedy_invariants(rng, trials: int) -> CheckResult:
-    violations = 0
-    worst = 0.0
-    for t in range(trials):
-        g = _random_gains(rng, 8)
-        inst = AdmissionInstance(g, _random_thresholds(rng, 8))
-        res = greedy_admit(inst)
-        k = res.admitted_count
-        tight = 0.0
-        if k:
-            tight = float(
-                np.abs(res.achieved_sinrs[:k] - inst.sinr_thresholds[:k]).max()
-                / inst.sinr_thresholds[:k].max()
-            )
-        prefix_excess = float(max(np.cumsum(res.power_coefficients).max() - 1.0, 0.0))
-        closed = cumulative_power_closed_form(inst, k)
-        agree = abs(closed - math.fsum(res.power_coefficients[:k]))
-        doubled = greedy_admit(AdmissionInstance(2.0 * g, inst.sinr_thresholds))
-        monotone_break = 1.0 if doubled.admitted_count < k else 0.0
-        measure = max(tight - 1e-9, prefix_excess - 1e-12, agree - 1e-12, monotone_break, 0.0)
-        worst = max(worst, measure)
-        if measure > 0:
-            violations += 1
-    return CheckResult(
-        "greedy_invariants", trials, violations, worst, "tight targets, budget, closed form, power-monotone"
-    )
-
-
-def _check_exhaustive_dominance(rng, trials: int) -> CheckResult:
-    violations = 0
-    worst = 0.0
-    for t in range(trials):
-        g = _random_gains(rng, 8)
-        inst = AdmissionInstance(g, _random_thresholds(rng, 8))
-        gre = greedy_admit(inst)
-        exh = exhaustive_admit(inst)
-        short = max(gre.admitted_count - exh.admitted_count, 0)
-        rate_short = 0.0
-        if exh.admitted_count == gre.admitted_count:
-            rate_short = max(gre.sum_rate_bps_hz - exh.sum_rate_bps_hz - 1e-12, 0.0)
-        measure = max(float(short), rate_short)
-        worst = max(worst, measure)
-        if measure > 0:
-            violations += 1
-    return CheckResult(
-        "exhaustive_dominance", trials, violations, worst, "enumeration never below the sequential scheme"
-    )
-
-
-def _check_aligned_condition(rng, trials: int) -> CheckResult:
-    violations = 0
-    worst = 0.0
-    condition_hits = 0
+def _aligned_draws(rng, trials: int) -> list:
+    """Every other trial has one target for all; only aligned instances stay."""
+    draws = []
     for t in range(trials):
         g = _random_gains(rng, 8)
         if t % 2:
             thr = np.full(8, float(db_to_linear(rng.choice(np.array([5.0, 10.0, 15.0])))))
         else:
             thr = _random_thresholds(rng, 8)
-        inst = AdmissionInstance(g, thr)
-        if not aligned_thresholds(inst):
-            continue
-        condition_hits += 1
-        gap = exhaustive_admit(inst).admitted_count - greedy_admit(inst).admitted_count
-        worst = max(worst, float(gap))
-        if gap != 0:
-            violations += 1
-    return CheckResult(
-        "aligned_condition_optimality",
-        condition_hits,
-        violations,
-        worst,
-        "aligned targets imply enumeration-equal counts",
-    )
+        if aligned_thresholds(AdmissionInstance(g, thr)):
+            draws.append((g, thr))
+    return draws
 
 
 def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | None = None) -> list[CheckResult]:
@@ -293,17 +330,21 @@ def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | N
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     config = config if config is not None else SystemConfig()
-    streams = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(8)]
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(9)]
     return [
-        _check_zero_forcing(config, seed, trials),
-        _check_determinism(config, seed, min(trials, 200)),
-        _check_oma_bound(streams[0], trials),
-        _check_noma_dominance(config, seed + 1, streams[1], trials),
-        _check_noma_lower_bound(streams[2], trials),
-        _check_sic_feasibility(streams[3], trials),
-        _check_gap_maximizer(streams[4], trials),
-        _check_cluster_size_monotonicity(streams[5], trials),
-        _check_greedy_invariants(streams[6], trials),
-        _check_exhaustive_dominance(streams[7], min(trials, 500)),
-        _check_aligned_condition(np.random.default_rng(np.random.SeedSequence([seed, 8])), trials),
+        ZERO_FORCING.tally(_zero_forcing(config, seed, trials)),
+        DETERMINISM.tally(_redraw_differences(config, seed, min(trials, 200))),
+        OMA_BOUND.tally(evaluate_by_size(oma_bound_excess, _gains_and_splits(rngs[0], trials, dof_samples=100))),
+        NOMA_DOMINANCE.tally(
+            evaluate_by_size(noma_dominance_slack, _cluster_splits(config, seed + 1, rngs[1], trials))
+        ),
+        NOMA_LOWER_BOUND.tally(evaluate_by_size(noma_lower_bound_slack, _gains_and_splits(rngs[2], trials))),
+        SIC_FEASIBILITY.tally(evaluate_by_size(sic_min_margin, _gains_and_splits(rngs[3], trials))),
+        GAP_MAXIMIZER.tally(
+            gap_maximizer_excess(np.array([_random_gains(rngs[4], 2) for _ in range(trials)]), np.linspace(0, 1, 10001))
+        ),
+        CLUSTER_GROWTH.tally(evaluate_by_size(cluster_growth_excess, _growth_draws(rngs[5], trials))),
+        GREEDY_INVARIANTS.tally(greedy_invariant_excess(*_admission_draws(rngs[6], trials))),
+        EXHAUSTIVE_DOMINANCE.tally(exhaustive_dominance_excess(*_admission_draws(rngs[7], min(trials, 500)))),
+        ALIGNED_CONDITION.tally(evaluate_by_size(aligned_count_gap, _aligned_draws(rngs[8], trials))),
     ]

@@ -6,10 +6,12 @@ of superposed over orthogonal sharing, the orthogonal bound and its attaining
 split, the two-user gap maximizer, the cluster-growth monotonicity, decoding
 feasibility, sequential-versus-enumerated admission, the cumulative power
 closed form, the admission benchmark windows and trends, the detection-vector
-construction, fairness dominance, and CLI determinism.
+construction, fairness dominance, and CLI determinism. Where ``nomasim
+verify`` checks the same guarantee, the test evaluates its own instances,
+stacked, through the same measure function and tolerance of
+:mod:`nomasim.verify`, so a non-finite measure fails here too.
 """
 
-import math
 import subprocess
 import sys
 
@@ -20,8 +22,6 @@ from nomasim import (
     ORACLE_BENCHMARK_RADIUS_KM,
     AdmissionInstance,
     SystemConfig,
-    cluster_size_rate_delta,
-    cumulative_power_closed_form,
     db_to_linear,
     draw_cluster,
     exhaustive_admit,
@@ -29,17 +29,28 @@ from nomasim import (
     greedy_admit,
     greedy_optimality_condition,
     make_sweep,
-    noma_sum_rate,
-    oma_sum_upper_bound,
-    oma_user_rates,
-    optimal_dof_fractions,
     run_sweep,
-    sic_feasibility_check,
-    two_user_gap,
     two_user_gap_maximizer,
 )
 from nomasim.admission import _optimal_admit_batch
 from nomasim.experiments import _mixed_thresholds_db
+from nomasim.verify import (
+    CLOSED_FORM,
+    CLUSTER_GROWTH,
+    GAP_MAXIMIZER,
+    NOMA_DOMINANCE,
+    OMA_BOUND,
+    SIC_FEASIBILITY,
+    ZERO_FORCING,
+    closed_form_error,
+    cluster_growth_excess,
+    evaluate_by_size,
+    gap_maximizer_excess,
+    noma_dominance_slack,
+    oma_bound_excess,
+    sic_min_margin,
+    zero_forcing_excess,
+)
 
 DEFAULT = SystemConfig()
 BENCH = SystemConfig(users_per_cluster=8, cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
@@ -90,72 +101,64 @@ def sinr_sweep():
 
 def test_c01_superposed_rate_never_below_best_orthogonal_rate():
     rng = np.random.default_rng(101)
-    checked = 0
-    worst = np.inf
+    slack = []
     for size in (2, 3, 4, 5, 6):
-        cfg = DEFAULT.with_(users_per_cluster=size)
+        gains = draw_cluster(DEFAULT.with_(users_per_cluster=size), 0, range(2000)).snr_gains
+        splits = np.empty((2000, 10, size))
         for t in range(2000):
-            g = draw_cluster(cfg, 0, t).snr_gains
-            w = rng.dirichlet(np.ones(size), size=10)
-            w *= rng.uniform(0.4, 1.0, size=(10, 1))  # partial budgets too
-            noma = noma_sum_rate(g, w)
-            oma = oma_user_rates(g, w, optimal_dof_fractions(g, w)).sum(axis=-1)
-            worst = min(worst, float(np.min(noma - oma)))
-            checked += w.shape[0]
-    assert checked >= 100_000
-    assert worst >= -1e-9
+            splits[t] = rng.dirichlet(np.ones(size), size=10)
+            splits[t] *= rng.uniform(0.4, 1.0, size=(10, 1))  # partial budgets too
+        slack.append(noma_dominance_slack(gains[:, None, :], splits).ravel())
+    result = NOMA_DOMINANCE.tally(np.concatenate(slack))
+    assert result.trials >= 100_000
+    assert result.passed, result
 
 
 def test_c02_orthogonal_bound_holds_and_optimal_split_attains_it():
     rng = np.random.default_rng(102)
+    excess = []
     for i in range(100):
         size = 2 + i % 5
-        cfg = DEFAULT.with_(users_per_cluster=size)
-        g = draw_cluster(cfg, 0, 5000 + i).snr_gains
+        g = draw_cluster(DEFAULT.with_(users_per_cluster=size), 0, 5000 + i).snr_gains
         w = rng.dirichlet(np.ones(size))
-        bound = oma_sum_upper_bound(g, w)
-        sampled = oma_user_rates(g, w, rng.dirichlet(np.ones(size), size=10_000)).sum(axis=-1)
-        assert sampled.max() <= bound + 1e-9
-        attained = oma_user_rates(g, w, optimal_dof_fractions(g, w)).sum()
-        assert abs(attained - bound) <= 1e-9
+        excess.append(oma_bound_excess(g, w, rng.dirichlet(np.ones(size), size=10_000)))
+    result = OMA_BOUND.tally(excess)
+    assert result.passed, result
 
 
 def test_c03_gap_maximizer_matches_dense_grid_and_reference_value():
     assert abs(two_user_gap_maximizer(321.0) - 0.053) <= 1e-3
-    cfg = DEFAULT.with_(users_per_cluster=2)
-    grid = np.linspace(0.0, 1.0, 10_000)
-    step = float(grid[1] - grid[0])
-    for t in range(1000):
-        g = draw_cluster(cfg, 0, t).snr_gains
-        star = two_user_gap_maximizer(g[0])
-        at_grid = float(grid[int(np.argmax(two_user_gap(g, grid)))])
-        assert abs(at_grid - star) <= step
+    pairs = draw_cluster(DEFAULT.with_(users_per_cluster=2), 0, range(1000)).snr_gains
+    result = GAP_MAXIMIZER.tally(gap_maximizer_excess(pairs, np.linspace(0.0, 1.0, 10_000)))
+    assert result.passed, result
 
 
 def test_c04_growing_the_cluster_never_raises_the_rate():
     rng = np.random.default_rng(104)
+    draws = []
     for i in range(100_000):
         l = int(rng.integers(1, 6))
         g = np.sort(10.0 ** rng.uniform(-1, 3, l + 1))[::-1]
         w = rng.dirichlet(np.ones(l))
         if i % 2 == 0:
-            larger = extend_split(w, float(rng.uniform(0.0, 1.0)))
+            larger = extend_split(w, float(rng.uniform(0.0, 1.0))).coefficients
         else:
             kept = w * rng.uniform(0.0, 1.0, l)  # per-user domination
             larger = np.append(kept, 1.0 - kept.sum())
-        d = cluster_size_rate_delta(g, w, larger)
-        assert d.delta <= 1e-12
-        assert max(d.head_factor, d.chain_factor, d.tail_factor) <= 1 + 1e-12
-        assert abs(d.delta - d.delta_factored) <= 1e-9
+        draws.append((g, w, larger))
+    result = CLUSTER_GROWTH.tally(evaluate_by_size(cluster_growth_excess, draws))
+    assert result.passed, result
 
 
 def test_c05_descending_gain_decoding_is_always_feasible():
     rng = np.random.default_rng(105)
+    draws = []
     for _ in range(100_000):
         size = int(rng.integers(2, 7))
         g = np.sort(10.0 ** rng.uniform(-2, 4, size))[::-1]
-        w = rng.dirichlet(np.ones(size))
-        assert sic_feasibility_check(g, w).feasible
+        draws.append((g, rng.dirichlet(np.ones(size))))
+    result = SIC_FEASIBILITY.tally(evaluate_by_size(sic_min_margin, draws))
+    assert result.passed, result
 
 
 def test_c06a_equal_targets_make_sequential_and_enumerated_agree(bench_gains):
@@ -204,14 +207,13 @@ def test_c06d_composition_dp_matches_enumeration(bench_gains, mixed_pairs):
 
 def test_c07_cumulative_power_closed_form_matches_running_sum():
     rng = np.random.default_rng(107)
+    draws = []
     for _ in range(100_000):
         size = int(rng.integers(2, 9))
         g = np.sort(10.0 ** rng.uniform(-2, 4, size))[::-1]
-        inst = AdmissionInstance.from_db(g, rng.choice([5.0, 10.0, 15.0], size=size))
-        res = greedy_admit(inst)
-        running = math.fsum(res.power_coefficients[: res.admitted_count])
-        closed = cumulative_power_closed_form(inst, res.admitted_count)
-        assert abs(closed - running) <= 1e-12
+        draws.append((g, db_to_linear(rng.choice([5.0, 10.0, 15.0], size=size))))
+    result = CLOSED_FORM.tally(evaluate_by_size(closed_form_error, draws))
+    assert result.passed, result
 
 
 def test_c08_admission_benchmark_windows_and_trends(sinr_sweep):
@@ -242,18 +244,13 @@ def test_c08_admission_benchmark_windows_and_trends(sinr_sweep):
 
 def test_c09_detection_vectors_are_unit_norm_and_nulling():
     cfg = DEFAULT.with_(users_per_cluster=3)
-    worst_norm = 0.0
-    worst_leak = 0.0
-    for t in range(10_000):
-        ci = t % cfg.tx_antennas
-        r = draw_cluster(cfg, ci, t)
-        norms = np.linalg.norm(r.detection_vectors, axis=1)
-        worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
-        effective = np.einsum("ln,lnm->lm", r.detection_vectors.conj(), r.channels @ r.precoder)
-        leak = np.abs(np.delete(effective, ci, axis=1))
-        worst_leak = max(worst_leak, float(leak.max()))
-    assert worst_norm <= 1e-12
-    assert worst_leak < 1e-10
+    antennas = cfg.tx_antennas
+    excess = [  # trial t uses precoder column t % antennas
+        zero_forcing_excess(draw_cluster(cfg, ci, range(ci, 10_000, antennas)), ci) for ci in range(antennas)
+    ]
+    result = ZERO_FORCING.tally(np.concatenate(excess))
+    assert result.trials == 10_000
+    assert result.passed, result
 
 
 def test_c10_superposed_fairness_dominates_on_both_sweeps():

@@ -227,14 +227,21 @@ class TestClosedForm:
         inst = AdmissionInstance(gains=[4.0, 2.0], sinr_thresholds=[1.0, 1.0])
         assert cumulative_power_closed_form(inst, 2) == pytest.approx(1.0, rel=1e-15)
 
-    def test_matches_running_sum(self):
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            inst = random_instance(rng)
+    @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_running_sum(self, users, batch, seed):
+        rng = np.random.default_rng(seed)
+        gains = np.sort(10.0 ** rng.uniform(-2, 4, (batch, users)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(batch, users)) / 10.0)
+        count, _, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
+        closed = cumulative_power_closed_form((gains, thresholds), count)  # a stack of instances
+        for i, inst in enumerate(map(AdmissionInstance, gains, thresholds)):
             res = greedy_admit(inst)
-            k = res.admitted_count
-            expected = math.fsum(res.power_coefficients[:k])
-            assert cumulative_power_closed_form(inst, k) == pytest.approx(expected, abs=1e-12)
+            np.testing.assert_array_equal(shares[i], res.power_coefficients)
+            np.testing.assert_array_equal(sinrs[i], res.achieved_sinrs)
+            single = cumulative_power_closed_form(inst, res.admitted_count)
+            assert type(single) is float and closed[i] == single  # bit for bit
+            assert abs(single - math.fsum(res.power_coefficients)) <= 1e-12
 
     def test_zero_count_costs_nothing(self):
         inst = AdmissionInstance(gains=[4.0, 2.0], sinr_thresholds=[1.0, 1.0])
@@ -245,6 +252,15 @@ class TestClosedForm:
         inst = AdmissionInstance(gains=[4.0, 2.0], sinr_thresholds=[1.0, 1.0])
         with pytest.raises(ValueError):
             cumulative_power_closed_form(inst, count)
+
+    def test_stacked_validation(self):
+        pair = (np.array([[4.0, 2.0], [4.0, 0.0]]), np.ones(2))
+        assert cumulative_power_closed_form(pair, np.array([2, 1]))[1] == 0.25
+        for count in ([2, 2], [2, 3], [1.5, 1], [-1, 0]):  # a zero gain counted, then bad counts
+            with pytest.raises(ValueError):
+                cumulative_power_closed_form(pair, np.array(count))
+        with pytest.raises(ValueError, match="finite"):
+            cumulative_power_closed_form((np.array([[np.nan, 1.0]]), np.ones(2)), np.array([0]))
 
 
 class TestExhaustiveAdmit:

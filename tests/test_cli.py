@@ -1,10 +1,11 @@
 """Config file handling, subcommand dispatch, exit codes, output layout."""
 
 import json
+import math
 
 import pytest
 
-from nomasim import SystemConfig
+from nomasim import CheckResult, SystemConfig, cli
 from nomasim.cli import (
     CliInvocation,
     ConfigError,
@@ -250,6 +251,21 @@ class TestVerifyCommand:
         assert len(lines) == 11
         assert all(l.startswith("PASS") for l in lines)
         assert "11/11 checks passed" in out
+
+    def test_json_gives_each_check_its_tolerance_and_direction(self, capsys):
+        assert main(["verify", "--trials", "5", "--json"]) == 0
+        rows = {row.pop("name"): row for row in json.loads(capsys.readouterr().out)}
+        assert len(rows) == 11
+        dominance, bound = rows["noma_dominance"], rows["oma_bound_tightness"]
+        assert set(dominance) == {"trials", "violations", "worst", "tolerance", "direction"}
+        assert (dominance["trials"], dominance["tolerance"], dominance["direction"]) == (5, -1e-9, "min_slack")
+        assert (bound["tolerance"], bound["direction"]) == (1e-9, "max_excess")
+
+    def test_json_keeps_the_failure_exit_code(self, capsys, monkeypatch):
+        failing = [CheckResult("broken", 3, 3, math.nan, "", 0.0, "max_excess")]
+        monkeypatch.setattr(cli, "run_verification", lambda **kwargs: failing)
+        assert main(["verify", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)[0]["worst"] is None  # JSON has no NaN
 
     def test_config_seed_and_trials_are_used(self, capsys, tmp_path):
         main(["verify", "--trials", "3"])
