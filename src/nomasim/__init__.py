@@ -22,7 +22,6 @@ from .channel import (
     ClusterRealization,
     DegenerateChannelError,
     SystemConfig,
-    compute_detection_vector,
     draw_cluster,
 )
 from .experiments import (
@@ -41,7 +40,6 @@ from .experiments import (
 )
 from .rates import (
     ClusterSizeDelta,
-    PowerSplit,
     SicFeasibility,
     cluster_size_rate_delta,
     extend_split,
@@ -56,7 +54,7 @@ from .rates import (
     two_user_gap,
     two_user_gap_maximizer,
 )
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear
 from .verify import CheckResult, run_verification
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DegenerateChannelError",
     "ORACLE_BENCHMARK_RADIUS_KM",
-    "PowerSplit",
     "SWEEP_KINDS",
     "SicFeasibility",
     "SweepResult",
@@ -78,7 +75,6 @@ __all__ = [
     "aligned_thresholds",
     "allocate_sequential",
     "cluster_size_rate_delta",
-    "compute_detection_vector",
     "cumulative_power_closed_form",
     "db_to_linear",
     "draw_cluster",
@@ -87,7 +83,6 @@ __all__ = [
     "greedy_admit",
     "greedy_optimality_condition",
     "jain_index",
-    "linear_to_db",
     "make_sweep",
     "noma_sum_rate",
     "noma_user_rates",

@@ -146,27 +146,6 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
     return (u @ (w / norm[..., None])[..., None])[..., 0]
 
 
-def compute_detection_vector(channel: np.ndarray, own_column_index: int) -> np.ndarray:
-    """Unit-norm combiner orthogonal to every precoder column except one.
-
-    The combiner lives in the orthogonal complement of the interfering
-    columns and, inside that subspace, points along the projection of the own
-    column, which maximizes the effective gain. Raises
-    :class:`DegenerateChannelError` when the complement is empty or the own
-    column has no component in it. :func:`draw_cluster` runs the same kernel
-    on every user of a batch of trials at once.
-    """
-    h = np.asarray(channel, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("channel must be a 2-D matrix")
-    n_rx, n_tx = h.shape
-    if not 0 <= own_column_index < n_tx:
-        raise ValueError("own_column_index out of range")
-    if n_rx < n_tx:
-        raise ValueError("need rx antennas >= tx antennas to cancel all interfering columns")
-    return _combiners(h[None], own_column_index)[0]
-
-
 def draw_cluster(
     config: SystemConfig, cluster_index: int = 0, trial_seed: int | Sequence[int] = 0
 ) -> ClusterRealization:

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -114,75 +114,44 @@ def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[
     return config, sweep_kwargs
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """One resolved command: what to run and where to write it."""
-
-    subcommand: str
-    config_path: str | None = None
-    overrides: tuple[str, ...] = ()
-    out_path: str | None = None
-    seed: int | None = None
-    trials: int | None = None
-    workers: int = 1
-    surface: bool = False
-    mixed: bool = False
-    by_requesting: bool = False
-    trial_index: int = 0
-    grid_points: int = 10001
-    as_json: bool = False
-
-
-_KIND_BY_COMMAND = {
-    "sweep-split": ("split_sweep_2user", "split_sweep_3user"),
-    "sweep-power": ("power_sweep", "power_sweep"),
-    "ergodic": ("ergodic_power_sweep", "ergodic_power_sweep"),
-    "fairness": ("fairness_2user", "fairness_3user"),
-    "admission": ("admission_vs_sinr", "admission_vs_requesting"),
-    "oracle-compare": ("oracle_compare_equal", "oracle_compare_mixed"),
-}
-
-
 def _metadata_path(csv_path: str) -> str:
     root, ext = os.path.splitext(csv_path)
     return (root if ext == ".csv" else csv_path) + ".meta.json"
 
 
-def _resolve_config(inv: CliInvocation, reads: tuple[str, ...] = ()) -> tuple[SystemConfig, dict]:
-    """Cell config and sweep settings of an invocation; ``reads`` lists the
-    sweep keys a non-sweep subcommand accepts."""
+def _resolve_config(args, reads: tuple[str, ...] | None = None) -> tuple[SystemConfig, dict]:
+    """Cell config and sweep settings of parsed arguments; ``reads`` lists the
+    sweep keys a non-sweep subcommand accepts (make_sweep checks a sweep's)."""
     base = SystemConfig()
-    if inv.subcommand == "oracle-compare":
+    if args.subcommand == "oracle-compare":
         # dense deployment so the comparison with the optimum is not ceiling-bound
         base = base.with_(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
-    elif inv.subcommand == "verify":
+    elif args.subcommand == "verify":
         base = base.with_(rng_seed=0)  # the verification checks' own default seed
-    config, sweep_kwargs = parse_config(inv.config_path, inv.overrides, base=base)
-    if inv.seed is not None:
-        config = config.with_(rng_seed=inv.seed)
-    if inv.subcommand not in _KIND_BY_COMMAND:
+    config, sweep_kwargs = parse_config(args.config, args.overrides, base=base)
+    if args.seed is not None:
+        config = config.with_(rng_seed=args.seed)
+    if reads is not None:
         unread = [key for key in sweep_kwargs if key not in reads]
         if unread:
-            raise ConfigError(f"{inv.subcommand} does not read the sweep key '{unread[0]}'")
+            raise ConfigError(f"{args.subcommand} does not read the sweep key '{unread[0]}'")
     return config, sweep_kwargs
 
 
-def _run_sweep_command(inv: CliInvocation) -> int:
-    variant = inv.surface or inv.mixed or inv.by_requesting
-    kind = _KIND_BY_COMMAND[inv.subcommand][1 if variant else 0]
-    config, sweep_kwargs = _resolve_config(inv)
-    trials = inv.trials if inv.trials is not None else sweep_kwargs.pop("trials", None)
+def _run_sweep_command(args) -> int:
+    config, sweep_kwargs = _resolve_config(args)
+    trials = args.trials if args.trials is not None else sweep_kwargs.pop("trials", None)
     sweep_kwargs.pop("trials", None)
     try:
-        spec = make_sweep(kind, config, trials=trials, **sweep_kwargs)
+        spec = make_sweep(args.kind, config, trials=trials, **sweep_kwargs)
     except ValueError as e:
-        raise ConfigError(f"{inv.subcommand}: {e}") from None
-    result = run_sweep(spec, workers=inv.workers)
-    out = inv.out_path or os.path.join(os.environ.get("NOMASIM_OUT_DIR", "."), f"{kind}.csv")
+        raise ConfigError(f"{args.subcommand}: {e}") from None
+    result = run_sweep(spec, workers=args.workers)
+    out = args.out or os.path.join(os.environ.get("NOMASIM_OUT_DIR", "."), f"{args.kind}.csv")
     write_csv(result, out)
     meta = _metadata_path(out)
     write_metadata(result, meta)
-    print(f"{kind}: {len(result.rows)} rows ({spec.trials} trials) -> {out}")
+    print(f"{args.kind}: {len(result.rows)} rows ({spec.trials} trials) -> {out}")
     print(f"metadata -> {meta}")
     if "max_gap" in result.metadata:
         gap = result.metadata["max_gap"]
@@ -190,20 +159,22 @@ def _run_sweep_command(inv: CliInvocation) -> int:
     return 0
 
 
-def _run_gap_command(inv: CliInvocation) -> int:
-    config, _ = _resolve_config(inv)
+def _run_gap_command(args) -> int:
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
+    config, _ = _resolve_config(args, reads=())
     if config.users_per_cluster < 2:
         raise ConfigError("gap needs at least two users per cluster")
-    realization = draw_cluster(config, 0, inv.trial_index)
+    realization = draw_cluster(config, 0, args.trial_index)
     pair = realization.snr_gains[:2]
     star = two_user_gap_maximizer(pair[0])
-    grid = np.linspace(0.0, 1.0, inv.grid_points)
+    grid = np.linspace(0.0, 1.0, args.grid_points)
     gaps = two_user_gap(pair, grid)
     at_grid = float(grid[int(np.argmax(gaps))])
     step = float(grid[1] - grid[0])
     print(f"scaled gain of the strong user: {float(pair[0])!r}")
     print(f"closed-form maximizer: {star!r}")
-    print(f"grid argmax ({inv.grid_points} points): {at_grid!r}")
+    print(f"grid argmax ({args.grid_points} points): {at_grid!r}")
     print(f"gap at the closed-form point: {float(two_user_gap(pair, star))!r} b/s/Hz")
     if abs(at_grid - star) > step:
         print("grid argmax disagrees with the closed form beyond one step", file=sys.stderr)
@@ -211,12 +182,12 @@ def _run_gap_command(inv: CliInvocation) -> int:
     return 0
 
 
-def _run_verify_command(inv: CliInvocation) -> int:
-    config, sweep_kwargs = _resolve_config(inv, reads=("trials",))
-    trials = inv.trials if inv.trials is not None else sweep_kwargs.get("trials", 1000)
+def _run_verify_command(args) -> int:
+    config, sweep_kwargs = _resolve_config(args, reads=("trials",))
+    trials = args.trials if args.trials is not None else sweep_kwargs.get("trials", 1000)
     results = run_verification(trials=trials, seed=config.rng_seed, config=config)
     failed = sum(not r.passed for r in results)
-    if inv.as_json:
+    if args.json:
         rows = [asdict(r) for r in results]
         for row in rows:
             del row["note"]
@@ -228,17 +199,6 @@ def _run_verify_command(inv: CliInvocation) -> int:
             print(f"{status}  {r.name:30s} trials={r.trials:6d} violations={r.violations:4d} worst={r.worst:.3e}  ({r.note})")
         print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
-
-
-def run(invocation: CliInvocation) -> int:
-    """Dispatch one invocation; returns the process exit status."""
-    if invocation.subcommand == "verify":
-        return _run_verify_command(invocation)
-    if invocation.subcommand == "gap":
-        return _run_gap_command(invocation)
-    if invocation.subcommand in _KIND_BY_COMMAND:
-        return _run_sweep_command(invocation)
-    raise ConfigError(f"unknown subcommand '{invocation.subcommand}'")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -259,6 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False, parents=[trials])
     sweep.add_argument("--out", metavar="PATH", help="output CSV path (default <kind>.csv in $NOMASIM_OUT_DIR or .)")
     sweep.add_argument("--workers", type=int, default=1, help="parallel trial workers (does not affect output)")
+    sweep.set_defaults(handler=_run_sweep_command)
 
     parser = argparse.ArgumentParser(
         prog="nomasim",
@@ -266,43 +227,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    surface_help = "three-user split surface instead of the two-user curve"
     p = sub.add_parser("sweep-split", parents=[sweep], help="sum rate against the power-split grid")
-    p.add_argument("--surface", action="store_true", help="three-user split surface instead of the two-user curve")
-    sub.add_parser("sweep-power", parents=[sweep], help="sum rate against transmit power, one draw")
-    sub.add_parser("ergodic", parents=[sweep], help="mean sum rate against transmit power")
+    p.add_argument("--surface", action="store_const", dest="kind", const="split_sweep_3user", help=surface_help)
+    p.set_defaults(kind="split_sweep_2user")
+    p = sub.add_parser("sweep-power", parents=[sweep], help="sum rate against transmit power, one draw")
+    p.set_defaults(kind="power_sweep")
+    p = sub.add_parser("ergodic", parents=[sweep], help="mean sum rate against transmit power")
+    p.set_defaults(kind="ergodic_power_sweep")
     p = sub.add_parser("fairness", parents=[sweep], help="Jain index against the power-split grid")
-    p.add_argument("--surface", action="store_true", help="three-user split surface instead of the two-user curve")
+    p.add_argument("--surface", action="store_const", dest="kind", const="fairness_3user", help=surface_help)
+    p.set_defaults(kind="fairness_2user")
     p = sub.add_parser("gap", parents=[common], help="two-user rate-gap maximizer for one channel draw")
     p.add_argument("--trial", type=int, default=0, dest="trial_index", help="channel draw index")
     p.add_argument("--grid-points", type=int, default=10001, help="dense grid size for the argmax cross-check")
+    p.set_defaults(handler=_run_gap_command)
     p = sub.add_parser("admission", parents=[sweep], help="admitted users against target SINR")
-    p.add_argument("--by-requesting", action="store_true", help="sweep the requesting-pool size instead")
+    p.add_argument(
+        "--by-requesting", action="store_const", dest="kind", const="admission_vs_requesting",
+        help="sweep the requesting-pool size instead",
+    )
+    p.set_defaults(kind="admission_vs_sinr")
     p = sub.add_parser("oracle-compare", parents=[sweep], help="sequential admission against the exact optimum")
-    p.add_argument("--mixed", action="store_true", help="per-user random 5/10/15 dB targets instead of equal ones")
+    p.add_argument(
+        "--mixed", action="store_const", dest="kind", const="oracle_compare_mixed",
+        help="per-user random 5/10/15 dB targets instead of equal ones",
+    )
+    p.set_defaults(kind="oracle_compare_equal")
     p = sub.add_parser("verify", parents=[trials], help="run the randomized invariant checks")
     p.add_argument("--json", action="store_true", help="print each check's numbers and tolerance as JSON")
+    p.set_defaults(handler=_run_verify_command)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    invocation = CliInvocation(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        overrides=tuple(args.overrides),
-        out_path=getattr(args, "out", None),
-        seed=args.seed,
-        trials=getattr(args, "trials", None),
-        workers=getattr(args, "workers", 1),
-        surface=getattr(args, "surface", False),
-        mixed=getattr(args, "mixed", False),
-        by_requesting=getattr(args, "by_requesting", False),
-        trial_index=getattr(args, "trial_index", 0),
-        grid_points=getattr(args, "grid_points", 10001),
-        as_json=getattr(args, "json", False),
-    )
     try:
-        return run(invocation)
+        return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

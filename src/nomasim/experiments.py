@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .admission import _optimal_admit_batch, _sequential_admit_batch
+from .admission import DEFAULT_ENUMERATION_CAP, _optimal_admit_batch, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 from .units import db_to_linear
@@ -80,7 +80,7 @@ class SweepSpec:
     threshold_choices_db: tuple[float, ...] = (5.0, 10.0, 15.0)
     base_split: tuple[float, float] = (0.2, 0.8)
     extension_fraction: float = 1.0 / 3.0
-    enumeration_cap: int = 12
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         entry = _kind_entry(self.kind)
@@ -111,10 +111,6 @@ class SweepSpec:
                 f"{self.kind} draws {drawn}-user clusters, "
                 f"but config.users_per_cluster is {self.config.users_per_cluster}"
             )
-
-    @property
-    def point_arity(self) -> int:
-        return 2 if _KINDS[self.kind].surface else 1
 
 
 @dataclass(frozen=True)
@@ -241,7 +237,7 @@ def _rho(config: SystemConfig, powers_dbm) -> np.ndarray:
 def _power_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
     g3 = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :3]
     w2 = np.asarray(spec.base_split, dtype=float)
-    w3 = extend_split(w2, spec.extension_fraction).coefficients
+    w3 = extend_split(w2, spec.extension_fraction)
     return _scheme_rows([(g3[..., :2], w2), (g3, w3)], _sum_rate)
 
 
@@ -456,9 +452,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         stderr = np.zeros_like(mean)
 
     series = sweep_series(spec)
+    surface = _KINDS[spec.kind].surface
     rows = []
     for gi, point in enumerate(spec.grid):
-        pt = tuple(point) if spec.point_arity == 2 else (float(point),)
+        pt = tuple(point) if surface else (float(point),)
         for si, (scheme, metric) in enumerate(series):
             rows.append(
                 SweepRow(
@@ -470,16 +467,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                     trials=spec.trials,
                 )
             )
-    metadata = _build_metadata(spec, series, mean)
+    metadata = _build_metadata(spec, series, mean, surface)
     return SweepResult(kind=spec.kind, rows=tuple(rows), metadata=metadata)
 
 
-def _build_metadata(spec: SweepSpec, series, mean: np.ndarray) -> dict:
+def _build_metadata(spec: SweepSpec, series, mean: np.ndarray, surface: bool) -> dict:
     cfg = asdict(spec.config)
     cfg["cell_radius_range_km"] = list(spec.config.cell_radius_range_km)
     sweep = {
         "kind": spec.kind,
-        "grid": [list(p) if spec.point_arity == 2 else float(p) for p in spec.grid],
+        "grid": [list(p) if surface else float(p) for p in spec.grid],
         "trials": spec.trials,
         "power_dbm_values": list(spec.power_dbm_values),
         "target_sinr_db_values": list(spec.target_sinr_db_values),
@@ -497,7 +494,7 @@ def _build_metadata(spec: SweepSpec, series, mean: np.ndarray) -> dict:
         "config": cfg,
         "sweep": sweep,
     }
-    if spec.point_arity == 2 and series[0] == ("noma_3user", "sum_rate_bps_hz"):
+    if surface and series[0] == ("noma_3user", "sum_rate_bps_hz"):
         gap = mean[0] - mean[1]  # superposed minus orthogonal sum rate
         best = int(np.argmax(gap))
         meta["max_gap"] = {

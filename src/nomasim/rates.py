@@ -22,39 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _SUM_TOL = 1e-12
-
-
-def _as_coeffs(split) -> np.ndarray:
-    if isinstance(split, PowerSplit):
-        return split.coefficients
-    return np.asarray(split, dtype=float)
-
-
-@dataclass(frozen=True)
-class PowerSplit:
-    """Per-user shares of the cluster transmit power.
-
-    Shares are non-negative and sum to at most 1 (an admission outcome may
-    leave part of the budget unused).
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("coefficients must be finite")
-        if np.any(w < -_SUM_TOL) or np.any(w > 1 + _SUM_TOL):
-            raise ValueError("each coefficient must lie in [0, 1]")
-        if w.sum() > 1 + _SUM_TOL:
-            raise ValueError("coefficients must sum to at most 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "coefficients", w)
-
-    def __len__(self) -> int:
-        return self.coefficients.size
+# Decoding margins above -_SIC_TOL count as feasible (rounding of equal rates).
+_SIC_TOL = 1e-12
 
 
 def _users(x: np.ndarray) -> list:
@@ -66,7 +35,7 @@ def _users(x: np.ndarray) -> list:
 def _columns(gains, split) -> tuple[list, list]:
     """Per-user columns of gains and shares."""
     g = np.asarray(gains, dtype=float)
-    w = _as_coeffs(split)
+    w = np.asarray(split, dtype=float)
     if g.shape[-1:] != w.shape[-1:]:
         raise ValueError("gains and split must have the same number of users")
     return _users(g), _users(w)
@@ -176,13 +145,13 @@ def _require_finite(*arrays) -> None:
         raise ValueError("gains and splits must be finite")
 
 
-def sic_feasibility_check(gains, split, tol: float = 1e-12) -> SicFeasibility:
+def sic_feasibility_check(gains, split) -> SicFeasibility:
     """Check that earlier receivers can decode every later user's signal.
 
     Users are on the last axis; leading axes stack instances.
     """
     g = np.asarray(gains, dtype=float)
-    w = _as_coeffs(split)
+    w = np.asarray(split, dtype=float)
     if g.ndim == 0 or w.shape != g.shape:
         raise ValueError("gains and split must have equal shapes, users on the last axis")
     _require_finite(g, w)
@@ -193,7 +162,7 @@ def sic_feasibility_check(gains, split, tol: float = 1e-12) -> SicFeasibility:
     margins = cross - np.diagonal(cross, axis1=-2, axis2=-1)[..., None, :]
     later = np.triu(np.ones(margins.shape[-2:], dtype=bool), k=1)
     margins = np.where(later, margins, np.nan)
-    feasible = np.all(margins >= -tol, axis=(-2, -1), where=later)
+    feasible = np.all(margins >= -_SIC_TOL, axis=(-2, -1), where=later)
     return SicFeasibility(feasible=bool(feasible) if g.ndim == 1 else feasible, margins=margins)
 
 
@@ -223,18 +192,24 @@ def two_user_gap_maximizer(scaled_gain):
     return float(out) if np.ndim(scaled_gain) == 0 else out
 
 
-def extend_split(split, extra_fraction: float) -> PowerSplit:
+def extend_split(split, extra_fraction: float) -> np.ndarray:
     """Grow a split by one user without raising any existing share.
 
-    Existing shares are scaled by ``1 - extra_fraction`` and the new (weakest)
-    user receives ``extra_fraction``, so the result keeps the same total and is
+    ``split`` holds non-negative shares summing to at most 1 (an admission
+    outcome may leave part of the budget unused). Existing shares are scaled
+    by ``1 - extra_fraction`` and the new (weakest) user receives
+    ``extra_fraction`` of the total, so the result keeps the same total and is
     dominated by the original share-for-share, the regime where adding the
     user cannot raise the sum rate.
     """
     if not 0 <= extra_fraction <= 1:
         raise ValueError("extra_fraction must lie in [0, 1]")
-    w = _as_coeffs(split)
-    return PowerSplit(np.append(w * (1.0 - extra_fraction), extra_fraction * w.sum()))
+    w = np.asarray(split, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("split must be a non-empty 1-D sequence of shares")
+    if not (np.all(w >= -_SUM_TOL) and w.sum() <= 1 + _SUM_TOL):  # NaN fails both comparisons
+        raise ValueError("split shares must be finite, non-negative and sum to at most 1")
+    return np.append(w * (1.0 - extra_fraction), extra_fraction * w.sum())
 
 
 @dataclass(frozen=True)
@@ -266,8 +241,8 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
     the same for all three arguments, stack instances.
     """
     g = np.asarray(gains, dtype=float)
-    w = _as_coeffs(split_small)
-    th = _as_coeffs(split_large)
+    w = np.asarray(split_small, dtype=float)
+    th = np.asarray(split_large, dtype=float)
     if not (g.ndim == w.ndim == th.ndim >= 1 and g.shape[:-1] == w.shape[:-1] == th.shape[:-1]):
         raise ValueError("gains and splits must stack instances on the same leading axes")
     l = w.shape[-1]

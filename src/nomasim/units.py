@@ -1,4 +1,4 @@
-"""Decibel / linear conversions used across the package."""
+"""Decibel to linear conversion used across the package."""
 
 from __future__ import annotations
 
@@ -9,11 +9,3 @@ def db_to_linear(value_db):
     """Convert a dB (or dBm) quantity to linear scale."""
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0) if np.ndim(value_db) else 10.0 ** (float(value_db) / 10.0)
 
-
-def linear_to_db(value):
-    """Convert a positive linear quantity to dB."""
-    arr = np.asarray(value, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("linear_to_db requires strictly positive input")
-    out = 10.0 * np.log10(arr)
-    return float(out) if np.ndim(value) == 0 else out

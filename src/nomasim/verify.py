@@ -300,7 +300,7 @@ def _growth_draws(rng, trials: int) -> list:
     draws = []
     for t in range(trials):
         g, w = _random_gains(rng, 2 + t % 5), rng.dirichlet(np.ones(1 + t % 5))
-        draws.append((g, w, extend_split(w, float(rng.uniform(0.0, 1.0))).coefficients))
+        draws.append((g, w, extend_split(w, float(rng.uniform(0.0, 1.0)))))
     return draws
 
 

@@ -141,7 +141,7 @@ def test_c04_growing_the_cluster_never_raises_the_rate():
         g = np.sort(10.0 ** rng.uniform(-1, 3, l + 1))[::-1]
         w = rng.dirichlet(np.ones(l))
         if i % 2 == 0:
-            larger = extend_split(w, float(rng.uniform(0.0, 1.0))).coefficients
+            larger = extend_split(w, float(rng.uniform(0.0, 1.0)))
         else:
             kept = w * rng.uniform(0.0, 1.0, l)  # per-user domination
             larger = np.append(kept, 1.0 - kept.sum())

@@ -9,9 +9,14 @@ from nomasim import (
     ClusterRealization,
     DegenerateChannelError,
     SystemConfig,
-    compute_detection_vector,
     draw_cluster,
 )
+from nomasim.channel import _combiners
+
+
+def combiner(h, own_column_index):
+    """The combiner kernel of :func:`draw_cluster` on a batch of one channel."""
+    return _combiners(h[None], own_column_index)[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,27 +68,27 @@ class TestDetectionVector:
     def test_one_dimensional_null_space(self):
         # interference spans e1, own column leans on e2
         h = np.array([[1.0, 0.6], [0.0, 0.8j]])
-        v = compute_detection_vector(h, own_column_index=1)
+        v = combiner(h, own_column_index=1)
         assert abs(np.vdot(v, h[:, 0])) < 1e-14
         assert abs(np.abs(np.vdot(v, h[:, 1])) - 0.8) < 1e-12
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_column_matched_filter(self):
         h = np.array([[3.0 - 4.0j]])
-        v = compute_detection_vector(h, own_column_index=0)
+        v = combiner(h, own_column_index=0)
         assert np.abs(np.vdot(v, h[:, 0])) == pytest.approx(5.0, rel=1e-12)
 
     def test_orthogonal_own_column_keeps_full_norm(self):
         h = np.zeros((3, 2), dtype=complex)
         h[:, 0] = [1.0, 0.0, 0.0]
         h[:, 1] = [0.0, 2.0j, 1.0]
-        v = compute_detection_vector(h, own_column_index=1)
+        v = combiner(h, own_column_index=1)
         assert np.abs(np.vdot(v, h[:, 1])) == pytest.approx(np.linalg.norm(h[:, 1]), rel=1e-12)
 
     def test_combiner_is_best_direction_in_null_space(self):
         rng = np.random.default_rng(3)
         h = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
-        v = compute_detection_vector(h, own_column_index=1)
+        v = combiner(h, own_column_index=1)
         best = np.abs(np.vdot(v, h[:, 1]))
         null = np.delete(h, 1, axis=1)
         for _ in range(500):
@@ -95,23 +100,23 @@ class TestDetectionVector:
     def test_own_column_inside_interference_span_is_degenerate(self):
         h = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
         with pytest.raises(DegenerateChannelError):
-            compute_detection_vector(h, own_column_index=1)
+            combiner(h, own_column_index=1)
 
     def test_wide_channel_rejected(self):
-        # with fewer receive antennas than columns there is no way to null
-        # every interferer, so the shape itself is refused
+        # with fewer receive antennas than columns the interferers span the
+        # whole receive space, so no combiner can null them
         rng = np.random.default_rng(5)
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         with pytest.raises(ValueError):
-            compute_detection_vector(h, own_column_index=0)
+            combiner(h, own_column_index=0)
 
     def test_gain_invariant_to_interference_column_scaling(self):
         rng = np.random.default_rng(11)
         h = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
-        base = np.abs(np.vdot(compute_detection_vector(h, 0), h[:, 0])) ** 2
+        base = np.abs(np.vdot(combiner(h, 0), h[:, 0])) ** 2
         scaled = h.copy()
         scaled[:, 2] *= 2.0 - 3.0j
-        again = np.abs(np.vdot(compute_detection_vector(scaled, 0), scaled[:, 0])) ** 2
+        again = np.abs(np.vdot(combiner(scaled, 0), scaled[:, 0])) ** 2
         assert again == pytest.approx(base, rel=1e-9)
 
 
@@ -207,5 +212,5 @@ class TestBatchedDraw:
     def test_detection_vector_is_the_batch_kernel_of_one(self, cfg):
         r = draw_cluster(cfg, 1, [3, 4])
         for l in range(cfg.users_per_cluster):
-            v = compute_detection_vector(r.channels[1, l], 1)
+            v = combiner(r.channels[1, l], 1)
             np.testing.assert_array_equal(v, r.detection_vectors[1, l])

@@ -6,13 +6,7 @@ import math
 import pytest
 
 from nomasim import CheckResult, SystemConfig, cli
-from nomasim.cli import (
-    CliInvocation,
-    ConfigError,
-    main,
-    parse_config,
-    run,
-)
+from nomasim.cli import ConfigError, main, parse_config
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -90,8 +84,9 @@ class TestParseConfig:
 
 class TestDispatch:
     def test_unknown_subcommand_rejected(self):
-        with pytest.raises(ConfigError):
-            run(CliInvocation(subcommand="frobnicate"))
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
 
     def test_missing_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -214,6 +209,27 @@ class TestSweepCommands:
         assert rc == 0
         assert (tmp_path / "rates.data.meta.json").exists()
 
+    @pytest.mark.parametrize(
+        "args,kind",
+        [
+            (["sweep-split"], "split_sweep_2user"),
+            (["sweep-split", "--surface"], "split_sweep_3user"),
+            (["sweep-power"], "power_sweep"),
+            (["ergodic"], "ergodic_power_sweep"),
+            (["fairness"], "fairness_2user"),
+            (["fairness", "--surface"], "fairness_3user"),
+            (["admission"], "admission_vs_sinr"),
+            (["admission", "--by-requesting"], "admission_vs_requesting"),
+            (["oracle-compare"], "oracle_compare_equal"),
+            (["oracle-compare", "--mixed"], "oracle_compare_mixed"),
+        ],
+    )
+    def test_subcommand_and_variant_flag_select_the_kind(self, args, kind, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NOMASIM_OUT_DIR", str(tmp_path))
+        assert main(args + ["--trials", "1"]) == 0
+        assert capsys.readouterr().out.startswith(f"{kind}: ")
+        assert (tmp_path / f"{kind}.csv").exists()
+
     def test_mixed_flag_switches_oracle_kind(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         rc = main(
@@ -233,6 +249,11 @@ class TestGapCommand:
         closed = float(out.split("closed-form maximizer: ")[1].splitlines()[0])
         at_grid = float(out.split("): ")[1].splitlines()[0])
         assert abs(closed - at_grid) <= 1e-4
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_grid_below_two_points_is_exit_code_2(self, points, capsys):
+        assert main(["gap", "--grid-points", points]) == 2
+        assert "--grid-points" in capsys.readouterr().err
 
     def test_trial_index_changes_the_draw(self, capsys):
         main(["gap", "--trial", "0"])

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from nomasim import (
-    PowerSplit,
     cluster_size_rate_delta,
     extend_split,
     jain_index,
@@ -49,15 +48,10 @@ def stacked_instances(draw, max_users=6, max_gain=1e6):
 
 
 class TestSplitTypes:
-    def test_power_split_accepts_partial_budget(self):
-        w = PowerSplit([0.2, 0.3])
-        assert len(w) == 2
-        assert w.coefficients.flags.writeable is False
-
     @pytest.mark.parametrize("bad", [[-0.1, 0.5], [0.8, 0.8], [1.2], []])
-    def test_power_split_rejects_bad_shares(self, bad):
+    def test_extend_split_rejects_bad_shares(self, bad):
         with pytest.raises(ValueError):
-            PowerSplit(bad)
+            extend_split(bad, 0.5)
 
 
 class TestSuperpositionRates:
@@ -192,8 +186,10 @@ class TestTwoUserGap:
 
 class TestClusterGrowth:
     def test_extend_split_scales_then_appends(self):
-        out = extend_split([0.2, 0.8], 1.0 / 3.0).coefficients
+        out = extend_split([0.2, 0.8], 1.0 / 3.0)
         np.testing.assert_allclose(out, [0.2 * 2 / 3, 0.8 * 2 / 3, 1.0 / 3.0], rtol=1e-12)
+        # a partial budget (an admission outcome) is accepted and its total kept
+        np.testing.assert_allclose(extend_split([0.2, 0.3], 0.5), [0.1, 0.15, 0.25], rtol=1e-12)
 
     def test_extend_split_fraction_bounds(self):
         with pytest.raises(ValueError):
