@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import db_to_linear
+from .units import db_to_linear, is_whole
 
 # Sum rates this close count as a tie in the subset search, broken toward the
 # lexicographically smallest index set.
@@ -391,18 +391,27 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def greedy_optimality_condition(instance: AdmissionInstance, admitted_count: int) -> bool:
-    """Textbook condition attached to the sequential scheme's count optimality.
+    """Sufficient condition for the sequential count k to be the optimal count.
 
-    True when (a) the per-user cost ratio target/gain is non-decreasing across
-    the admitted prefix and (b) no admitted user's target exceeds any rejected
-    user's target. Despite its intent this condition does NOT guarantee that
-    the sequential count matches the enumeration optimum: it never constrains
-    the rejected users' gains, so a high-target user can block the scan while
-    a cheaper user further down the list would still have fit (see the test
-    suite for a four-user counterexample). :func:`aligned_thresholds` is the
-    strengthened variant this package actually relies on.
+    Users are numbered 1..n in decreasing-gain order, with cost ``c = t/g``.
+    It holds when (a) ``c`` does not decrease over the admitted users 1..k,
+    (b) no admitted user's target exceeds a rejected user's, and (c) the first
+    rejected user's target ``t[k+1]`` is no larger than any later user's.
+
+    Proof (exact arithmetic). A set's power builds up in gain order as
+    ``P <- P (1 + t) + c``, increasing in ``P``, so dropping a user never
+    raises it; and ``t_i <= t_j`` with ``i < j`` implies ``c_i <= c_j``. Take
+    a (k+1)-subset S other than the prefix 1..k+1 (k < n), i the largest
+    index ``<= k+1`` missing from S and j its smallest member above k+1, so S
+    holds ``i+1..k+1`` in between. By (b) or (c) ``t_i <= t_j``, and each v
+    in between has ``t_v <= t_j`` and ``c_v >= c_i`` (by (a), or for v = k+1
+    by ``t_{k+1} >= t_i``). With T and Q the factor and power those users add,
+    ``c_i (T - 1) <= t_j Q`` term by term, so swapping j out and i in never
+    raises the power: ``(P T + Q)(1 + t_j) + c_j >= (P (1 + t_i) + c_i) T + Q``.
+    Repeating reaches the prefix, which the scan found over budget, so no set
+    of k+1 or more users fits.
     """
-    if int(admitted_count) != admitted_count or not 0 <= admitted_count <= len(instance):
+    if not is_whole(admitted_count, 0) or admitted_count > len(instance):
         raise ValueError("admitted_count must be an integer within the requesting list")
     l = int(admitted_count)
     g = instance.gains
@@ -413,6 +422,8 @@ def greedy_optimality_condition(instance: AdmissionInstance, admitted_count: int
     if np.any(np.diff(ratios) < 0):
         return False
     if l < len(instance) and l > 0 and t[:l].max() > t[l:].min():
+        return False
+    if l + 1 < len(instance) and t[l] > t[l + 1 :].min():
         return False
     return True
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import db_to_linear
+from .units import db_to_linear, is_whole, require_finite
 
 # Singular values below this fraction of the largest one count as zero when
 # ranking the interference span.
@@ -47,26 +47,21 @@ class SystemConfig:
     rng_seed: int = 190
 
     def __post_init__(self):
-        if int(self.tx_antennas) != self.tx_antennas or self.tx_antennas < 1:
+        require_finite(self)
+        if not is_whole(self.tx_antennas, 1):
             raise ValueError("tx_antennas must be a positive integer")
-        if int(self.rx_antennas) != self.rx_antennas or self.rx_antennas < 1:
+        if not is_whole(self.rx_antennas, 1):
             raise ValueError("rx_antennas must be a positive integer")
         if self.rx_antennas < self.tx_antennas:
             raise ValueError("rx_antennas must be >= tx_antennas so every user can cancel the other beams")
-        if int(self.users_per_cluster) != self.users_per_cluster or self.users_per_cluster < 2:
+        if not is_whole(self.users_per_cluster, 2):
             raise ValueError("users_per_cluster must be an integer >= 2")
-        for key in (
-            "bandwidth_hz", "noise_density_dbm_hz", "pathloss_fixed_db", "pathloss_slope", "tx_power_dbm",
-            "cell_radius_range_km",
-        ):
-            if not np.all(np.isfinite(getattr(self, key))):
-                raise ValueError(f"{key} must be finite")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
         lo, hi = self.cell_radius_range_km
         if not (0 < lo < hi):
             raise ValueError("cell_radius_range_km must satisfy 0 < min < max")
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
+        if not is_whole(self.rng_seed, 0):
             raise ValueError("rng_seed must be a non-negative integer")
         object.__setattr__(self, "cell_radius_range_km", (float(lo), float(hi)))
 
@@ -169,7 +164,7 @@ def draw_cluster(
     if ndim > 1 or not trials:
         raise ValueError("trial_seed must be an integer or a non-empty 1-D sequence of them")
     for t in trials:
-        if int(t) != t or t < 0:
+        if not is_whole(t, 0):
             raise ValueError("trial_seed must be a non-negative integer")
     n_users = config.users_per_cluster
     n_rx, n_tx = config.rx_antennas, config.tx_antennas

@@ -8,12 +8,14 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .channel import SystemConfig, draw_cluster
 from .experiments import (
     ORACLE_BENCHMARK_RADIUS_KM,
+    SweepSpec,
     make_sweep,
     run_sweep,
     write_csv,
@@ -27,42 +29,10 @@ class ConfigError(ValueError):
     """Config file or override rejected; message carries the source line."""
 
 
-_INT_KEYS = ("tx_antennas", "rx_antennas", "users_per_cluster", "rng_seed")
-_FLOAT_KEYS = (
-    "bandwidth_hz",
-    "noise_density_dbm_hz",
-    "pathloss_fixed_db",
-    "pathloss_slope",
-    "tx_power_dbm",
-)
-_PAIR_KEYS = ("cell_radius_range_km",)
-
-_SWEEP_INT_KEYS = ("trials", "requesting_users", "enumeration_cap")
-_SWEEP_FLOAT_KEYS = ("extension_fraction",)
-_SWEEP_TUPLE_KEYS = (
-    "power_dbm_values",
-    "target_sinr_db_values",
-    "threshold_choices_db",
-    "base_split",
-    "grid",
-)
-
-_KNOWN_KEYS = _INT_KEYS + _FLOAT_KEYS + _PAIR_KEYS + _SWEEP_INT_KEYS + _SWEEP_FLOAT_KEYS + _SWEEP_TUPLE_KEYS
-
-
-def _parse_value(key: str, raw: str, where: str):
-    try:
-        if key in _INT_KEYS or key in _SWEEP_INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS or key in _SWEEP_FLOAT_KEYS:
-            return float(raw)
-        values = tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {raw!r} for key '{key}'") from None
-    if key in _PAIR_KEYS or key == "base_split":
-        if len(values) != 2:
-            raise ConfigError(f"{where}: key '{key}' needs exactly two comma-separated numbers")
-    return values
+# Each key is a field of the dataclass that declares it and parses by its
+# type hint: a number as itself, a tuple as comma-separated numbers.
+_CELL_KEYS = get_type_hints(SystemConfig)
+_SWEEP_KEYS = {key: hint for key, hint in get_type_hints(SweepSpec).items() if key not in ("kind", "config")}
 
 
 def _parse_pair(text: str, where: str) -> tuple[str, object]:
@@ -70,11 +40,18 @@ def _parse_pair(text: str, where: str) -> tuple[str, object]:
         raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
     key, raw = text.split("=", 1)
     key, raw = key.strip(), raw.strip()
-    if key not in _KNOWN_KEYS:
+    hint = _SWEEP_KEYS.get(key, _CELL_KEYS.get(key))
+    if hint is None:
         raise ConfigError(f"{where}: unknown key '{key}'")
     if not raw:
         raise ConfigError(f"{where}: key '{key}' has no value")
-    return key, _parse_value(key, raw, where)
+    try:
+        value = hint(raw) if hint in (int, float) else tuple(float(part) for part in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse value {raw!r} for key '{key}'") from None
+    if get_args(hint) == (float, float) and len(value) != 2:
+        raise ConfigError(f"{where}: key '{key}' needs exactly two comma-separated numbers")
+    return key, value
 
 
 def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[SystemConfig, dict]:
@@ -100,13 +77,8 @@ def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[
     for text in overrides:
         pairs.append(_parse_pair(text, f"override {text!r}"))
 
-    system_kwargs: dict = {}
-    sweep_kwargs: dict = {}
-    for key, value in pairs:
-        if key in _SWEEP_INT_KEYS + _SWEEP_FLOAT_KEYS + _SWEEP_TUPLE_KEYS:
-            sweep_kwargs[key] = value
-        else:
-            system_kwargs[key] = value
+    system_kwargs = {key: value for key, value in pairs if key not in _SWEEP_KEYS}
+    sweep_kwargs = {key: value for key, value in pairs if key in _SWEEP_KEYS}
     try:
         config = replace(base, **system_kwargs) if base is not None else SystemConfig(**system_kwargs)
     except ValueError as e:
@@ -122,13 +94,7 @@ def _metadata_path(csv_path: str) -> str:
 def _resolve_config(args, reads: tuple[str, ...] | None = None) -> tuple[SystemConfig, dict]:
     """Cell config and sweep settings of parsed arguments; ``reads`` lists the
     sweep keys a non-sweep subcommand accepts (make_sweep checks a sweep's)."""
-    base = SystemConfig()
-    if args.subcommand == "oracle-compare":
-        # dense deployment so the comparison with the optimum is not ceiling-bound
-        base = base.with_(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
-    elif args.subcommand == "verify":
-        base = base.with_(rng_seed=0)  # the verification checks' own default seed
-    config, sweep_kwargs = parse_config(args.config, args.overrides, base=base)
+    config, sweep_kwargs = parse_config(args.config, args.overrides, base=args.base)
     if args.seed is not None:
         config = config.with_(rng_seed=args.seed)
     if reads is not None:
@@ -163,8 +129,6 @@ def _run_gap_command(args) -> int:
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     config, _ = _resolve_config(args, reads=())
-    if config.users_per_cluster < 2:
-        raise ConfigError("gap needs at least two users per cluster")
     realization = draw_cluster(config, 0, args.trial_index)
     pair = realization.snr_gains[:2]
     star = two_user_gap_maximizer(pair[0])
@@ -213,6 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override one setting (repeatable, applied after --config)",
     )
     common.add_argument("--seed", type=int, help="override the base RNG seed")
+    common.set_defaults(base=SystemConfig())
     # Each subcommand accepts only the flags it reads.
     trials = argparse.ArgumentParser(add_help=False, parents=[common])
     trials.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
@@ -253,10 +218,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mixed", action="store_const", dest="kind", const="oracle_compare_mixed",
         help="per-user random 5/10/15 dB targets instead of equal ones",
     )
-    p.set_defaults(kind="oracle_compare_equal")
+    # dense deployment so the comparison with the optimum is not ceiling-bound
+    p.set_defaults(kind="oracle_compare_equal", base=SystemConfig(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM))
     p = sub.add_parser("verify", parents=[trials], help="run the randomized invariant checks")
     p.add_argument("--json", action="store_true", help="print each check's numbers and tolerance as JSON")
-    p.set_defaults(handler=_run_verify_command)
+    # the verification checks' own default seed
+    p.set_defaults(handler=_run_verify_command, base=SystemConfig(rng_seed=0))
     return parser
 
 

@@ -32,7 +32,7 @@ from . import __version__
 from .admission import DEFAULT_ENUMERATION_CAP, _optimal_admit_batch, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
-from .units import db_to_linear
+from .units import db_to_linear, is_whole, require_finite
 
 # Decorrelates the threshold draws of the mixed-target benchmark from the
 # channel stream of the same trial.
@@ -83,17 +83,18 @@ class SweepSpec:
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
+        require_finite(self, tuple_suffix=" entries")
         entry = _kind_entry(self.kind)
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not is_whole(self.trials, 1):
             raise ValueError("trials must be a positive integer")
+        object.__setattr__(self, "trials", int(self.trials))
         _check_grid(entry, self.grid)
         if not self.power_dbm_values or not self.target_sinr_db_values:
             raise ValueError("series value lists must be non-empty")
-        for key in ("power_dbm_values", "target_sinr_db_values", "threshold_choices_db", "base_split"):
-            if not np.all(np.isfinite(getattr(self, key))):
-                raise ValueError(f"{key} entries must be finite")
-        if int(self.requesting_users) != self.requesting_users or self.requesting_users < 1:
+        if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
+        if not is_whole(self.enumeration_cap, 1):
+            raise ValueError("enumeration_cap must be a positive integer")
         w1, w2 = self.base_split
         if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-9:
             raise ValueError("base_split must be two non-negative shares summing to 1")
@@ -399,11 +400,14 @@ def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **ove
     if entry.pools:
         _check_grid(entry, grid)  # before the pool size is read from it
         fields.setdefault("requesting_users", int(max(grid)))
-    users = entry.users or int(fields.get("requesting_users", SweepSpec.requesting_users))
+    requesting = fields.get("requesting_users", SweepSpec.requesting_users)
+    if not is_whole(requesting, 1):  # before the cluster size is read from it
+        raise ValueError("requesting_users must be a positive integer")
+    users = entry.users or int(requesting)
     return SweepSpec(
         kind=kind,
         grid=grid,
-        trials=entry.trials if trials is None else int(trials),
+        trials=entry.trials if trials is None else trials,
         config=replace(config, users_per_cluster=users),
         **fields,
     )
@@ -434,7 +438,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     its start-up costs more than it saves. The reduction always happens in
     trial order, so results are identical for any width.
     """
-    if int(workers) != workers or workers < 1:
+    if not is_whole(workers, 1):
         raise ValueError("workers must be a positive integer")
     workers = min(workers, math.ceil(spec.trials / _CHUNK_TRIALS))
     if workers == 1:
@@ -471,23 +475,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(kind=spec.kind, rows=tuple(rows), metadata=metadata)
 
 
+def _numpy_to_json(value):
+    # a spec built in Python may hold numpy arrays or integers, which json cannot write
+    return value.tolist()
+
+
 def _build_metadata(spec: SweepSpec, series, mean: np.ndarray, surface: bool) -> dict:
-    cfg = asdict(spec.config)
-    cfg["cell_radius_range_km"] = list(spec.config.cell_radius_range_km)
-    sweep = {
-        "kind": spec.kind,
-        "grid": [list(p) if surface else float(p) for p in spec.grid],
-        "trials": spec.trials,
-        "power_dbm_values": list(spec.power_dbm_values),
-        "target_sinr_db_values": list(spec.target_sinr_db_values),
-        "requesting_users": spec.requesting_users,
-        "threshold_choices_db": list(spec.threshold_choices_db),
-        "base_split": list(spec.base_split),
-        "extension_fraction": spec.extension_fraction,
-        "enumeration_cap": spec.enumeration_cap,
-        "series": [list(s) for s in series],
-        "oma_baseline": "optimal_dof",
-    }
+    sweep = asdict(spec)
+    cfg = sweep.pop("config")
+    sweep.update(
+        grid=[list(p) if surface else float(p) for p in spec.grid],
+        series=[list(s) for s in series],
+        oma_baseline="optimal_dof",
+    )
     meta = {
         "tool": "nomasim",
         "version": __version__,
@@ -502,7 +502,7 @@ def _build_metadata(spec: SweepSpec, series, mean: np.ndarray, surface: bool) ->
             "sweep_point": list(spec.grid[best]),
         }
     digest = hashlib.sha256(
-        json.dumps({"config": cfg, "sweep": sweep}, sort_keys=True).encode()
+        json.dumps({"config": cfg, "sweep": sweep}, sort_keys=True, default=_numpy_to_json).encode()
     ).hexdigest()
     meta["build_tag"] = f"nomasim-{__version__}+cfg.{digest[:10]}"
     return meta
@@ -536,7 +536,7 @@ def write_csv(result: SweepResult, path) -> None:
 
 def write_metadata(result: SweepResult, path) -> None:
     def write(fh):
-        json.dump(result.metadata, fh, indent=2, sort_keys=True)
+        json.dump(result.metadata, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
     _write_atomically(path, write)

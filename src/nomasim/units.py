@@ -1,6 +1,11 @@
-"""Decibel to linear conversion used across the package."""
+"""Decibel to linear conversion and the number checks used across the package."""
 
 from __future__ import annotations
+
+import math
+import numbers
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -9,3 +14,22 @@ def db_to_linear(value_db):
     """Convert a dB (or dBm) quantity to linear scale."""
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0) if np.ndim(value_db) else 10.0 ** (float(value_db) / 10.0)
 
+
+def is_whole(value, minimum: int) -> bool:
+    """True for an integer, or a float holding one, of at least ``minimum``; never for NaN or inf."""
+    return (isinstance(value, numbers.Integral) or float(value).is_integer()) and value >= minimum
+
+
+@cache
+def _numeric_fields(cls) -> tuple[str, ...]:
+    # fields hinted int, float or tuple[float, ...]; a bare ``tuple`` (a sweep grid) is neither
+    hints = get_type_hints(cls).items()
+    return tuple(k for k, hint in hints if hint in (int, float) or (get_origin(hint) is tuple and get_args(hint)))
+
+
+def require_finite(instance, tuple_suffix: str = "") -> None:
+    """Raise ``ValueError`` naming the first numeric field of a dataclass instance that holds NaN or an infinity."""
+    for name in _numeric_fields(type(instance)):
+        value = getattr(instance, name)
+        if not all(isinstance(v, numbers.Integral) or math.isfinite(v) for v in np.ravel(value)):
+            raise ValueError(f"{name}{tuple_suffix if np.ndim(value) else ''} must be finite")

@@ -39,7 +39,7 @@ from .rates import (
     two_user_gap,
     two_user_gap_maximizer,
 )
-from .units import db_to_linear
+from .units import db_to_linear, is_whole
 
 MAX_EXCESS = "max_excess"
 MIN_SLACK = "min_slack"
@@ -325,9 +325,9 @@ def _aligned_draws(rng, trials: int) -> list:
 
 def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | None = None) -> list[CheckResult]:
     """Run every check with ``trials`` randomized instances each."""
-    if int(trials) != trials or trials < 1:
+    if not is_whole(trials, 1):
         raise ValueError("trials must be a positive integer")
-    if int(seed) != seed or seed < 0:
+    if not is_whole(seed, 0):
         raise ValueError("seed must be a non-negative integer")
     config = config if config is not None else SystemConfig()
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(9)]

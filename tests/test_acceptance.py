@@ -75,8 +75,8 @@ def mixed_pairs(bench_gains):
 
     Returns (counts, rates, condition) where counts/rates have shape
     (trials, powers, 2) holding the sequential and enumerated results, and
-    condition flags the trials whose admitted prefix satisfies the textbook
-    optimality condition.
+    condition flags the instances that satisfy the proven sufficient
+    condition for the sequential count to be optimal.
     """
     spec = make_sweep("oracle_compare_mixed", BENCH, trials=1000)
     counts = np.empty((1000, len(POWERS), 2))

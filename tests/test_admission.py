@@ -400,20 +400,36 @@ class TestOptimalBatch:
 
 
 class TestOptimalityCondition:
-    def test_counterexample_condition_true_but_sequential_suboptimal(self):
+    def test_textbook_counterexample_fails_the_condition(self):
         # the third user's steep target blocks the sequential scan while the
-        # cheap fourth user still fits; the textbook condition holds anyway
+        # cheap fourth user still fits; clauses (a) and (b) hold, but the first
+        # rejected user's target is above a later one's, so (c) does not
         inst = AdmissionInstance.from_db([1000.0, 500.0, 30.0, 25.0], [5.0, 5.0, 15.0, 5.0])
         greedy = greedy_admit(inst)
         best = exhaustive_admit(inst)
         assert greedy.admitted_count == 2
         assert best.admitted_count == 3
-        assert greedy_optimality_condition(inst, greedy.admitted_count)
+        assert not greedy_optimality_condition(inst, greedy.admitted_count)
         np.testing.assert_allclose(
             best.power_coefficients,
             [0.003162, 0.016325, 0.0, 0.188114],
             atol=5e-7,
         )
+
+    def test_it_implies_the_optimal_count(self):
+        # five target levels, so blocking users and target ties are common
+        rng = np.random.default_rng(31)
+        hits = 0
+        for n in range(2, 9):
+            gains = np.sort(10.0 ** rng.uniform(-1, 3, (1000, n)), axis=-1)[:, ::-1]
+            thresholds = 10.0 ** (rng.choice([0.0, 3.0, 5.0, 10.0, 15.0], size=(1000, n)) / 10.0)
+            count, _ = _sequential_admit_batch(gains, thresholds)
+            best, _ = _optimal_admit_batch(gains, thresholds)
+            for g, t, k, b in zip(gains, thresholds, count, best):
+                if k < n and greedy_optimality_condition(AdmissionInstance(gains=g, sinr_thresholds=t), k):
+                    hits += 1
+                    assert k == b
+        assert hits >= 500
 
     def test_equal_targets_always_satisfy_it(self):
         rng = np.random.default_rng(6)

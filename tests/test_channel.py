@@ -57,6 +57,9 @@ class TestSystemConfig:
             {"pathloss_slope": math.nan},
             {"tx_power_dbm": math.inf},
             {"cell_radius_range_km": (0.1, math.inf)},
+            {"tx_antennas": math.nan},
+            {"users_per_cluster": math.inf},
+            {"rng_seed": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, changes):
@@ -167,7 +170,9 @@ class TestDrawCluster:
         b = draw_cluster(cfg.with_(rng_seed=cfg.rng_seed + 1), 0, 3).effective_gains
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("cluster_index,trial_seed", [(-1, 0), (3, 0), (0, -2), (0, 1.5)])
+    @pytest.mark.parametrize(
+        "cluster_index,trial_seed", [(-1, 0), (3, 0), (0, -2), (0, 1.5), (0, math.inf), (0, math.nan)]
+    )
     def test_bad_draw_keys_rejected(self, cfg, cluster_index, trial_seed):
         with pytest.raises((ValueError, TypeError)):
             draw_cluster(cfg, cluster_index, trial_seed)
@@ -204,7 +209,7 @@ class TestBatchedDraw:
         with pytest.raises(ValueError):
             r.channels[0, 0, 0, 0] = 0.0
 
-    @pytest.mark.parametrize("trial_seed", [[], [[0, 1]], [0, -1], [0, 1.5]])
+    @pytest.mark.parametrize("trial_seed", [[], [[0, 1]], [0, -1], [0, 1.5], [0, math.inf]])
     def test_bad_batches_rejected(self, cfg, trial_seed):
         with pytest.raises(ValueError):
             draw_cluster(cfg, 0, trial_seed)

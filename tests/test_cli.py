@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from nomasim import CheckResult, SystemConfig, cli
+from nomasim import CheckResult, SweepSpec, SystemConfig, cli, make_sweep
 from nomasim.cli import ConfigError, main, parse_config
 
 
@@ -81,6 +82,26 @@ class TestParseConfig:
         assert config.cell_radius_range_km == (0.01, 0.15)
         assert config.tx_power_dbm == 30.0
 
+    def test_every_field_is_a_key_and_reaches_the_sidecar(self, tmp_path):
+        def text(value):
+            return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        cell = SystemConfig(users_per_cluster=3, tx_power_dbm=40.0, rng_seed=7)
+        cell_keys = [f.name for f in fields(SystemConfig)]
+        assert parse_config(None, [f"{k}={text(getattr(cell, k))}" for k in cell_keys]) == (cell, {})
+
+        spec = make_sweep("oracle_compare_mixed", cell, requesting_users=6)
+        sweep_keys = [f.name for f in fields(SweepSpec) if f.name not in ("kind", "config")]
+        config, sweep = parse_config(None, [f"{k}={text(getattr(spec, k))}" for k in sweep_keys])
+        assert config == SystemConfig()
+        assert sweep == {k: getattr(spec, k) for k in sweep_keys}
+
+        out = tmp_path / "x.csv"
+        assert main(["ergodic", "--trials", "1", "--set", "grid=30", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "x.meta.json").read_text())
+        assert set(cell_keys) <= set(meta["config"])
+        assert set(sweep_keys) <= set(meta["sweep"])
+
 
 class TestDispatch:
     def test_unknown_subcommand_rejected(self):
@@ -133,11 +154,14 @@ class TestDispatch:
                 ["admission", "--by-requesting", "--set", "requesting_users=3", "--set", "grid=2,3,4"],
                 "requesting_users",
             ),
+            (["oracle-compare", "--set", "enumeration_cap=0"], "enumeration_cap"),
+            (["gap", "--set", "users_per_cluster=1"], "users_per_cluster"),
         ],
     )
     def test_bad_value_is_exit_code_2_naming_the_key(self, args, key, capsys, tmp_path):
         out = tmp_path / "x.csv"
-        rc = main(args + ["--trials", "2", "--out", str(out)])
+        flags = [] if args[0] == "gap" else ["--trials", "2", "--out", str(out)]
+        rc = main(args + flags)
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not out.exists()

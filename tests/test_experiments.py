@@ -98,10 +98,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown sweep kind"):
             SweepSpec(kind="nope", grid=(1.0,), trials=1, config=CFG3)
 
-    @pytest.mark.parametrize("trials", [0, -1, 1.5])
+    @pytest.mark.parametrize("trials", [0, -1, 1.5, math.inf, math.nan])
     def test_bad_trials_rejected(self, trials):
         with pytest.raises(ValueError, match="trials"):
             SweepSpec(kind="power_sweep", grid=(30.0,), trials=trials, config=CFG3)
+        with pytest.raises(ValueError, match="trials"):
+            make_sweep("power_sweep", CFG, trials=trials)
 
     def test_surface_kind_needs_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -143,12 +145,21 @@ class TestSweepSpec:
             ("threshold_choices_db", (5.0, math.nan)),
             ("base_split", (math.nan, 0.8)),
             ("extension_fraction", math.nan),
+            ("requesting_users", math.inf),
+            ("enumeration_cap", math.nan),
         ],
     )
     def test_non_finite_entries_rejected(self, key, value):
         fields = {"grid": (30.0,), key: value}
         with pytest.raises(ValueError, match=key):
             SweepSpec(kind="power_sweep", trials=1, config=CFG3, **fields)
+
+    @pytest.mark.parametrize(
+        "key,value", [("requesting_users", 2.5), ("requesting_users", 0), ("enumeration_cap", 12.5), ("enumeration_cap", 0)]
+    )
+    def test_counts_must_be_positive_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+            SweepSpec(kind="power_sweep", grid=(30.0,), trials=1, config=CFG3, **{key: value})
 
     def test_config_must_match_the_drawn_cluster_size(self):
         with pytest.raises(ValueError, match="8-user clusters"):
@@ -220,6 +231,7 @@ class TestMakeSweep:
         [
             ({"grid": (2.0, 3.0, 4.0), "requesting_users": 3}, "largest pool size"),
             ({"grid": (math.inf, 2.0)}, "grid entries must be finite"),
+            ({"requesting_users": math.inf}, "requesting_users"),
         ],
     )
     def test_pool_grid_conflicts_rejected(self, overrides, match):
@@ -394,7 +406,7 @@ class TestExecution:
         spec = make_sweep("ergodic_power_sweep", CFG, trials=experiments._CHUNK_TRIALS, grid=(30.0,))
         assert run_sweep(spec, workers=4).rows == run_sweep(spec).rows
 
-    @pytest.mark.parametrize("workers", [0, -2, 1.5])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, math.inf, math.nan])
     def test_worker_count_validated(self, workers):
         spec = make_sweep("power_sweep", CFG, grid=(30.0,))
         with pytest.raises(ValueError):

@@ -32,6 +32,14 @@ def test_passed_reflects_violations():
     assert ok.passed and not bad.passed
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"trials": 0}, {"trials": 1.5}, {"trials": math.inf}, {"trials": math.nan}, {"seed": -1}, {"seed": math.inf}]
+)
+def test_bad_arguments_rejected(kwargs):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
+        run_verification(**kwargs)
+
+
 def test_config_threads_through():
     tight = SystemConfig(cell_radius_range_km=(0.05, 0.3))
     results = run_verification(trials=25, seed=1, config=tight)
