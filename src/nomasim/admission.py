@@ -9,22 +9,24 @@ search over the same per-subset allocation rule defines it, and a composition
 DP computes it exactly without enumerating subsets.
 
 Gains are on SNR scale (transmit-to-noise ratio and path loss folded in) and
-sorted in decreasing order; targets are linear. Per instance, allocation runs
-on plain Python floats so the sequential scheme and the subset search share
-bit-equal arithmetic, and so the per-user cost stays a handful of scalar
-operations. Sweeps run both rules on many instances at once: the sequential
-scheme through :func:`_sequential_admit_batch` (the same IEEE operations in
-the same order on arrays, so its counts and sum rates equal
-:func:`greedy_admit`'s bit for bit) and the optimum through
-:func:`_optimal_admit_batch` (counts equal to :func:`exhaustive_admit`'s,
-sum rates within rounding).
+sorted in decreasing order; targets are linear. One instance's allocation
+runs on plain Python floats (:func:`allocate_sequential`), a handful of
+scalar operations per user. The batch kernels stack instances on leading
+axes and repeat those IEEE operations in the same order on arrays, so they
+equal the per-instance rules bit for bit: :func:`_sequential_admit_batch`
+gives :func:`greedy_admit`'s results, and :func:`_exhaustive_admit_batch`
+is the subset search, of which :func:`exhaustive_admit` is a batch of one.
+Sweeps take the optimum from :func:`_optimal_admit_batch` (counts equal to
+the enumeration's, sum rates within rounding), which hands its budget-edge
+instances to the enumeration in one call. The enumeration stays the
+reference that ``verify`` and the tests check the other rules against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -40,6 +42,10 @@ DEFAULT_ENUMERATION_CAP = 12
 # instances per pass to spread the per-step overhead of its array operations,
 # few enough that a pass's three working arrays (96 KiB) stay in cache.
 _DP_PASS_STATES = 1 << 12
+
+# (Instance, subset) states one enumeration pass holds per array: a 256 KiB
+# running-power array, and passes of 128 eight-user or 8 twelve-user instances.
+_ENUMERATION_PASS_STATES = 1 << 15
 
 # The DP adds powers in another order than the sequential allocation, so an
 # instance with a composition this close to the power budget is solved again
@@ -233,6 +239,122 @@ def cumulative_power_closed_form(instance, count):
     return float(total) if isinstance(instance, AdmissionInstance) else total
 
 
+def _members(code: np.ndarray, users: int) -> np.ndarray:
+    """Boolean member table of subset codes, users on the last axis."""
+    return (code[..., None] >> np.arange(users)) & 1 == 1
+
+
+@cache
+def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of ``users`` users in enumeration order: its code and size.
+
+    A subset's code has bit k set when user k is a member. The order is size
+    descending, then :func:`itertools.combinations` order within a size,
+    which is descending order of the members read as a binary number with
+    user 0 as its most significant bit.
+    """
+    code = np.arange(1 << users)
+    members = _members(code, users)
+    sizes = members.sum(axis=-1)
+    order = np.lexsort((-(members @ (1 << np.arange(users - 1, -1, -1))), -sizes))
+    code, sizes = code[order], sizes[order]
+    code.setflags(write=False)
+    sizes.setflags(write=False)
+    return code, sizes
+
+
+def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts, sum rates and winning subsets of one pass of instances.
+
+    ``g`` and ``t`` hold one instance per row. Feasibility walks the users
+    once with :func:`allocate_sequential`'s operations in its order, on
+    (instances, subsets) arrays indexed by code: the subsets holding user k
+    as their last member are those of users ``0..k-1`` with k added, so each
+    step extends the ``2**k`` subsets built so far. Rates then follow for
+    the feasible subsets of the best size alone, with :func:`_achieved`'s
+    operations. The winner is the first subset in enumeration order that
+    beats the best so far by more than ``_RATE_TIE_TOL``, as a scan in that
+    order would pick it.
+    """
+    batch, users = g.shape
+    cost = t / g  # a zero gain costs inf, more than is ever left
+    total = np.zeros((batch, 1 << users))
+    fits = np.ones(total.shape, dtype=bool)
+    for k in range(users):
+        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
+        before = total[:, low]
+        need = t[:, k, None] * before + cost[:, k, None]
+        fits[:, high] = fits[:, low] & ~(need > 1.0 - before)
+        total[:, high] = before + need
+    fits = fits[:, code]
+    best = sizes[fits.argmax(axis=-1)]  # sizes descend, and the empty subset always fits
+    inst, subset = np.nonzero(fits & (sizes == best[:, None]))
+
+    # Non-members get target 0 and gain 1: their share, SINR and rate term
+    # are exactly 0, so adding them changes no member's bits.
+    members = _members(code[subset], users)
+    gc, tc = np.where(members, g[inst], 1.0), np.where(members, t[inst], 0.0)
+    total = np.zeros(len(inst))
+    sinr = np.empty(gc.shape)
+    for k in range(users):
+        need = tc[:, k] * total + tc[:, k] / gc[:, k]
+        sinr[:, k] = need * gc[:, k] / (1.0 + gc[:, k] * total)
+        total = total + need
+    terms = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), dtype=float, count=sinr.size)
+    rate = np.add.accumulate(terms.reshape(sinr.shape), axis=-1)[:, -1]  # added in user order
+
+    # Candidate ranks within each instance, then the scan over ranks. A
+    # candidate no higher than an earlier one of its instance is never
+    # picked (the best so far is within the tolerance of every earlier
+    # rate), so only ranks where some instance reaches a new high are read.
+    start = np.searchsorted(inst, np.arange(batch))
+    rank = np.arange(len(inst)) - start[inst]
+    ranked = np.full((batch, rank.max() + 1), -np.inf)
+    ranked[inst, rank] = rate
+    rising = np.ones(ranked.shape[-1], dtype=bool)
+    rising[1:] = (ranked[:, 1:] > np.maximum.accumulate(ranked, axis=-1)[:, :-1]).any(axis=0)
+    won = np.full(batch, -np.inf)
+    pick = np.zeros(batch, dtype=int)
+    for j in np.flatnonzero(rising):
+        beats = ranked[:, j] > won + _RATE_TIE_TOL
+        won = np.where(beats, ranked[:, j], won)
+        pick = np.where(beats, j, pick)
+    return best, won, subset[start + pick]
+
+
+def _exhaustive_admit_batch(gains, thresholds, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Best admission subset of a whole batch of instances, by enumeration.
+
+    Same contract as :func:`_sequential_admit_batch`, with the objective of
+    :func:`exhaustive_admit`: most users, then the highest sum rate, rate
+    ties within ``_RATE_TIE_TOL`` going to the subset enumerated first. Gives
+    counts, sum rates and the index of each winning subset in
+    :func:`_subset_table`'s order, equal to :func:`exhaustive_admit`'s bit
+    for bit. Instances run in passes of at most ``_ENUMERATION_PASS_STATES``
+    (instance, subset) states, or one instance if it alone has more; an
+    instance's results do not depend on the rest of its pass. Instances
+    above ``cap`` users are refused since the search is exponential.
+    """
+    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ValueError("gains must be non-empty along the last axis")
+    shape, users = g.shape[:-1], g.shape[-1]
+    if users > cap:
+        raise ValueError(f"instance has {users} users, above the enumeration cap {cap}")
+    _check_instances(g, t)
+    g, t = g.reshape(-1, users), t.reshape(-1, users)
+    code, sizes = _subset_table(users)
+    count = np.empty(len(g), dtype=int)
+    rate = np.empty(len(g))
+    subset = np.empty(len(g), dtype=int)
+    step = max(1, _ENUMERATION_PASS_STATES // len(code))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, len(g), step):
+            part = slice(lo, lo + step)
+            count[part], rate[part], subset[part] = _enumeration_pass(g[part], t[part], code, sizes)
+    return count.reshape(shape), rate.reshape(shape), subset.reshape(shape)
+
+
 def exhaustive_admit(
     instance: AdmissionInstance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> AdmissionResult:
@@ -242,38 +364,22 @@ def exhaustive_admit(
     gain order within the subset); a subset is feasible only if all its
     members fit. Rate ties within ``1e-12`` resolve to the lexicographically
     smallest index set. Instances above ``cap`` users are refused since the
-    search is exponential.
+    search is exponential. A batch of one of :func:`_exhaustive_admit_batch`.
     """
-    n = len(instance)
-    if n > cap:
-        raise ValueError(f"instance has {n} users, above the enumeration cap {cap}")
-    g = [float(x) for x in instance.gains]
-    t = [float(x) for x in instance.sinr_thresholds]
-
-    best: tuple[tuple[int, ...], list[float], float] | None = None
-    for size in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), size):
-            coeffs, fits = allocate_sequential([g[i] for i in combo], [t[i] for i in combo])
-            if not fits:
-                continue
-            _, rate = _achieved([g[i] for i in combo], coeffs)
-            if best is None or rate > best[2] + _RATE_TIE_TOL:
-                best = (combo, coeffs, rate)
-        if best is not None:
-            break
-    assert best is not None  # size 0 is always feasible
-    combo, coeffs, rate = best
-    power = np.zeros(n)
-    sinrs = np.zeros(n)
-    sinrs_list, _ = _achieved([g[i] for i in combo], coeffs)
-    for i, w, s in zip(combo, coeffs, sinrs_list):
-        power[i] = w
-        sinrs[i] = s
+    count, rate, subset = _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds, cap)
+    combo = np.flatnonzero(_members(_subset_table(len(instance))[0][subset], len(instance)))
+    g = [float(x) for x in instance.gains[combo]]
+    coeffs, _ = allocate_sequential(g, [float(x) for x in instance.sinr_thresholds[combo]])
+    sinrs_list, _ = _achieved(g, coeffs)
+    power = np.zeros(len(instance))
+    sinrs = np.zeros(len(instance))
+    power[combo] = coeffs
+    sinrs[combo] = sinrs_list
     return AdmissionResult(
-        admitted_count=len(combo),
+        admitted_count=int(count),
         power_coefficients=power,
         residual_power=1.0 - math.fsum(coeffs),
-        sum_rate_bps_hz=rate,
+        sum_rate_bps_hz=float(rate),
         achieved_sinrs=sinrs,
     )
 
@@ -344,8 +450,9 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     result is the feasible composition (power at most 1) with the most users,
     then the largest ``sum_l c_l * log2(1 + t_l)``; nobody admitted gives
     rate 0.0. Counts equal :func:`exhaustive_admit`'s and rates agree within
-    rounding: an instance with a composition whose power lies within
-    ``_BUDGET_EDGE_TOL`` of the budget is solved again by enumeration.
+    rounding: the instances with a composition whose power lies within
+    ``_BUDGET_EDGE_TOL`` of the budget are solved again by enumeration, all
+    in one :func:`_exhaustive_admit_batch` call.
     Instances run in passes of at most ``_DP_PASS_STATES`` states (or one
     instance, if it alone has more), whose sizes are the per-level maxima
     within the pass; instances of like shape share a pass.
@@ -384,9 +491,8 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
         part = order[start:stop]
         count[part], rate[part], edge[part] = _composition_pass(cost[part], level[part], values[part], dims)
         start = stop
-    for i in np.flatnonzero(edge):
-        ref = exhaustive_admit(AdmissionInstance(g[i], t[i]), cap=users)
-        count[i], rate[i] = ref.admitted_count, ref.sum_rate_bps_hz
+    if edge.any():
+        count[edge], rate[edge], _ = _exhaustive_admit_batch(g[edge], t[edge], cap=users)
     return count.reshape(shape), rate.reshape(shape)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import db_to_linear, is_whole, require_finite
+from .units import db_to_linear, is_whole, require_finite, store_python_numbers
 
 # Singular values below this fraction of the largest one count as zero when
 # ranking the interference span.
@@ -63,7 +63,7 @@ class SystemConfig:
             raise ValueError("cell_radius_range_km must satisfy 0 < min < max")
         if not is_whole(self.rng_seed, 0):
             raise ValueError("rng_seed must be a non-negative integer")
-        object.__setattr__(self, "cell_radius_range_km", (float(lo), float(hi)))
+        store_python_numbers(self)
 
     @property
     def noise_power_dbm(self) -> float:

@@ -32,7 +32,7 @@ from . import __version__
 from .admission import DEFAULT_ENUMERATION_CAP, _optimal_admit_batch, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
-from .units import db_to_linear, is_whole, require_finite
+from .units import db_to_linear, is_whole, require_finite, store_python_numbers
 
 # Decorrelates the threshold draws of the mixed-target benchmark from the
 # channel stream of the same trial.
@@ -87,9 +87,8 @@ class SweepSpec:
         entry = _kind_entry(self.kind)
         if not is_whole(self.trials, 1):
             raise ValueError("trials must be a positive integer")
-        object.__setattr__(self, "trials", int(self.trials))
         _check_grid(entry, self.grid)
-        if not self.power_dbm_values or not self.target_sinr_db_values:
+        if 0 in (len(self.power_dbm_values), len(self.target_sinr_db_values)):
             raise ValueError("series value lists must be non-empty")
         if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
@@ -112,6 +111,7 @@ class SweepSpec:
                 f"{self.kind} draws {drawn}-user clusters, "
                 f"but config.users_per_cluster is {self.config.users_per_cluster}"
             )
+        store_python_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -475,16 +475,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(kind=spec.kind, rows=tuple(rows), metadata=metadata)
 
 
-def _numpy_to_json(value):
-    # a spec built in Python may hold numpy arrays or integers, which json cannot write
-    return value.tolist()
-
-
 def _build_metadata(spec: SweepSpec, series, mean: np.ndarray, surface: bool) -> dict:
     sweep = asdict(spec)
     cfg = sweep.pop("config")
     sweep.update(
-        grid=[list(p) if surface else float(p) for p in spec.grid],
+        grid=[list(map(float, p)) if surface else float(p) for p in spec.grid],
         series=[list(s) for s in series],
         oma_baseline="optimal_dof",
     )
@@ -499,10 +494,10 @@ def _build_metadata(spec: SweepSpec, series, mean: np.ndarray, surface: bool) ->
         best = int(np.argmax(gap))
         meta["max_gap"] = {
             "gap_bps_hz": float(gap[best]),
-            "sweep_point": list(spec.grid[best]),
+            "sweep_point": list(map(float, spec.grid[best])),
         }
     digest = hashlib.sha256(
-        json.dumps({"config": cfg, "sweep": sweep}, sort_keys=True, default=_numpy_to_json).encode()
+        json.dumps({"config": cfg, "sweep": sweep}, sort_keys=True).encode()
     ).hexdigest()
     meta["build_tag"] = f"nomasim-{__version__}+cfg.{digest[:10]}"
     return meta
@@ -536,7 +531,7 @@ def write_csv(result: SweepResult, path) -> None:
 
 def write_metadata(result: SweepResult, path) -> None:
     def write(fh):
-        json.dump(result.metadata, fh, indent=2, sort_keys=True, default=_numpy_to_json)
+        json.dump(result.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     _write_atomically(path, write)

@@ -21,15 +21,25 @@ def is_whole(value, minimum: int) -> bool:
 
 
 @cache
-def _numeric_fields(cls) -> tuple[str, ...]:
-    # fields hinted int, float or tuple[float, ...]; a bare ``tuple`` (a sweep grid) is neither
+def _numeric_fields(cls) -> tuple[tuple[str, type], ...]:
+    # fields hinted int, float or tuple[float, ...], with their hints; a bare ``tuple`` (a sweep grid) is neither
     hints = get_type_hints(cls).items()
-    return tuple(k for k, hint in hints if hint in (int, float) or (get_origin(hint) is tuple and get_args(hint)))
+    return tuple((k, hint) for k, hint in hints if hint in (int, float) or (get_origin(hint) is tuple and get_args(hint)))
 
 
 def require_finite(instance, tuple_suffix: str = "") -> None:
     """Raise ``ValueError`` naming the first numeric field of a dataclass instance that holds NaN or an infinity."""
-    for name in _numeric_fields(type(instance)):
+    for name, _ in _numeric_fields(type(instance)):
         value = getattr(instance, name)
         if not all(isinstance(v, numbers.Integral) or math.isfinite(v) for v in np.ravel(value)):
             raise ValueError(f"{name}{tuple_suffix if np.ndim(value) else ''} must be finite")
+
+
+def store_python_numbers(instance) -> None:
+    """Store each numeric field of a frozen dataclass instance as Python
+    numbers: ``int`` and ``float`` fields as such, tuple fields as tuples of
+    floats, so numpy or whole-float arguments act (and serialize) like the
+    hinted types. Call it after the checks, so ``int`` never truncates."""
+    for name, hint in _numeric_fields(type(instance)):
+        value = getattr(instance, name)
+        object.__setattr__(instance, name, hint(value) if hint in (int, float) else tuple(map(float, value)))

@@ -24,7 +24,6 @@ from nomasim import (
     SystemConfig,
     db_to_linear,
     draw_cluster,
-    exhaustive_admit,
     extend_split,
     greedy_admit,
     greedy_optimality_condition,
@@ -32,7 +31,7 @@ from nomasim import (
     run_sweep,
     two_user_gap_maximizer,
 )
-from nomasim.admission import _optimal_admit_batch
+from nomasim.admission import _exhaustive_admit_batch, _optimal_admit_batch
 from nomasim.experiments import _mixed_thresholds_db
 from nomasim.verify import (
     CLOSED_FORM,
@@ -82,16 +81,25 @@ def mixed_pairs(bench_gains):
     counts = np.empty((1000, len(POWERS), 2))
     rates = np.empty_like(counts)
     condition = np.empty((1000, len(POWERS)), dtype=bool)
+    instances = []
     for t, eff in enumerate(bench_gains):
         thr_db = _mixed_thresholds_db(spec, t)
         for j, p in enumerate(POWERS):
             inst = AdmissionInstance.from_db(BENCH.rho_at(p) * eff, thr_db)
             gre = greedy_admit(inst)
-            exh = exhaustive_admit(inst)
-            counts[t, j] = (gre.admitted_count, exh.admitted_count)
-            rates[t, j] = (gre.sum_rate_bps_hz, exh.sum_rate_bps_hz)
+            counts[t, j, 0], rates[t, j, 0] = gre.admitted_count, gre.sum_rate_bps_hz
             condition[t, j] = greedy_optimality_condition(inst, gre.admitted_count)
+            instances.append(inst)
+    counts[..., 1], rates[..., 1] = enumerate_batch(instances, counts.shape[:2])
     return counts, rates, condition
+
+
+def enumerate_batch(instances, shape):
+    """Enumerated counts and sum rates of the instances, in one batched call."""
+    gains = np.stack([inst.gains for inst in instances])
+    thresholds = np.stack([inst.sinr_thresholds for inst in instances])
+    count, rate, _ = _exhaustive_admit_batch(gains, thresholds)
+    return count.reshape(shape), rate.reshape(shape)
 
 
 @pytest.fixture(scope="session")
@@ -162,17 +170,19 @@ def test_c05_descending_gain_decoding_is_always_feasible():
 
 
 def test_c06a_equal_targets_make_sequential_and_enumerated_agree(bench_gains):
-    cases = 0
+    instances, greedy = [], []
     for s in (5.0, 10.0, 15.0):
         thr = np.full(8, s)
         for t, eff in enumerate(bench_gains):
             for p in POWERS:
                 inst = AdmissionInstance.from_db(BENCH.rho_at(p) * eff, thr)
-                gre = greedy_admit(inst)
-                exh = exhaustive_admit(inst)
-                assert gre.admitted_count == exh.admitted_count
-                assert abs(gre.sum_rate_bps_hz - exh.sum_rate_bps_hz) <= 1e-12
-                cases += 1
+                instances.append(inst)
+                greedy.append(greedy_admit(inst))
+    cases = 0
+    for gre, exh_count, exh_rate in zip(greedy, *enumerate_batch(instances, len(instances))):
+        assert gre.admitted_count == exh_count
+        assert abs(gre.sum_rate_bps_hz - exh_rate) <= 1e-12
+        cases += 1
     assert cases == 15_000
 
 

@@ -1,6 +1,8 @@
 """Sequential, enumerated and DP admission: allocation, closed form, edge behavior."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from nomasim import (
     greedy_optimality_condition,
 )
 from nomasim import admission
-from nomasim.admission import _optimal_admit_batch, _sequential_admit_batch
+from nomasim.admission import _exhaustive_admit_batch, _optimal_admit_batch, _sequential_admit_batch
 
 
 def random_instance(rng, size=None):
@@ -307,10 +309,10 @@ class TestExhaustiveAdmit:
 
 
 @st.composite
-def small_batches(draw):
+def small_batches(draw, min_users=1):
     """Batches of 1-10-user instances with at most three target levels. Gains
     come from a short list that may hold 0, so equal and zero gains occur."""
-    users = draw(st.integers(1, 10))
+    users = draw(st.integers(min_users, 10))
     batch = draw(st.integers(1, 5))
     levels = draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=3))
     pool = draw(st.lists(st.just(0.0) | st.floats(0.05, 1e4), min_size=1, max_size=6))
@@ -320,6 +322,84 @@ def small_batches(draw):
         return np.array(draw(st.lists(row, min_size=batch, max_size=batch)))
 
     return np.sort(rows(pool), axis=-1)[:, ::-1], rows(levels)
+
+
+def scan_subsets(gains, thresholds):
+    """The enumeration reference as a plain scan: count, sum rate and winning
+    index set of the first subset, sizes descending, that beats the best so
+    far by more than 1e-12."""
+    g, t = [float(x) for x in gains], [float(x) for x in thresholds]
+    best = None
+    for size in range(len(g), -1, -1):
+        for combo in itertools.combinations(range(len(g)), size):
+            coeffs, fits = allocate_sequential([g[i] for i in combo], [t[i] for i in combo])
+            if not fits:
+                continue
+            rate, total = 0.0, 0.0
+            for i, w in zip(combo, coeffs):
+                rate += math.log2(1.0 + w * g[i] / (1.0 + g[i] * total))
+                total = total + w
+            if best is None or rate > best[1] + 1e-12:
+                best = (size, rate, combo)
+        if best is not None:
+            return best
+
+
+class TestExhaustiveBatch:
+    """The batched enumeration against a plain subset scan, bit for bit."""
+
+    @staticmethod
+    def members(users, subset):
+        """Index set of the subset at ``subset`` in enumeration order."""
+        return tuple(np.flatnonzero(admission._members(admission._subset_table(users)[0][subset], users)))
+
+    @given(small_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_plain_scan(self, batch):
+        count, rate, subset = _exhaustive_admit_batch(*batch)
+        assert count.shape == rate.shape == subset.shape == batch[0].shape[:1]
+        for i, (g, t) in enumerate(zip(*batch)):
+            assert (count[i], rate[i], self.members(len(g), subset[i])) == scan_subsets(g, t)  # exact
+            alone = _exhaustive_admit_batch(g, t)  # a batch of one: the same bits
+            assert tuple(alone) == (count[i], rate[i], subset[i])
+
+    def test_broadcast_batch_axes(self):
+        rng = np.random.default_rng(25)
+        eff = np.sort(rng.exponential(size=(4, 6)), axis=-1)[:, ::-1]
+        gains = np.array([1.0, 10.0, 100.0])[:, None, None] * eff[:, None, None, :]
+        count, rate, _ = _exhaustive_admit_batch(gains, np.array([1.0, 3.0])[:, None])
+        assert count.shape == rate.shape == (4, 3, 2)
+        g, t = np.broadcast_arrays(gains, np.array([1.0, 3.0])[:, None])
+        for idx in np.ndindex(count.shape):
+            assert (count[idx], rate[idx]) == scan_subsets(g[idx], t[idx])[:2]
+
+    def test_cap_refuses_larger_instances(self):
+        gains = np.arange(13.0, 0.0, -1.0)[None, :]
+        with pytest.raises(ValueError, match="enumeration cap"):
+            _exhaustive_admit_batch(gains, np.ones(13))
+        assert _exhaustive_admit_batch(gains, np.ones(13), cap=13)[0][0] > 0
+
+    @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
+    def test_rejects_malformed_input(self, gains, thresholds):
+        with pytest.raises(ValueError):
+            _exhaustive_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+
+    def test_passes_stay_within_the_state_budget(self, monkeypatch):
+        passes = []
+        run_pass = admission._enumeration_pass
+
+        def spy(g, t, code, sizes):
+            passes.append(len(g) * len(code))
+            return run_pass(g, t, code, sizes)
+
+        monkeypatch.setattr(admission, "_enumeration_pass", spy)
+        rng = np.random.default_rng(26)
+        gains = np.sort(10.0 ** rng.uniform(-1, 4, (300, 8)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(300, 8)) / 10.0)
+        count, rate, _ = _exhaustive_admit_batch(gains, thresholds)
+        assert len(passes) > 1 and max(passes) <= admission._ENUMERATION_PASS_STATES
+        for i in range(0, 300, 30):
+            assert (count[i], rate[i]) == scan_subsets(gains[i], thresholds[i])[:2]
 
 
 class TestOptimalBatch:
@@ -365,15 +445,35 @@ class TestOptimalBatch:
     def test_budget_edge_goes_to_enumeration(self, monkeypatch):
         calls = []
 
-        def spy(instance, cap=admission.DEFAULT_ENUMERATION_CAP):
-            calls.append(instance)
-            return exhaustive_admit(instance, cap)
+        def spy(gains, thresholds, cap=admission.DEFAULT_ENUMERATION_CAP):
+            calls.append(gains)
+            return _exhaustive_admit_batch(gains, thresholds, cap)
 
-        monkeypatch.setattr(admission, "exhaustive_admit", spy)
+        monkeypatch.setattr(admission, "_exhaustive_admit_batch", spy)
         count, rate = _optimal_admit_batch([[2.0], [4.0]], [2.0])  # the first needs exactly the budget
-        assert len(calls) == 1 and calls[0].gains.tolist() == [2.0]
+        assert len(calls) == 1 and calls[0].tolist() == [[2.0]]
         np.testing.assert_array_equal(count, [1, 1])
         assert rate[0] == rate[1] == math.log2(3.0)
+
+    def test_twelve_user_budget_edge_is_one_batched_enumeration(self, monkeypatch):
+        calls = []
+
+        def spy(gains, thresholds, cap=admission.DEFAULT_ENUMERATION_CAP):
+            calls.append(len(gains))
+            return _exhaustive_admit_batch(gains, thresholds, cap)
+
+        monkeypatch.setattr(admission, "_exhaustive_admit_batch", spy)
+        rng = np.random.default_rng(27)
+        gains = np.sort(10.0 ** rng.uniform(-1, 3, (200, 12)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(200, 12)) / 10.0)
+        thresholds[:, 0] = gains[:, 0]  # the strongest user alone needs exactly the budget
+        start = time.perf_counter()
+        count, rate = _optimal_admit_batch(gains, thresholds)
+        assert time.perf_counter() - start < 2.0  # one scalar enumeration per instance takes about 2 s
+        assert calls == [200]
+        for i in range(0, 200, 10):
+            ref = exhaustive_admit(AdmissionInstance(gains[i], thresholds[i]))
+            assert (count[i], rate[i]) == (ref.admitted_count, ref.sum_rate_bps_hz)
 
     def test_distinct_targets_stay_within_the_pass_budget(self, monkeypatch):
         passes = []
@@ -465,6 +565,14 @@ class TestAlignedThresholds:
         assert not aligned_thresholds(
             AdmissionInstance(gains=[10.0, 5.0], sinr_thresholds=[2.0, 1.0])
         )
+
+    @given(small_batches(min_users=2))
+    @settings(max_examples=100, deadline=None)
+    def test_aligned_targets_give_the_optimal_count(self, batch):
+        gains, thresholds = batch[0], np.sort(batch[1], axis=-1)  # targets never decrease along the gains
+        count, _ = _sequential_admit_batch(gains, thresholds)
+        best, _ = _optimal_admit_batch(gains, thresholds)
+        np.testing.assert_array_equal(count, best)
 
     def test_aligned_instances_make_sequential_count_optimal(self):
         # targets sorted to never decrease along the scan: enumeration can

@@ -67,6 +67,29 @@ class TestSystemConfig:
             SystemConfig(**changes)
 
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"tx_antennas": 2.0, "rx_antennas": 2.0},
+            {"rx_antennas": np.int64(4)},
+            {"users_per_cluster": 3.0},
+            {"rng_seed": 5.0},
+        ],
+    )
+    def test_integer_fields_are_stored_as_int(self, changes):
+        cfg = SystemConfig(**changes)
+        for key, value in changes.items():
+            assert type(getattr(cfg, key)) is int and getattr(cfg, key) == value
+        draw = draw_cluster(cfg, 0, 1)  # a float here used to fail inside the draw
+        assert draw.effective_gains.shape == (cfg.users_per_cluster,)
+        assert draw_cluster(cfg, 0, 1).channels.tobytes() == draw.channels.tobytes()
+
+    def test_numpy_values_are_stored_as_python_numbers(self):
+        cfg = SystemConfig(tx_power_dbm=np.float32(40.0), cell_radius_range_km=np.array([0.5, 2.0]))
+        assert type(cfg.tx_power_dbm) is float and cfg.tx_power_dbm == 40.0
+        assert cfg.cell_radius_range_km == (0.5, 2.0) and type(cfg.cell_radius_range_km[0]) is float
+
+
 class TestDetectionVector:
     def test_one_dimensional_null_space(self):
         # interference spans e1, own column leans on e2

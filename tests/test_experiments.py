@@ -451,6 +451,30 @@ class TestSerialization:
         assert meta["build_tag"].startswith("nomasim-")
         assert "+cfg." in meta["build_tag"]
 
+    def test_metadata_of_a_spec_with_numpy_values_is_json(self):
+        spec = make_sweep(
+            "oracle_compare_mixed",
+            CFG,
+            trials=2,
+            grid=np.array([30.0, 40.0]),
+            threshold_choices_db=np.array([5.0, 10.0]),
+            requesting_users=np.int64(4),
+            enumeration_cap=np.int64(6),
+        )
+        assert spec.threshold_choices_db == (5.0, 10.0) and type(spec.threshold_choices_db[0]) is float
+        assert type(spec.requesting_users) is int and type(spec.enumeration_cap) is int
+        meta = run_sweep(spec).metadata
+        plain = make_sweep(
+            "oracle_compare_mixed",
+            CFG,
+            trials=2,
+            grid=(30.0, 40.0),
+            threshold_choices_db=(5.0, 10.0),
+            requesting_users=4,
+            enumeration_cap=6,
+        )
+        assert json.dumps(meta, sort_keys=True) == json.dumps(run_sweep(plain).metadata, sort_keys=True)
+
     @pytest.mark.parametrize("writer", [write_csv, write_metadata])
     def test_failed_write_leaves_existing_output_intact(self, tmp_path, monkeypatch, split_curve, writer):
         path = tmp_path / "out.csv"
