@@ -16,10 +16,10 @@ axes and repeat those IEEE operations in the same order on arrays, so they
 equal the per-instance rules bit for bit: :func:`_sequential_admit_batch`
 gives :func:`greedy_admit`'s results, and :func:`_exhaustive_admit_batch`
 is the subset search, of which :func:`exhaustive_admit` is a batch of one.
-Sweeps take the optimum from :func:`_optimal_admit_batch` (counts equal to
-the enumeration's, sum rates within rounding), which hands its budget-edge
-instances to the enumeration in one call. The enumeration stays the
-reference that ``verify`` and the tests check the other rules against.
+Sweeps take the optimum from :func:`_optimal_admit_batch`, a composition DP
+in the allocation's own arithmetic whose counts equal the enumeration's
+exactly (sum rates within rounding). The enumeration stays the reference
+that ``verify`` and the tests check the other rules against.
 """
 
 from __future__ import annotations
@@ -40,27 +40,27 @@ DEFAULT_ENUMERATION_CAP = 12
 
 # Float64 states one pass of the composition DP holds per array: enough
 # instances per pass to spread the per-step overhead of its array operations,
-# few enough that a pass's three working arrays (96 KiB) stay in cache.
+# few enough that a pass's working arrays (32 KiB each) stay in cache.
 _DP_PASS_STATES = 1 << 12
 
 # (Instance, subset) states one enumeration pass holds per array: a 256 KiB
 # running-power array, and passes of 128 eight-user or 8 twelve-user instances.
 _ENUMERATION_PASS_STATES = 1 << 15
 
-# The DP adds powers in another order than the sequential allocation, so an
-# instance with a composition this close to the power budget is solved again
-# by enumeration, whose feasibility decision then stands.
-_BUDGET_EDGE_TOL = 1e-9
 
-
-def _check_instances(gains: np.ndarray, thresholds: np.ndarray) -> None:
-    """Reject invalid admission inputs; the last axis is the admission order."""
-    if not np.all(np.isfinite(gains)) or np.any(gains < 0):
+def _stacked(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Admission instances stacked on leading axes, users in admission order
+    on the last, broadcast to one float shape and validated as a whole."""
+    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ValueError("gains must be non-empty along the last axis")
+    if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise ValueError("gains must be finite and non-negative")
-    if np.any(np.diff(gains, axis=-1) > 0):
+    if np.any(np.diff(g, axis=-1) > 0):
         raise ValueError("gains must be sorted in non-increasing order")
-    if not np.all(np.isfinite(thresholds)) or np.any(thresholds <= 0):
+    if not np.all(np.isfinite(t)) or np.any(t <= 0):
         raise ValueError("sinr_thresholds must be finite and positive")
+    return g, t
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class AdmissionInstance:
             raise ValueError("gains must be a non-empty 1-D sequence")
         if t.shape != g.shape:
             raise ValueError("sinr_thresholds must match gains in length")
-        _check_instances(g, t)
+        _stacked(g, t)
         g.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "gains", g)
@@ -178,10 +178,7 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     rejected) follow: :func:`greedy_admit`'s ``power_coefficients`` and
     ``achieved_sinrs``, bit for bit.
     """
-    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
-    if g.ndim == 0 or g.shape[-1] == 0:
-        raise ValueError("gains must be non-empty along the last axis")
-    _check_instances(g, t)
+    g, t = _stacked(gains, thresholds)
     total = np.zeros(g.shape[:-1])
     rate = np.zeros(g.shape[:-1])
     count = np.zeros(g.shape[:-1], dtype=int)
@@ -220,8 +217,7 @@ def cumulative_power_closed_form(instance, count):
     if isinstance(instance, AdmissionInstance):
         g, t = instance.gains, instance.sinr_thresholds
     else:
-        g, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in instance))
-        _check_instances(g, t)
+        g, t = _stacked(*instance)
     n = g.shape[-1]
     c = np.asarray(count)
     if c.dtype.kind not in "iuf" or np.any(c != np.round(c)) or np.any((c < 0) | (c > n)):
@@ -322,7 +318,7 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     return best, won, subset[start + pick]
 
 
-def _exhaustive_admit_batch(gains, thresholds, cap: int = DEFAULT_ENUMERATION_CAP):
+def _exhaustive_admit_batch(gains, thresholds):
     """Best admission subset of a whole batch of instances, by enumeration.
 
     Same contract as :func:`_sequential_admit_batch`, with the objective of
@@ -332,16 +328,13 @@ def _exhaustive_admit_batch(gains, thresholds, cap: int = DEFAULT_ENUMERATION_CA
     :func:`_subset_table`'s order, equal to :func:`exhaustive_admit`'s bit
     for bit. Instances run in passes of at most ``_ENUMERATION_PASS_STATES``
     (instance, subset) states, or one instance if it alone has more; an
-    instance's results do not depend on the rest of its pass. Instances
-    above ``cap`` users are refused since the search is exponential.
+    instance's results do not depend on the rest of its pass. Instances above
+    ``DEFAULT_ENUMERATION_CAP`` users are refused: the search is exponential.
     """
-    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
-    if g.ndim == 0 or g.shape[-1] == 0:
-        raise ValueError("gains must be non-empty along the last axis")
+    g, t = _stacked(gains, thresholds)
     shape, users = g.shape[:-1], g.shape[-1]
-    if users > cap:
-        raise ValueError(f"instance has {users} users, above the enumeration cap {cap}")
-    _check_instances(g, t)
+    if users > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"instance has {users} users, above the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     g, t = g.reshape(-1, users), t.reshape(-1, users)
     code, sizes = _subset_table(users)
     count = np.empty(len(g), dtype=int)
@@ -355,18 +348,16 @@ def _exhaustive_admit_batch(gains, thresholds, cap: int = DEFAULT_ENUMERATION_CA
     return count.reshape(shape), rate.reshape(shape), subset.reshape(shape)
 
 
-def exhaustive_admit(
-    instance: AdmissionInstance, cap: int = DEFAULT_ENUMERATION_CAP
-) -> AdmissionResult:
+def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
     """Best admission subset by enumeration: most users, then highest rate.
 
     Every subset is allocated with the same sequential rule (in decreasing
     gain order within the subset); a subset is feasible only if all its
     members fit. Rate ties within ``1e-12`` resolve to the lexicographically
-    smallest index set. Instances above ``cap`` users are refused since the
-    search is exponential. A batch of one of :func:`_exhaustive_admit_batch`.
+    smallest index set. Refused above ``DEFAULT_ENUMERATION_CAP`` users since
+    the search is exponential. A batch of one of :func:`_exhaustive_admit_batch`.
     """
-    count, rate, subset = _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds, cap)
+    count, rate, subset = _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)
     combo = np.flatnonzero(_members(_subset_table(len(instance))[0][subset], len(instance)))
     g = [float(x) for x in instance.gains[combo]]
     coeffs, _ = allocate_sequential(g, [float(x) for x in instance.sinr_thresholds[combo]])
@@ -384,21 +375,29 @@ def exhaustive_admit(
     )
 
 
-def _composition_pass(cost, level, values, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, sum rates and budget-edge flags of one pass of instances.
+def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and sum rates of one pass of instances.
 
-    ``cost`` is target over gain per user, ``level`` each user's target level
-    and ``values`` each instance's level targets (0 for a level it lacks);
-    ``dims`` bounds the count per level over the pass. ``power[b, c]`` is the
-    least total power of a subset of the users walked so far with ``c[l]``
-    users at level ``l``. Walking from the weakest user to the strongest,
-    putting user k in front of such a subset costs ``cost[k] * factor[c]``
-    with ``factor[c] = prod_l (1 + values[l]) ** c[l]``, and leaves the later
-    users' shares unchanged. The pick is the feasible composition (power at
-    most 1; the empty one always is) with the most users, then the largest
-    ``sum_l c[l] * log2(1 + values[l])``. A level an instance lacks
-    multiplies by exactly 1.0 and adds exactly 0.0, so an instance's results
-    do not depend on the rest of its pass.
+    ``t`` and ``cost`` (target over gain) hold one instance per row, ``level``
+    each user's target level and ``values`` each instance's level targets (0
+    for a level it lacks); ``dims`` bounds the count per level over the pass.
+    ``power[b, c]`` is the least total, as :func:`allocate_sequential`
+    computes it, of a fitting subset of the users walked so far with ``c[l]``
+    users at level ``l`` (inf if none fits). Walking strongest first, user k
+    joins each subset last, as the allocation appends it: ``need = t*P +
+    t/g``, rejected when ``need > 1 - P``, else the total is ``P + need``.
+    The pick is the finite composition with the most users, then the largest
+    ``sum_l c[l] * log2(1 + values[l])``. A level an instance lacks adds
+    exactly 0.0, so an instance's results do not depend on its pass.
+
+    Proof that the counts equal the enumeration's: with ``t > 0``, each of
+    those IEEE operations is monotone in ``P`` (rounding is), so ``P <= P'``
+    gives ``need <= need'`` and ``1 - P >= 1 - P'``: a rejection at ``P`` is
+    one at ``P'``, and ``P + need <= P' + need'``. So a composition's least
+    total stays least once user k joins, and fits if any of its subsets
+    does; by induction a state is finite exactly when a subset of its
+    composition passes each of the allocation's checks in its own order,
+    which is the enumeration's test. A zero gain costs inf, which is rejected.
 
     States are flattened in C order, so adding a user at level ``l`` is a
     shift by that level's stride. A shift off the top of level ``l`` wraps
@@ -408,35 +407,33 @@ def _composition_pass(cost, level, values, dims) -> tuple[np.ndarray, np.ndarray
     """
     batch, users = cost.shape
     counts = np.indices(dims).reshape(len(dims), -1)  # c[l] of each state
-    factor = np.ones((batch, counts.shape[1]))
-    rate = np.zeros_like(factor)
+    rate = np.zeros((batch, counts.shape[1]))
     for l, c in enumerate(counts):
-        steps = np.repeat(1.0 + values[:, l, None], dims[l], axis=-1)
-        steps[:, 0] = 1.0
-        factor *= np.cumprod(steps, axis=-1)[:, c]
         log_base = np.fromiter(map(math.log2, (1.0 + values[:, l]).tolist()), dtype=float, count=batch)
         rate += c * log_base[:, None]
 
     strides = [math.prod(dims[l + 1 :]) for l in range(len(dims))]
     at = level[:, :, None] == np.arange(len(dims))  # (batch, users, levels)
     present = at.any(axis=0).tolist()
-    power = np.full(factor.shape, np.inf)
+    power = np.full(rate.shape, np.inf)
     power[:, 0] = 0.0
-    candidate = np.empty_like(power)
-    for k in range(users - 1, -1, -1):
-        np.multiply(factor, cost[:, k, None], out=candidate)
-        candidate += power
+    need = np.empty_like(power)
+    for k in range(users):
+        np.multiply(t[:, k, None], power, out=need)
+        need += cost[:, k, None]
+        rejected = need > 1.0 - power
+        need += power
+        np.putmask(need, rejected, np.inf)
         for l, stride in enumerate(strides):
             if present[k][l]:
                 grown = power[:, stride:]
-                np.minimum(grown, candidate[:, :-stride], out=grown, where=at[:, k, l, None])
+                np.minimum(grown, need[:, :-stride], out=grown, where=at[:, k, l, None])
 
     total = counts.sum(axis=0)
-    feasible = power <= 1.0
+    feasible = power < np.inf
     best = (feasible * total).max(axis=-1)
     rate[~(feasible & (total == best[:, None]))] = -np.inf
-    edge = ((power >= 1.0 - _BUDGET_EDGE_TOL) & (power <= 1.0 + _BUDGET_EDGE_TOL)).any(axis=-1)
-    return best, rate.max(axis=-1), edge
+    return best, rate.max(axis=-1)
 
 
 def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -446,21 +443,16 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     :func:`exhaustive_admit`: most users, then the highest sum rate. Every
     admitted user sits at its target, so the objective depends only on the
     composition (how many users are admitted at each distinct target), and
-    :func:`_composition_pass` finds each composition's least power. The
-    result is the feasible composition (power at most 1) with the most users,
-    then the largest ``sum_l c_l * log2(1 + t_l)``; nobody admitted gives
-    rate 0.0. Counts equal :func:`exhaustive_admit`'s and rates agree within
-    rounding: the instances with a composition whose power lies within
-    ``_BUDGET_EDGE_TOL`` of the budget are solved again by enumeration, all
-    in one :func:`_exhaustive_admit_batch` call.
-    Instances run in passes of at most ``_DP_PASS_STATES`` states (or one
-    instance, if it alone has more), whose sizes are the per-level maxima
-    within the pass; instances of like shape share a pass.
+    :func:`_composition_pass` finds each composition's least power. Counts
+    equal :func:`exhaustive_admit`'s exactly and rates agree within rounding;
+    nobody admitted gives rate 0.0. An instance with ``s_l`` users at level
+    ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a
+    fixed number of levels. Instances run in passes of at most
+    ``_DP_PASS_STATES`` states (or one instance, if it alone has more), whose
+    sizes are the per-level maxima within the pass; instances of like shape
+    share a pass.
     """
-    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
-    if g.ndim == 0 or g.shape[-1] == 0:
-        raise ValueError("gains must be non-empty along the last axis")
-    _check_instances(g, t)
+    g, t = _stacked(gains, thresholds)
     shape, users = g.shape[:-1], g.shape[-1]
     g, t = g.reshape(-1, users), t.reshape(-1, users)
     # Levels of an instance: its distinct targets, ascending.
@@ -472,12 +464,11 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     sizes = (level[:, :, None] == np.arange(n_levels)).sum(axis=1)
     values = np.zeros((len(t), n_levels))
     np.put_along_axis(values, level, t, axis=-1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         cost = t / g  # a zero gain costs inf
 
     count = np.empty(len(t), dtype=int)
     rate = np.empty(len(t))
-    edge = np.empty(len(t), dtype=bool)
     bounds = [tuple(s + 1 for s in row) for row in sizes.tolist()]
     order = sorted(range(len(t)), key=bounds.__getitem__)  # like shapes share a pass
     start = 0
@@ -489,10 +480,8 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
                 break
             dims, stop = grown, stop + 1
         part = order[start:stop]
-        count[part], rate[part], edge[part] = _composition_pass(cost[part], level[part], values[part], dims)
+        count[part], rate[part] = _composition_pass(t[part], cost[part], level[part], values[part], dims)
         start = stop
-    if edge.any():
-        count[edge], rate[edge], _ = _exhaustive_admit_batch(g[edge], t[edge], cap=users)
     return count.reshape(shape), rate.reshape(shape)
 
 

@@ -12,8 +12,8 @@ Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
 default trials and grid, what its grid holds, the sweep keys it reads, the
 series it reports and how a chunk of trials is evaluated. The oracle kinds
 set sequential admission against the exact optimum, which the composition DP
-of :mod:`nomasim.admission` computes for a whole chunk at once; subset
-enumeration stays the reference it is tested against.
+of :mod:`nomasim.admission` computes for a whole chunk at once, with counts
+equal to those of subset enumeration, the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .admission import DEFAULT_ENUMERATION_CAP, _optimal_admit_batch, _sequential_admit_batch
+from .admission import _optimal_admit_batch, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 from .units import db_to_linear, is_whole, require_finite, store_python_numbers
@@ -44,6 +44,10 @@ _THRESHOLD_STREAM = 104729
 ORACLE_BENCHMARK_RADIUS_KM = (0.01, 0.15)
 
 _EQUAL_MODE_RATE_TOL = 1e-12
+
+# Most composition-DP states an oracle instance may need (512 KiB per
+# float64 array); a pool of at most 12 users needs at most 2**12.
+_DP_STATE_BOUND = 1 << 16
 
 # Trials per array pass: enough to spread the per-call overhead of the array
 # kernels, few enough that a chunk's temporaries stay around a megabyte.
@@ -80,7 +84,6 @@ class SweepSpec:
     threshold_choices_db: tuple[float, ...] = (5.0, 10.0, 15.0)
     base_split: tuple[float, float] = (0.2, 0.8)
     extension_fraction: float = 1.0 / 3.0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         require_finite(self, tuple_suffix=" entries")
@@ -88,12 +91,10 @@ class SweepSpec:
         if not is_whole(self.trials, 1):
             raise ValueError("trials must be a positive integer")
         _check_grid(entry, self.grid)
-        if 0 in (len(self.power_dbm_values), len(self.target_sinr_db_values)):
+        if 0 in (len(self.power_dbm_values), len(self.target_sinr_db_values), len(self.threshold_choices_db)):
             raise ValueError("series value lists must be non-empty")
         if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
-        if not is_whole(self.enumeration_cap, 1):
-            raise ValueError("enumeration_cap must be a positive integer")
         w1, w2 = self.base_split
         if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-9:
             raise ValueError("base_split must be two non-negative shares summing to 1")
@@ -101,10 +102,14 @@ class SweepSpec:
             raise ValueError("extension_fraction must lie in [0, 1]")
         if entry.pools and max(self.grid) != self.requesting_users:
             raise ValueError("requesting_users must equal the largest pool size in grid")
-        if "enumeration_cap" in entry.reads and self.requesting_users > self.enumeration_cap:
-            raise ValueError(
-                f"requesting_users {self.requesting_users} is above the enumeration cap {self.enumeration_cap}"
-            )
+        if entry.levels:  # the most states: users spread evenly over the levels
+            spread = min(entry.levels(self), self.requesting_users)
+            q, r = divmod(self.requesting_users, spread)
+            if (states := (q + 2) ** r * (q + 1) ** (spread - r)) > _DP_STATE_BOUND:
+                raise ValueError(
+                    f"requesting_users {self.requesting_users} can need {states} DP states per instance, "
+                    f"above the bound {_DP_STATE_BOUND}"
+                )
         drawn = entry.users or self.requesting_users
         if self.config.users_per_cluster != drawn:
             raise ValueError(
@@ -154,6 +159,7 @@ class _Kind:
     surface: bool = False  # grid of (strong share, mid-user fraction) pairs
     shares: bool = False  # grid entries are power shares in [0, 1]
     pools: bool = False  # grid entries are requesting-pool sizes
+    levels: Callable[[SweepSpec], int] | None = None  # distinct targets an oracle instance can draw
     defaults: dict = field(default_factory=dict)  # SweepSpec fields make_sweep sets
 
 
@@ -340,7 +346,6 @@ _SEQUENTIAL = ("greedy",)
 _ORACLE = ("greedy", "exhaustive", "exhaustive_minus_greedy")
 
 _RATE_KEYS = ("base_split", "extension_fraction")
-_ORACLE_KEYS = ("requesting_users", "enumeration_cap")
 
 # The split and power sweeps draw three users and carry the 2- and 3-user
 # schemes on the same draw.
@@ -370,11 +375,12 @@ _KINDS = {
     ),
     "oracle_compare_equal": _Kind(
         None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, _target_labels), _oracle_equal_values,
-        reads=("target_sinr_db_values",) + _ORACLE_KEYS, defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
+        reads=("target_sinr_db_values", "requesting_users"), defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
+        levels=lambda spec: 1,
     ),
     "oracle_compare_mixed": _Kind(
         None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values,
-        reads=("threshold_choices_db",) + _ORACLE_KEYS,
+        reads=("threshold_choices_db", "requesting_users"), levels=lambda spec: len(set(spec.threshold_choices_db)),
     ),
 }
 SWEEP_KINDS = tuple(_KINDS)

@@ -1,5 +1,6 @@
 """Sequential, enumerated and DP admission: allocation, closed form, edge behavior."""
 
+import functools
 import itertools
 import math
 import time
@@ -29,7 +30,7 @@ def random_instance(rng, size=None):
     return AdmissionInstance.from_db(g, t_db)
 
 
-# Batches both batch kernels reject.
+# Batches every stacked-instance kernel rejects.
 MALFORMED_BATCHES = [
     ([[1.0, 2.0]], [1.0, 1.0]),  # ascending gains
     ([[2.0, -1.0]], [1.0, 1.0]),  # negative gain
@@ -37,6 +38,7 @@ MALFORMED_BATCHES = [
     ([[np.inf, 1.0]], [1.0, 1.0]),  # non-finite gain
     ([[2.0, 1.0]], [np.nan, 1.0]),  # non-finite target
     (np.zeros((2, 0)), np.zeros((2, 0))),  # no users
+    (2.0, 1.0),  # no users axis
 ]
 
 
@@ -264,15 +266,19 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="finite"):
             cumulative_power_closed_form((np.array([[np.nan, 1.0]]), np.ones(2)), np.array([0]))
 
+    @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
+    def test_rejects_malformed_input(self, gains, thresholds):
+        with pytest.raises(ValueError, match="gains|sinr_thresholds"):
+            cumulative_power_closed_form((gains, thresholds), np.zeros(np.shape(gains)[:-1], dtype=int))
+
 
 class TestExhaustiveAdmit:
     def test_cap_guards_the_search(self):
         inst = AdmissionInstance(
             gains=np.arange(13.0, 0.0, -1.0), sinr_thresholds=np.ones(13)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="above the enumeration cap 12"):
             exhaustive_admit(inst)
-        assert exhaustive_admit(inst, cap=13).admitted_count > 0
 
     def test_nobody_fits(self):
         inst = AdmissionInstance(gains=[1.0, 0.5], sinr_thresholds=[1e9, 1e9])
@@ -308,20 +314,23 @@ class TestExhaustiveAdmit:
             assert best.sum_rate_bps_hz >= greedy.sum_rate_bps_hz - 1e-9
 
 
+@functools.cache
+def picks(shape, choices):
+    """Arrays of ``shape`` indices below ``choices``, one strategy per shape."""
+    return st.lists(st.integers(0, choices - 1), min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda flat: np.reshape(flat, shape)
+    )
+
+
 @st.composite
 def small_batches(draw, min_users=1):
     """Batches of 1-10-user instances with at most three target levels. Gains
     come from a short list that may hold 0, so equal and zero gains occur."""
-    users = draw(st.integers(min_users, 10))
-    batch = draw(st.integers(1, 5))
-    levels = draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=3))
-    pool = draw(st.lists(st.just(0.0) | st.floats(0.05, 1e4), min_size=1, max_size=6))
-
-    def rows(values):
-        row = st.lists(st.sampled_from(values), min_size=users, max_size=users)
-        return np.array(draw(st.lists(row, min_size=batch, max_size=batch)))
-
-    return np.sort(rows(pool), axis=-1)[:, ::-1], rows(levels)
+    shape = (draw(st.integers(1, 5)), draw(st.integers(min_users, 10)))  # (batch, users)
+    levels = np.array(draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=3)))
+    pool = np.array(draw(st.lists(st.just(0.0) | st.floats(0.05, 1e4), min_size=1, max_size=6)))
+    gains = pool[draw(picks(shape, len(pool)))]
+    return np.sort(gains, axis=-1)[:, ::-1], levels[draw(picks(shape, len(levels)))]
 
 
 def scan_subsets(gains, thresholds):
@@ -375,9 +384,8 @@ class TestExhaustiveBatch:
 
     def test_cap_refuses_larger_instances(self):
         gains = np.arange(13.0, 0.0, -1.0)[None, :]
-        with pytest.raises(ValueError, match="enumeration cap"):
+        with pytest.raises(ValueError, match="above the enumeration cap 12"):
             _exhaustive_admit_batch(gains, np.ones(13))
-        assert _exhaustive_admit_batch(gains, np.ones(13), cap=13)[0][0] > 0
 
     @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
     def test_rejects_malformed_input(self, gains, thresholds):
@@ -403,18 +411,28 @@ class TestExhaustiveBatch:
 
 
 class TestOptimalBatch:
-    """The composition DP against exhaustive_admit: counts exact, rates within 1e-12."""
+    """The composition DP against the enumeration: counts exact, rates within 1e-12."""
 
     @staticmethod
     def assert_matches_enumeration(gains, thresholds):
         count, rate = _optimal_admit_batch(gains, thresholds)
-        g, t = np.broadcast_arrays(gains, thresholds)
-        assert count.shape == rate.shape == g.shape[:-1]
-        for idx in np.ndindex(count.shape):
-            ref = exhaustive_admit(AdmissionInstance(g[idx], t[idx]))
-            assert count[idx] == ref.admitted_count
-            assert abs(rate[idx] - ref.sum_rate_bps_hz) <= 1e-12
+        ref_count, ref_rate, _ = _exhaustive_admit_batch(gains, thresholds)
+        assert count.shape == rate.shape == ref_count.shape
+        np.testing.assert_array_equal(count, ref_count)
+        assert np.all(np.abs(rate - ref_rate) <= 1e-12)
         return count, rate
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        """Calls the library makes to the enumeration while the test runs."""
+        calls = []
+
+        def spy(gains, thresholds):
+            calls.append(len(gains))
+            return _exhaustive_admit_batch(gains, thresholds)
+
+        monkeypatch.setattr(admission, "_exhaustive_admit_batch", spy)
+        return calls
 
     @given(small_batches())
     @settings(max_examples=200, deadline=None)
@@ -442,46 +460,57 @@ class TestOptimalBatch:
         count, _ = self.assert_matches_enumeration(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
         assert count.shape == (6, 3, 4)
 
-    def test_budget_edge_goes_to_enumeration(self, monkeypatch):
-        calls = []
-
-        def spy(gains, thresholds, cap=admission.DEFAULT_ENUMERATION_CAP):
-            calls.append(gains)
-            return _exhaustive_admit_batch(gains, thresholds, cap)
-
-        monkeypatch.setattr(admission, "_exhaustive_admit_batch", spy)
-        count, rate = _optimal_admit_batch([[2.0], [4.0]], [2.0])  # the first needs exactly the budget
-        assert len(calls) == 1 and calls[0].tolist() == [[2.0]]
+    def test_budget_edge_is_exact_without_enumeration(self, enumerations):
+        count, rate = self.assert_matches_enumeration([[2.0], [4.0]], [2.0])  # the first needs exactly the budget
+        assert enumerations == []
         np.testing.assert_array_equal(count, [1, 1])
         assert rate[0] == rate[1] == math.log2(3.0)
 
-    def test_twelve_user_budget_edge_is_one_batched_enumeration(self, monkeypatch):
-        calls = []
-
-        def spy(gains, thresholds, cap=admission.DEFAULT_ENUMERATION_CAP):
-            calls.append(len(gains))
-            return _exhaustive_admit_batch(gains, thresholds, cap)
-
-        monkeypatch.setattr(admission, "_exhaustive_admit_batch", spy)
+    def test_twelve_user_budget_edge_matches_enumeration(self, enumerations):
         rng = np.random.default_rng(27)
         gains = np.sort(10.0 ** rng.uniform(-1, 3, (200, 12)), axis=-1)[:, ::-1]
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(200, 12)) / 10.0)
         thresholds[:, 0] = gains[:, 0]  # the strongest user alone needs exactly the budget
-        start = time.perf_counter()
-        count, rate = _optimal_admit_batch(gains, thresholds)
-        assert time.perf_counter() - start < 2.0  # one scalar enumeration per instance takes about 2 s
-        assert calls == [200]
-        for i in range(0, 200, 10):
-            ref = exhaustive_admit(AdmissionInstance(gains[i], thresholds[i]))
-            assert (count[i], rate[i]) == (ref.admitted_count, ref.sum_rate_bps_hz)
+        self.assert_matches_enumeration(gains, thresholds)
+        assert enumerations == []
+
+    def test_rounding_boundary_matches_enumeration(self, enumerations):
+        # the weakest of three users needs the power left within a few ulps,
+        # so its admission turns on how the allocation rounds
+        rng = np.random.default_rng(29)
+        t = 10.0 ** rng.uniform(-1, 1.5, (2000, 3))
+        g1 = 10.0 ** rng.uniform(2, 4, 2000)
+        g2 = g1 * rng.uniform(0.5, 1.0, 2000)
+        before = t[:, 0] / g1 + (t[:, 1] * (t[:, 0] / g1) + t[:, 1] / g2)  # the first two users' total
+        g3 = t[:, 2] / (1.0 - before - t[:, 2] * before)
+        g3 += rng.integers(-4, 5, 2000) * np.spacing(g3)
+        gains = np.stack([g1, g2, g3], axis=-1)
+        keep = (g3 > 0) & np.all(np.diff(gains, axis=-1) <= 0, axis=-1)
+        count, _ = self.assert_matches_enumeration(gains[keep], t[keep])
+        assert enumerations == [] and keep.sum() > 1000
+        assert 300 < (count == 3).sum() < keep.sum() - 300  # both sides of the budget
+
+    def test_large_aligned_pools_give_the_sequential_count(self, enumerations):
+        # targets never decrease along the gains, so the sequential count is
+        # optimal; pools this large are far above the enumeration cap
+        rng = np.random.default_rng(28)
+        for users in (32, 48):
+            gains = np.sort(10.0 ** rng.uniform(1, 5, (100, users)), axis=-1)[:, ::-1]
+            thresholds = np.sort(10.0 ** (rng.choice([-10.0, -5.0, 0.0], size=(100, users)) / 10.0), axis=-1)
+            start = time.perf_counter()
+            count, _ = _optimal_admit_batch(gains, thresholds)
+            assert time.perf_counter() - start < 2.0  # about 0.1 s; enumeration could not finish
+            np.testing.assert_array_equal(count, _sequential_admit_batch(gains, thresholds)[0])
+            assert 0 < count.min() and count.max() < users  # the budget binds inside the pool
+        assert enumerations == []
 
     def test_distinct_targets_stay_within_the_pass_budget(self, monkeypatch):
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(cost, level, values, dims):
+        def spy(t, cost, level, values, dims):
             passes.append((len(cost), dims))
-            return run_pass(cost, level, values, dims)
+            return run_pass(t, cost, level, values, dims)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(24)

@@ -129,14 +129,23 @@ class TestDispatch:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
 
-    def test_pool_above_the_enumeration_cap_is_exit_code_2(self, capsys, tmp_path):
+    def test_pool_above_the_state_bound_is_exit_code_2(self, capsys, tmp_path):
         out = tmp_path / "o.csv"
+        choices = ",".join(str(db) for db in range(20))
         rc = main(
-            ["oracle-compare", "--mixed", "--trials", "1", "--set", "requesting_users=5",
-             "--set", "enumeration_cap=4", "--out", str(out)]
+            ["oracle-compare", "--mixed", "--trials", "1", "--set", "requesting_users=20",
+             "--set", f"threshold_choices_db={choices}", "--out", str(out)]
         )
         assert rc == 2
-        assert "enumeration cap 4" in capsys.readouterr().err
+        assert "1048576 DP states" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--mixed"]])
+    def test_enumeration_cap_is_an_unknown_key(self, mode, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = main(["oracle-compare", *mode, "--trials", "1", "--set", "enumeration_cap=12", "--out", str(out)])
+        assert rc == 2
+        assert "unknown key 'enumeration_cap'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_key_is_exit_code_2(self, capsys, tmp_path):
@@ -170,7 +179,7 @@ class TestDispatch:
         "args,key",
         [
             (["admission", "--set", "target_sinr_db_values=5,10"], "target_sinr_db_values"),
-            (["ergodic", "--set", "enumeration_cap=8"], "enumeration_cap"),
+            (["ergodic", "--set", "requesting_users=8"], "requesting_users"),
             (["oracle-compare", "--mixed", "--set", "target_sinr_db_values=5"], "target_sinr_db_values"),
             (["gap", "--set", "grid=0.5"], "grid"),
             (["verify", "--set", "requesting_users=4"], "requesting_users"),

@@ -123,11 +123,27 @@ class TestSweepSpec:
                 kind="admission_vs_requesting", grid=(2.5, 3.0), trials=1, config=CFG3, requesting_users=3
             )
 
-    @pytest.mark.parametrize("kind", ["oracle_compare_equal", "oracle_compare_mixed"])
-    def test_oracle_pool_above_the_enumeration_cap_rejected(self, kind):
-        with pytest.raises(ValueError, match="requesting_users 13 is above the enumeration cap 12"):
-            make_sweep(kind, CFG, requesting_users=13)
-        assert make_sweep(kind, CFG, requesting_users=13, enumeration_cap=13).requesting_users == 13
+    def test_oracle_pool_above_the_state_bound_rejected(self):
+        # 20 users at 20 distinct targets can need 2**20 DP states per instance
+        choices = tuple(float(db) for db in range(20))
+        with pytest.raises(ValueError, match="requesting_users 20 can need 1048576 DP states"):
+            make_sweep("oracle_compare_mixed", CFG, requesting_users=20, threshold_choices_db=choices)
+        with pytest.raises(ValueError, match="65537 DP states"):  # one target level: users + 1 states
+            make_sweep("oracle_compare_equal", CFG, requesting_users=65536)
+        # every pool of at most 12 users stays accepted, whatever its targets
+        for users in (12, 16):  # 4096 and 65536 states
+            spec = make_sweep("oracle_compare_mixed", CFG, requesting_users=users, threshold_choices_db=choices[:users])
+            assert spec.requesting_users == users
+
+    def test_oracle_pool_of_24_users_runs(self):
+        spec = make_sweep("oracle_compare_mixed", CFG, trials=3, grid=(40.0, 50.0), requesting_users=24)
+        means = {(row.sweep_point, row.scheme, row.metric): row.mean for row in run_sweep(spec).rows}
+        for p in ((40.0,), (50.0,)):
+            assert 0 <= means[p, "greedy_mixed", "admitted_count"] <= means[p, "exhaustive_mixed", "admitted_count"] <= 24
+
+    def test_threshold_choices_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            make_sweep("oracle_compare_mixed", CFG, threshold_choices_db=())
 
     def test_base_split_must_sum_to_one(self):
         with pytest.raises(ValueError, match="base_split"):
@@ -146,7 +162,6 @@ class TestSweepSpec:
             ("base_split", (math.nan, 0.8)),
             ("extension_fraction", math.nan),
             ("requesting_users", math.inf),
-            ("enumeration_cap", math.nan),
         ],
     )
     def test_non_finite_entries_rejected(self, key, value):
@@ -155,7 +170,7 @@ class TestSweepSpec:
             SweepSpec(kind="power_sweep", trials=1, config=CFG3, **fields)
 
     @pytest.mark.parametrize(
-        "key,value", [("requesting_users", 2.5), ("requesting_users", 0), ("enumeration_cap", 12.5), ("enumeration_cap", 0)]
+        "key,value", [("requesting_users", 2.5), ("requesting_users", 0)]
     )
     def test_counts_must_be_positive_integers(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
@@ -459,10 +474,9 @@ class TestSerialization:
             grid=np.array([30.0, 40.0]),
             threshold_choices_db=np.array([5.0, 10.0]),
             requesting_users=np.int64(4),
-            enumeration_cap=np.int64(6),
         )
         assert spec.threshold_choices_db == (5.0, 10.0) and type(spec.threshold_choices_db[0]) is float
-        assert type(spec.requesting_users) is int and type(spec.enumeration_cap) is int
+        assert type(spec.requesting_users) is int
         meta = run_sweep(spec).metadata
         plain = make_sweep(
             "oracle_compare_mixed",
@@ -471,7 +485,6 @@ class TestSerialization:
             grid=(30.0, 40.0),
             threshold_choices_db=(5.0, 10.0),
             requesting_users=4,
-            enumeration_cap=6,
         )
         assert json.dumps(meta, sort_keys=True) == json.dumps(run_sweep(plain).metadata, sort_keys=True)
 
