@@ -21,6 +21,12 @@ from .units import db_to_linear, is_whole, require_finite, store_python_numbers
 # ranking the interference span.
 _RANK_RTOL = 1e-10
 
+# numpy's SeedSequence pool size and hash constants, and PCG64's multiplier. NEP 19
+# keeps both seedings stable across numpy versions.
+_SEED_POOL, _MASK32, _MASK128 = 4, (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
 
 class DegenerateChannelError(ValueError):
     """Raised when no unit-norm combiner can cancel the interfering columns."""
@@ -141,6 +147,59 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
     return (u @ (w / norm[..., None])[..., None])[..., 0]
 
 
+def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:
+    """The constants SeedSequence's hash steps through: call k xors entry k, then multiplies by entry k + 1."""
+    consts = [const]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``value`` under ``len(consts) - 1`` successive calls."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _pcg64_seeds(words: np.ndarray) -> list:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of at least ``_SEED_POOL``
+    uint32 words; each pass of numpy's loops over the pool is one step on all rows."""
+    consts = _hash_constants(_INIT_A, _MULT_A, _SEED_POOL * words.shape[1])
+    pool = _hashmix(words[:, :_SEED_POOL], consts[: _SEED_POOL + 1])
+    k = _SEED_POOL
+    for src in range(words.shape[1]):  # the pool's own words mix into the others, then any words beyond it
+        dst = [d for d in range(_SEED_POOL) if d != src]
+        h = _hashmix(pool[:, src, None] if src < _SEED_POOL else words[:, src, None], consts[k : k + len(dst) + 1])
+        k += len(dst)
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * h
+        pool[:, dst] = mixed ^ mixed >> 16
+    state = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_POOL))
+    return state.astype("<u4").view("<u8").tolist()
+
+
+def _trial_streams(keys: Sequence[Sequence[int]]):
+    """Yield, for each key of non-negative ints in turn, one shared generator set to the
+    state of ``np.random.default_rng(np.random.SeedSequence(list(key)))``; draw from it
+    before taking the next. SeedSequence's hash runs once on uint32 arrays (keys of up to
+    ``_SEED_POOL`` words hash as their zero-padded form, longer keys are grouped by
+    length); each key then costs PCG64's two 128-bit seeding steps."""
+    words = [
+        list(key) if max(key) <= _MASK32 else [n >> s & _MASK32 for n in key for s in range(0, n.bit_length() or 1, 32)]
+        for key in keys
+    ]
+    seeds = {}
+    for n in {max(len(w), _SEED_POOL) for w in words}:
+        rows = [i for i, w in enumerate(words) if max(len(w), _SEED_POOL) == n]
+        padded = np.array([words[i] + [0] * (n - len(words[i])) for i in rows], dtype=np.uint32)
+        seeds.update(zip(rows, _pcg64_seeds(padded)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in map(seeds.get, range(len(words))):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = {"state": (((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def draw_cluster(
     config: SystemConfig, cluster_index: int = 0, trial_seed: int | Sequence[int] = 0
 ) -> ClusterRealization:
@@ -148,14 +207,16 @@ def draw_cluster(
 
     Fading entries are i.i.d. circularly-symmetric complex Gaussian with unit
     variance; user distances are uniform over ``cell_radius_range_km`` and the
-    resulting path loss scales each channel matrix. The stream is keyed by
-    ``(rng_seed, cluster_index, trial_seed)`` so a given triple always
-    reproduces the same realization, independent of call order.
+    resulting path loss scales each channel matrix. Trial ``t`` draws from the
+    stream ``default_rng(SeedSequence([rng_seed, cluster_index, t]))``: the
+    distances, then the real and then the imaginary parts of the fading. So a
+    given triple always reproduces the same realization, independent of call
+    order.
 
-    ``trial_seed`` may also be a 1-D sequence of trial seeds. Each trial still
-    draws from its own stream, and the result stacks the trials on a leading
-    axis; trial ``i`` of it equals ``draw_cluster(config, cluster_index,
-    trial_seed[i])`` bit for bit.
+    ``trial_seed`` may also be a 1-D sequence of trial seeds, whose streams are
+    seeded together by :func:`_trial_streams`. The result stacks the trials on
+    a leading axis; trial ``i`` of it equals ``draw_cluster(config,
+    cluster_index, trial_seed[i])`` bit for bit.
     """
     if not 0 <= cluster_index < config.tx_antennas:
         raise ValueError("cluster_index must select one precoder column")
@@ -171,12 +232,12 @@ def draw_cluster(
 
     lo, hi = config.cell_radius_range_km
     distances = np.empty((len(trials), n_users))
-    channels = np.empty((len(trials), n_users, n_rx, n_tx), dtype=complex)
-    for i, t in enumerate(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([config.rng_seed, int(cluster_index), int(t)]))
+    normals = np.empty((len(trials), 2, n_users, n_rx, n_tx))  # real parts, then imaginary
+    for i, rng in enumerate(_trial_streams([(config.rng_seed, int(cluster_index), int(t)) for t in trials])):
         distances[i] = rng.uniform(lo, hi, size=n_users)
-        channels[i].real = rng.standard_normal((n_users, n_rx, n_tx))
-        channels[i].imag = rng.standard_normal((n_users, n_rx, n_tx))
+        rng.standard_normal(out=normals[i])
+    channels = np.empty((len(trials), n_users, n_rx, n_tx), dtype=complex)
+    channels.real, channels.imag = normals[:, 0], normals[:, 1]
     channels /= math.sqrt(2.0)  # unit-variance fading
     pathloss_db = config.pathloss_fixed_db + config.pathloss_slope * np.log10(distances)
     channels *= (10.0 ** (-pathloss_db / 20.0))[..., None, None]

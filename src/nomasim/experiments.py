@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .admission import _optimal_admit_batch, _sequential_admit_batch
-from .channel import ClusterRealization, SystemConfig, draw_cluster
+from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 from .units import db_to_linear, is_whole, require_finite, store_python_numbers
 
@@ -311,15 +311,15 @@ def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trial
     return rows
 
 
-def _mixed_thresholds_db(spec: SweepSpec, trial: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([spec.config.rng_seed, trial, _THRESHOLD_STREAM])
-    )
-    return rng.choice(np.asarray(spec.threshold_choices_db, dtype=float), size=spec.requesting_users)
+def _mixed_thresholds_db(spec: SweepSpec, trials) -> np.ndarray:
+    """Targets of shape (trials, users); trial t's stream is keyed ``[rng_seed, t, _THRESHOLD_STREAM]``."""
+    choices = np.asarray(spec.threshold_choices_db, dtype=float)
+    keys = [(spec.config.rng_seed, int(t), _THRESHOLD_STREAM) for t in trials]
+    return np.stack([rng.choice(choices, size=spec.requesting_users) for rng in _trial_streams(keys)])
 
 
 def _oracle_mixed_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
-    thresholds = db_to_linear(np.stack([_mixed_thresholds_db(spec, int(t)) for t in trials]))
+    thresholds = db_to_linear(_mixed_thresholds_db(spec, trials))
     gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :]
     return _admission_rows(gains, thresholds[:, None, :], optimum=True)
 

@@ -110,13 +110,12 @@ def optimal_dof_fractions(gains, split) -> np.ndarray:
     :func:`oma_sum_upper_bound`. If no user receives any power the split is
     uniform (every share then yields zero rate anyway).
     """
-    p = _received(*_columns(gains, split))
-    total = _sum_users(p)
+    g, w = _columns(gains, split)
+    total = _sum_users(_received(g, w))
     positive = total > 0
-    denom = np.where(positive, total, 1.0)
-    with np.errstate(invalid="ignore"):
-        lam = np.stack([pk / denom for pk in p], axis=-1)
-    lam[~positive] = 1.0 / len(p)
+    with np.errstate(invalid="ignore"):  # the products _received forms, as one array
+        lam = np.multiply(split, gains, dtype=float) / np.where(positive, total, 1.0)[..., None]
+    lam[~positive] = 1.0 / len(g)
     return lam
 
 

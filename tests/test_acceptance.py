@@ -65,7 +65,7 @@ def series_means(result, scheme, metric):
 @pytest.fixture(scope="session")
 def bench_gains():
     """Unscaled effective gains of the admission benchmark ensemble."""
-    return [draw_cluster(BENCH, 0, t).effective_gains for t in range(1000)]
+    return draw_cluster(BENCH, 0, range(1000)).effective_gains
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +82,7 @@ def mixed_pairs(bench_gains):
     rates = np.empty_like(counts)
     condition = np.empty((1000, len(POWERS)), dtype=bool)
     instances = []
-    for t, eff in enumerate(bench_gains):
-        thr_db = _mixed_thresholds_db(spec, t)
+    for t, (eff, thr_db) in enumerate(zip(bench_gains, _mixed_thresholds_db(spec, range(1000)))):
         for j, p in enumerate(POWERS):
             inst = AdmissionInstance.from_db(BENCH.rho_at(p) * eff, thr_db)
             gre = greedy_admit(inst)
@@ -208,8 +207,8 @@ def test_c06d_composition_dp_matches_enumeration(bench_gains, mixed_pairs):
     counts, rates, _ = mixed_pairs
     spec = make_sweep("oracle_compare_mixed", BENCH, trials=1000)
     rho = np.array([BENCH.rho_at(p) for p in POWERS])
-    gains = rho[:, None] * np.array(bench_gains)[:, None, :]
-    thresholds = np.stack([db_to_linear(_mixed_thresholds_db(spec, t)) for t in range(1000)])
+    gains = rho[:, None] * bench_gains[:, None, :]
+    thresholds = db_to_linear(_mixed_thresholds_db(spec, range(1000)))
     count, rate = _optimal_admit_batch(gains, thresholds[:, None, :])  # all 5000 instances at once
     np.testing.assert_array_equal(count, counts[..., 1])
     np.testing.assert_allclose(rate, rates[..., 1], rtol=0, atol=1e-12)

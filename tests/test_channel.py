@@ -11,7 +11,8 @@ from nomasim import (
     SystemConfig,
     draw_cluster,
 )
-from nomasim.channel import _combiners
+from nomasim.channel import _combiners, _trial_streams
+from nomasim.experiments import _THRESHOLD_STREAM
 
 
 def combiner(h, own_column_index):
@@ -242,3 +243,56 @@ class TestBatchedDraw:
         for l in range(cfg.users_per_cluster):
             v = combiner(r.channels[1, l], 1)
             np.testing.assert_array_equal(v, r.detection_vectors[1, l])
+
+
+def numpy_stream(key):
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+class TestTrialStreams:
+    """The batched seeding is pinned to numpy's own SeedSequence and PCG64."""
+
+    KEYS = [
+        *[(190, ci, t) for ci in range(3) for t in (0, 2**32 - 1, 2**32, 2**64 + 5)],
+        (2**32 + 7, 1, 3),
+        (2**40, 2, 2**64 + 5),  # six entropy words: the pool's extra mixing rounds
+        (2**64 - 1, 0, 2**32 - 1, 7),
+        (190, 12, _THRESHOLD_STREAM),
+        (2**33, 2**64 + 5, _THRESHOLD_STREAM),
+        (0,),
+    ]
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_one_key_matches_seed_sequence(self, key):
+        (rng,) = _trial_streams([key])
+        ref = numpy_stream(key)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+    def test_mixed_widths_keep_key_order(self):
+        draws = []
+        for key, rng in zip(self.KEYS, _trial_streams(self.KEYS)):
+            assert rng.bit_generator.state == numpy_stream(key).bit_generator.state, key
+            draws.append((rng.integers(0, 3, size=3), rng.uniform(size=2)))
+        for key, (ints, uniforms) in zip(self.KEYS, draws):
+            ref = numpy_stream(key)
+            np.testing.assert_array_equal(ints, ref.integers(0, 3, size=3))
+            np.testing.assert_array_equal(uniforms, ref.uniform(size=2))
+
+    @pytest.mark.parametrize("users", [2, 3, 8])
+    def test_draw_equals_a_per_trial_generator_loop(self, users):
+        cfg = SystemConfig(users_per_cluster=users, rng_seed=2**32 + 190)
+        trials = [0, 7, 2**32, 2**64 + 5]
+        for ci in range(cfg.tx_antennas):
+            batch = draw_cluster(cfg, ci, trials)
+            for i, t in enumerate(trials):
+                rng = numpy_stream([cfg.rng_seed, ci, t])
+                distances = rng.uniform(*cfg.cell_radius_range_km, size=users)
+                h = np.empty((users, cfg.rx_antennas, cfg.tx_antennas), dtype=complex)
+                h.real = rng.standard_normal(h.shape)
+                h.imag = rng.standard_normal(h.shape)
+                h /= math.sqrt(2.0)
+                h *= (10.0 ** (-(cfg.pathloss_fixed_db + cfg.pathloss_slope * np.log10(distances)) / 20.0))[:, None, None]
+                order = batch.sort_order[i]
+                np.testing.assert_array_equal(batch.distances_km[i], distances[order])
+                np.testing.assert_array_equal(batch.channels[i], h[order])

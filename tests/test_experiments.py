@@ -141,6 +141,16 @@ class TestSweepSpec:
         for p in ((40.0,), (50.0,)):
             assert 0 <= means[p, "greedy_mixed", "admitted_count"] <= means[p, "exhaustive_mixed", "admitted_count"] <= 24
 
+    @pytest.mark.parametrize("seed", [190, 2**32 + 5])
+    def test_mixed_targets_are_each_trials_own_choice_draw(self, seed):
+        spec = make_sweep("oracle_compare_mixed", CFG.with_(rng_seed=seed), requesting_users=9)
+        trials = [0, 1, 255, 256, 2**32, 2**64 + 5]
+        targets = experiments._mixed_thresholds_db(spec, trials)
+        assert targets.shape == (len(trials), 9)
+        for row, t in zip(targets, trials):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, experiments._THRESHOLD_STREAM]))
+            np.testing.assert_array_equal(row, rng.choice(np.asarray(spec.threshold_choices_db), size=9))
+
     def test_threshold_choices_must_be_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             make_sweep("oracle_compare_mixed", CFG, threshold_choices_db=())

@@ -109,6 +109,17 @@ class TestOrthogonalRates:
         lam = optimal_dof_fractions([10.0, 5.0], [0.0, 0.0])
         np.testing.assert_allclose(lam, [0.5, 0.5])
 
+    def test_zero_power_rows_of_a_stack_are_uniform(self):
+        g = np.array([[[10.0, 5.0, 1.0], [0.0, 0.0, 0.0]], [[4.0, 2.0, 0.0], [4.0, 4.0, 4.0]]])
+        w = np.array([[[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], [[0.0, 0.0, 1.0], [0.5, 0.25, 0.25]]])
+        lam = optimal_dof_fractions(g, w)
+        np.testing.assert_array_equal(lam[0, 1], [1 / 3] * 3)
+        np.testing.assert_array_equal(lam[1, 0], [1 / 3] * 3)
+        np.testing.assert_array_equal(lam[0, 0], np.array([2.0, 1.5, 0.5]) / 4.0)
+        np.testing.assert_array_equal(lam[1, 1], [0.5, 0.25, 0.25])
+        for index in np.ndindex(g.shape[:-1]):
+            np.testing.assert_array_equal(lam[index], optimal_dof_fractions(g[index], w[index]))
+
     def test_optimal_fractions_attain_the_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
