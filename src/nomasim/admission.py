@@ -9,17 +9,18 @@ search over the same per-subset allocation rule defines it, and a composition
 DP computes it exactly without enumerating subsets.
 
 Gains are on SNR scale (transmit-to-noise ratio and path loss folded in) and
-sorted in decreasing order; targets are linear. One instance's allocation
-runs on plain Python floats (:func:`allocate_sequential`), a handful of
-scalar operations per user. The batch kernels stack instances on leading
-axes and repeat those IEEE operations in the same order on arrays, so they
-equal the per-instance rules bit for bit: :func:`_sequential_admit_batch`
-gives :func:`greedy_admit`'s results, and :func:`_exhaustive_admit_batch`
-is the subset search, of which :func:`exhaustive_admit` is a batch of one.
-Sweeps take the optimum from :func:`_optimal_admit_batch`, a composition DP
-in the allocation's own arithmetic whose counts equal the enumeration's
-exactly (sum rates within rounding). The enumeration stays the reference
-that ``verify`` and the tests check the other rules against.
+sorted in decreasing order; targets are linear. :func:`greedy_admit` and
+:func:`exhaustive_admit` take one :class:`AdmissionInstance` and give an
+:class:`AdmissionResult`; every other function takes ``(gains, thresholds[,
+count])`` arrays, instances stacked on leading axes. The batch kernels repeat
+the IEEE operations of :func:`allocate_sequential` (plain Python floats) in
+its order on arrays, so :func:`_sequential_admit_batch` equals
+:func:`greedy_admit` bit for bit, and :func:`_exhaustive_admit_batch` is the
+subset search, of which :func:`exhaustive_admit` is a batch of one. Sweeps
+take the optimum from :func:`_optimal_admit_batch`, a composition DP in the
+allocation's own arithmetic whose counts equal the enumeration's exactly (sum
+rates within rounding); the enumeration stays the reference that ``verify``
+and the tests check the other rules against.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from functools import cache
 
 import numpy as np
 
-from .units import db_to_linear, is_whole
+from .units import db_to_linear
 
-# Sum rates this close count as a tie in the subset search, broken toward the
-# lexicographically smallest index set.
+# Sum rates this close to the highest count as a tie in the subset search,
+# broken toward the subset enumerated first.
 _RATE_TIE_TOL = 1e-12
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -61,6 +62,14 @@ def _stacked(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(t)) or np.any(t <= 0):
         raise ValueError("sinr_thresholds must be finite and positive")
     return g, t
+
+
+def _counts(count, users: int) -> np.ndarray:
+    """Admitted counts of stacked instances as ints, validated as a whole."""
+    c = np.asarray(count)
+    if c.dtype.kind not in "iuf" or np.any(c != np.round(c)) or np.any((c < 0) | (c > users)):
+        raise ValueError("count must be an integer within the requesting list")
+    return c.astype(int)
 
 
 @dataclass(frozen=True)
@@ -128,38 +137,26 @@ def allocate_sequential(gains, thresholds) -> tuple[list[float], bool]:
     return coeffs, True
 
 
-def _achieved(gains, coeffs) -> tuple[list[float], float]:
-    """Per-user SINRs and sum rate for an allocation along ``gains``."""
+def _admission_result(instance: AdmissionInstance, admitted, coeffs: list[float]) -> AdmissionResult:
+    """Result of admitting the users ``admitted`` (a prefix slice or an index
+    array, in gain order) with their shares ``coeffs``; SINRs and the sum
+    rate follow the allocation in its order."""
     sinrs: list[float] = []
-    rate = 0.0
-    total = 0.0
-    for g, w in zip(gains, coeffs):
+    rate = total = 0.0
+    for g, w in zip(instance.gains[admitted].tolist(), coeffs):
         sinr = w * g / (1.0 + g * total)
         sinrs.append(sinr)
         rate += math.log2(1.0 + sinr)
         total = total + w
-    return sinrs, rate
+    power, achieved = np.zeros(len(instance)), np.zeros(len(instance))
+    power[admitted], achieved[admitted] = coeffs, sinrs
+    return AdmissionResult(len(coeffs), power, 1.0 - math.fsum(coeffs), rate, achieved)
 
 
 def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
     """Admit users sequentially in decreasing-gain order until power runs out."""
-    g = [float(x) for x in instance.gains]
-    t = [float(x) for x in instance.sinr_thresholds]
-    coeffs, _ = allocate_sequential(g, t)
-    count = len(coeffs)
-    n = len(g)
-    power = np.zeros(n)
-    power[:count] = coeffs
-    sinrs_list, rate = _achieved(g[:count], coeffs)
-    sinrs = np.zeros(n)
-    sinrs[:count] = sinrs_list
-    return AdmissionResult(
-        admitted_count=count,
-        power_coefficients=power,
-        residual_power=1.0 - math.fsum(coeffs),
-        sum_rate_bps_hz=rate,
-        achieved_sinrs=sinrs,
-    )
+    coeffs, _ = allocate_sequential(instance.gains.tolist(), instance.sinr_thresholds.tolist())
+    return _admission_result(instance, slice(0, len(coeffs)), coeffs)
 
 
 def _sequential_admit_batch(gains, thresholds, detail: bool = False):
@@ -179,8 +176,7 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     ``achieved_sinrs``, bit for bit.
     """
     g, t = _stacked(gains, thresholds)
-    total = np.zeros(g.shape[:-1])
-    rate = np.zeros(g.shape[:-1])
+    total, rate = np.zeros(g.shape[:-1]), np.zeros(g.shape[:-1])
     count = np.zeros(g.shape[:-1], dtype=int)
     admitted = np.ones(g.shape[:-1], dtype=bool)
     if detail:
@@ -202,27 +198,20 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     return (count, rate, shares, sinrs) if detail else (count, rate)
 
 
-def cumulative_power_closed_form(instance, count):
+def cumulative_power_closed_form(gains, thresholds, count) -> np.ndarray:
     """Total power the first ``count`` users take, in closed form.
 
     Equivalent to running the sequential allocation and summing, but built
     from an independent expression: each user's target over its gain, grown by
     the compound ``(target + 1)`` factors of everyone admitted after it.
-    ``instance`` is one :class:`AdmissionInstance`, giving a float, or a
-    ``(gains, thresholds)`` pair stacking instances on leading axes, validated
-    as :func:`_sequential_admit_batch` validates them, with ``count`` an
-    integer array over those axes; the result is then an array. Either way
-    each instance goes through the same operations in the same order.
+    Instances stack on leading axes as in :func:`_sequential_admit_batch`,
+    ``count`` holds an integer per instance, and the result is an array over
+    those axes; each instance goes through the same operations in the same
+    order, so it does not depend on the rest of its stack.
     """
-    if isinstance(instance, AdmissionInstance):
-        g, t = instance.gains, instance.sinr_thresholds
-    else:
-        g, t = _stacked(*instance)
+    g, t = _stacked(gains, thresholds)
     n = g.shape[-1]
-    c = np.asarray(count)
-    if c.dtype.kind not in "iuf" or np.any(c != np.round(c)) or np.any((c < 0) | (c > n)):
-        raise ValueError("count must be an integer within the requesting list")
-    counted = np.arange(n) < c[..., None]
+    counted = np.arange(n) < _counts(count, n)[..., None]
     if np.any(counted & ~(g > 0)):
         raise ValueError("all counted users need a positive gain")
     total = 0.0
@@ -232,7 +221,7 @@ def cumulative_power_closed_form(instance, count):
             for i in range(k + 1, n):
                 term = term * np.where(counted[..., i], t[..., i] + 1.0, 1.0)
             total = total + np.where(counted[..., k], term, 0.0)
-    return float(total) if isinstance(instance, AdmissionInstance) else total
+    return total
 
 
 def _members(code: np.ndarray, users: int) -> np.ndarray:
@@ -260,17 +249,16 @@ def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, sum rates and winning subsets of one pass of instances.
+    """Counts, sum rates and winners' member masks of one pass of instances.
 
     ``g`` and ``t`` hold one instance per row. Feasibility walks the users
     once with :func:`allocate_sequential`'s operations in its order, on
     (instances, subsets) arrays indexed by code: the subsets holding user k
     as their last member are those of users ``0..k-1`` with k added, so each
     step extends the ``2**k`` subsets built so far. Rates then follow for
-    the feasible subsets of the best size alone, with :func:`_achieved`'s
-    operations. The winner is the first subset in enumeration order that
-    beats the best so far by more than ``_RATE_TIE_TOL``, as a scan in that
-    order would pick it.
+    the feasible subsets of the best size alone, in the operations of
+    :func:`_admission_result`. The winner is the first of them in enumeration
+    order whose rate is within ``_RATE_TIE_TOL`` of their highest.
     """
     batch, users = g.shape
     cost = t / g  # a zero gain costs inf, more than is ever left
@@ -299,36 +287,23 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     terms = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), dtype=float, count=sinr.size)
     rate = np.add.accumulate(terms.reshape(sinr.shape), axis=-1)[:, -1]  # added in user order
 
-    # Candidate ranks within each instance, then the scan over ranks. A
-    # candidate no higher than an earlier one of its instance is never
-    # picked (the best so far is within the tolerance of every earlier
-    # rate), so only ranks where some instance reaches a new high are read.
-    start = np.searchsorted(inst, np.arange(batch))
-    rank = np.arange(len(inst)) - start[inst]
-    ranked = np.full((batch, rank.max() + 1), -np.inf)
-    ranked[inst, rank] = rate
-    rising = np.ones(ranked.shape[-1], dtype=bool)
-    rising[1:] = (ranked[:, 1:] > np.maximum.accumulate(ranked, axis=-1)[:, :-1]).any(axis=0)
-    won = np.full(batch, -np.inf)
-    pick = np.zeros(batch, dtype=int)
-    for j in np.flatnonzero(rising):
-        beats = ranked[:, j] > won + _RATE_TIE_TOL
-        won = np.where(beats, ranked[:, j], won)
-        pick = np.where(beats, j, pick)
-    return best, won, subset[start + pick]
+    # Candidates are grouped by instance, each group in enumeration order.
+    first = np.searchsorted(inst, np.arange(batch))
+    tied = np.flatnonzero(np.maximum.reduceat(rate, first)[inst] - rate <= _RATE_TIE_TOL)
+    pick = tied[np.searchsorted(inst[tied], np.arange(batch))]
+    return best, rate[pick], members[pick]
 
 
 def _exhaustive_admit_batch(gains, thresholds):
     """Best admission subset of a whole batch of instances, by enumeration.
 
     Same contract as :func:`_sequential_admit_batch`, with the objective of
-    :func:`exhaustive_admit`: most users, then the highest sum rate, rate
-    ties within ``_RATE_TIE_TOL`` going to the subset enumerated first. Gives
-    counts, sum rates and the index of each winning subset in
-    :func:`_subset_table`'s order, equal to :func:`exhaustive_admit`'s bit
-    for bit. Instances run in passes of at most ``_ENUMERATION_PASS_STATES``
-    (instance, subset) states, or one instance if it alone has more; an
-    instance's results do not depend on the rest of its pass. Instances above
+    :func:`exhaustive_admit`: most users, then the highest sum rate, with its
+    tie rule. Gives counts, sum rates and each winner's member mask (users on
+    the last axis), equal to :func:`exhaustive_admit`'s bit for bit. Instances
+    run in passes of at most ``_ENUMERATION_PASS_STATES`` (instance, subset)
+    states, or one instance if it alone has more; an instance's results do
+    not depend on the rest of its pass. Instances above
     ``DEFAULT_ENUMERATION_CAP`` users are refused: the search is exponential.
     """
     g, t = _stacked(gains, thresholds)
@@ -337,15 +312,13 @@ def _exhaustive_admit_batch(gains, thresholds):
         raise ValueError(f"instance has {users} users, above the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     g, t = g.reshape(-1, users), t.reshape(-1, users)
     code, sizes = _subset_table(users)
-    count = np.empty(len(g), dtype=int)
-    rate = np.empty(len(g))
-    subset = np.empty(len(g), dtype=int)
+    count, rate, members = np.empty(len(g), dtype=int), np.empty(len(g)), np.empty(g.shape, dtype=bool)
     step = max(1, _ENUMERATION_PASS_STATES // len(code))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, len(g), step):
             part = slice(lo, lo + step)
-            count[part], rate[part], subset[part] = _enumeration_pass(g[part], t[part], code, sizes)
-    return count.reshape(shape), rate.reshape(shape), subset.reshape(shape)
+            count[part], rate[part], members[part] = _enumeration_pass(g[part], t[part], code, sizes)
+    return count.reshape(shape), rate.reshape(shape), members.reshape(shape + (users,))
 
 
 def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
@@ -353,26 +326,16 @@ def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
 
     Every subset is allocated with the same sequential rule (in decreasing
     gain order within the subset); a subset is feasible only if all its
-    members fit. Rate ties within ``1e-12`` resolve to the lexicographically
-    smallest index set. Refused above ``DEFAULT_ENUMERATION_CAP`` users since
-    the search is exponential. A batch of one of :func:`_exhaustive_admit_batch`.
+    members fit. Subsets are enumerated by size, descending, then in
+    lexicographic order of their index sets; among the feasible subsets of
+    the largest size, the first whose sum rate is within ``_RATE_TIE_TOL``
+    (``1e-12``) of their highest wins. Refused above
+    ``DEFAULT_ENUMERATION_CAP`` users since the search is exponential. A
+    batch of one of :func:`_exhaustive_admit_batch`.
     """
-    count, rate, subset = _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)
-    combo = np.flatnonzero(_members(_subset_table(len(instance))[0][subset], len(instance)))
-    g = [float(x) for x in instance.gains[combo]]
-    coeffs, _ = allocate_sequential(g, [float(x) for x in instance.sinr_thresholds[combo]])
-    sinrs_list, _ = _achieved(g, coeffs)
-    power = np.zeros(len(instance))
-    sinrs = np.zeros(len(instance))
-    power[combo] = coeffs
-    sinrs[combo] = sinrs_list
-    return AdmissionResult(
-        admitted_count=int(count),
-        power_coefficients=power,
-        residual_power=1.0 - math.fsum(coeffs),
-        sum_rate_bps_hz=float(rate),
-        achieved_sinrs=sinrs,
-    )
+    combo = np.flatnonzero(_exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)[2])
+    coeffs, _ = allocate_sequential(instance.gains[combo].tolist(), instance.sinr_thresholds[combo].tolist())
+    return _admission_result(instance, combo, coeffs)
 
 
 def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndarray]:
@@ -467,8 +430,7 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", over="ignore"):
         cost = t / g  # a zero gain costs inf
 
-    count = np.empty(len(t), dtype=int)
-    rate = np.empty(len(t))
+    count, rate = np.empty(len(t), dtype=int), np.empty(len(t))
     bounds = [tuple(s + 1 for s in row) for row in sizes.tolist()]
     order = sorted(range(len(t)), key=bounds.__getitem__)  # like shapes share a pass
     start = 0
@@ -485,13 +447,16 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return count.reshape(shape), rate.reshape(shape)
 
 
-def greedy_optimality_condition(instance: AdmissionInstance, admitted_count: int) -> bool:
+def greedy_optimality_condition(gains, thresholds, count) -> np.ndarray:
     """Sufficient condition for the sequential count k to be the optimal count.
 
-    Users are numbered 1..n in decreasing-gain order, with cost ``c = t/g``.
-    It holds when (a) ``c`` does not decrease over the admitted users 1..k,
-    (b) no admitted user's target exceeds a rejected user's, and (c) the first
-    rejected user's target ``t[k+1]`` is no larger than any later user's.
+    Instances stack as in :func:`cumulative_power_closed_form`, ``count``
+    holding each one's sequential count; the result is a boolean array over
+    the stack. Users are numbered 1..n in decreasing-gain order, with cost
+    ``c = t/g``. It holds when the admitted gains are positive and (a) ``c``
+    does not decrease over the admitted users 1..k, (b) no admitted user's
+    target exceeds a rejected user's, and (c) the first rejected user's
+    target ``t[k+1]`` is no larger than any later user's.
 
     Proof (exact arithmetic). A set's power builds up in gain order as
     ``P <- P (1 + t) + c``, increasing in ``P``, so dropping a user never
@@ -506,30 +471,29 @@ def greedy_optimality_condition(instance: AdmissionInstance, admitted_count: int
     Repeating reaches the prefix, which the scan found over budget, so no set
     of k+1 or more users fits.
     """
-    if not is_whole(admitted_count, 0) or admitted_count > len(instance):
-        raise ValueError("admitted_count must be an integer within the requesting list")
-    l = int(admitted_count)
-    g = instance.gains
-    t = instance.sinr_thresholds
-    if np.any(g[:l] <= 0):
-        return False
-    ratios = t[:l] / g[:l]
-    if np.any(np.diff(ratios) < 0):
-        return False
-    if l < len(instance) and l > 0 and t[:l].max() > t[l:].min():
-        return False
-    if l + 1 < len(instance) and t[l] > t[l + 1 :].min():
-        return False
-    return True
+    g, t = _stacked(gains, thresholds)
+    user = np.arange(g.shape[-1])
+    k = _counts(count, len(user))[..., None]  # user k (from 0) is the first rejected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        falling = np.diff(t / g, axis=-1) < 0
+
+    def lowest(where):  # lowest target among the users ``where`` marks, inf if none
+        return np.min(t, axis=-1, where=where, initial=np.inf)
+
+    positive = ~np.any((user < k) & (g <= 0), axis=-1)
+    rising_cost = ~np.any(falling & (user[1:] < k), axis=-1)  # (a)
+    admitted_below = np.max(t, axis=-1, where=user < k, initial=-np.inf) <= lowest(user >= k)  # (b)
+    return positive & rising_cost & admitted_below & (lowest(user == k) <= lowest(user > k))  # (c)
 
 
-def aligned_thresholds(instance: AdmissionInstance) -> bool:
+def aligned_thresholds(thresholds) -> np.ndarray:
     """True when SINR targets never decrease along the admission order.
 
     Under this alignment (better channel never demands a higher target) the
     sequential scheme provably admits the maximum feasible number of users:
     any competing subset of a given size costs at least as much power,
     position by position. Equal targets are the simplest aligned case.
+    Targets stack on leading axes; the result is a boolean array over them.
     """
-    t = instance.sinr_thresholds
-    return bool(np.all(t[:-1] <= t[1:]))
+    _, t = _stacked(0.0, thresholds)  # zero gains pass, so only the targets are checked
+    return np.all(t[..., :-1] <= t[..., 1:], axis=-1)

@@ -21,7 +21,6 @@ from functools import reduce
 import numpy as np
 
 from .admission import (
-    AdmissionInstance,
     _exhaustive_admit_batch,
     _sequential_admit_batch,
     aligned_thresholds,
@@ -186,7 +185,7 @@ def closed_form_error(gains, thresholds) -> np.ndarray:
     the sequential scheme's shares."""
     count, _, shares, _ = _sequential_admit_batch(gains, thresholds, detail=True)
     running = np.fromiter(map(math.fsum, shares.reshape(-1, shares.shape[-1]).tolist()), dtype=float)
-    return np.abs(cumulative_power_closed_form((gains, thresholds), count) - running.reshape(count.shape))
+    return np.abs(cumulative_power_closed_form(gains, thresholds, count) - running.reshape(count.shape))
 
 
 def greedy_invariant_excess(gains, thresholds) -> np.ndarray:
@@ -305,18 +304,17 @@ def _admission_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([g for g, _ in draws]), np.array([t for _, t in draws])
 
 
-def _aligned_draws(rng, trials: int) -> list:
+def _aligned_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Every other trial has one target for all; only aligned instances stay."""
-    draws = []
+    gains, thresholds = [], []
     for t in range(trials):
-        g = _random_gains(rng, 8)
+        gains.append(_random_gains(rng, 8))
         if t % 2:
-            thr = np.full(8, float(db_to_linear(rng.choice(np.array([5.0, 10.0, 15.0])))))
+            thresholds.append(np.full(8, float(db_to_linear(rng.choice(np.array([5.0, 10.0, 15.0]))))))
         else:
-            thr = _random_thresholds(rng, 8)
-        if aligned_thresholds(AdmissionInstance(g, thr)):
-            draws.append((g, thr))
-    return draws
+            thresholds.append(_random_thresholds(rng, 8))
+    aligned = aligned_thresholds(thresholds)
+    return np.array(gains)[aligned], np.array(thresholds)[aligned]
 
 
 def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | None = None) -> list[CheckResult]:
@@ -342,5 +340,5 @@ def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | N
         CLUSTER_GROWTH.tally(evaluate_by_size(cluster_growth_excess, _growth_draws(rngs[5], trials))),
         GREEDY_INVARIANTS.tally(greedy_invariant_excess(*_admission_draws(rngs[6], trials))),
         EXHAUSTIVE_DOMINANCE.tally(exhaustive_dominance_excess(*_admission_draws(rngs[7], min(trials, 500)))),
-        ALIGNED_CONDITION.tally(evaluate_by_size(aligned_count_gap, _aligned_draws(rngs[8], trials))),
+        ALIGNED_CONDITION.tally(aligned_count_gap(*_aligned_draws(rngs[8], trials))),
     ]

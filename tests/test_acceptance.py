@@ -31,7 +31,7 @@ from nomasim import (
     run_sweep,
     two_user_gap_maximizer,
 )
-from nomasim.admission import _exhaustive_admit_batch, _optimal_admit_batch
+from nomasim.admission import _exhaustive_admit_batch, _optimal_admit_batch, _sequential_admit_batch
 from nomasim.experiments import _mixed_thresholds_db
 from nomasim.verify import (
     CLOSED_FORM,
@@ -78,19 +78,13 @@ def mixed_pairs(bench_gains):
     condition for the sequential count to be optimal.
     """
     spec = make_sweep("oracle_compare_mixed", BENCH, trials=1000)
-    counts = np.empty((1000, len(POWERS), 2))
-    rates = np.empty_like(counts)
-    condition = np.empty((1000, len(POWERS)), dtype=bool)
-    instances = []
-    for t, (eff, thr_db) in enumerate(zip(bench_gains, _mixed_thresholds_db(spec, range(1000)))):
-        for j, p in enumerate(POWERS):
-            inst = AdmissionInstance.from_db(BENCH.rho_at(p) * eff, thr_db)
-            gre = greedy_admit(inst)
-            counts[t, j, 0], rates[t, j, 0] = gre.admitted_count, gre.sum_rate_bps_hz
-            condition[t, j] = greedy_optimality_condition(inst, gre.admitted_count)
-            instances.append(inst)
-    counts[..., 1], rates[..., 1] = enumerate_batch(instances, counts.shape[:2])
-    return counts, rates, condition
+    rho = np.array([BENCH.rho_at(p) for p in POWERS])
+    gains = rho[:, None] * bench_gains[:, None, :]  # (trials, powers, users)
+    thresholds = db_to_linear(_mixed_thresholds_db(spec, range(1000)))[:, None, :]
+    count, rate = _sequential_admit_batch(gains, thresholds)
+    best_count, best_rate, _ = _exhaustive_admit_batch(gains, thresholds)
+    condition = greedy_optimality_condition(gains, thresholds, count)
+    return np.stack([count, best_count], axis=-1), np.stack([rate, best_rate], axis=-1), condition
 
 
 def enumerate_batch(instances, shape):

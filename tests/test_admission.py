@@ -228,8 +228,7 @@ class TestSequentialBatch:
 
 class TestClosedForm:
     def test_hand_value(self):
-        inst = AdmissionInstance(gains=[4.0, 2.0], sinr_thresholds=[1.0, 1.0])
-        assert cumulative_power_closed_form(inst, 2) == pytest.approx(1.0, rel=1e-15)
+        assert cumulative_power_closed_form([4.0, 2.0], [1.0, 1.0], 2) == pytest.approx(1.0, rel=1e-15)
 
     @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -238,38 +237,36 @@ class TestClosedForm:
         gains = np.sort(10.0 ** rng.uniform(-2, 4, (batch, users)), axis=-1)[:, ::-1]
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(batch, users)) / 10.0)
         count, _, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
-        closed = cumulative_power_closed_form((gains, thresholds), count)  # a stack of instances
+        closed = cumulative_power_closed_form(gains, thresholds, count)  # a stack of instances
         for i, inst in enumerate(map(AdmissionInstance, gains, thresholds)):
             res = greedy_admit(inst)
             np.testing.assert_array_equal(shares[i], res.power_coefficients)
             np.testing.assert_array_equal(sinrs[i], res.achieved_sinrs)
-            single = cumulative_power_closed_form(inst, res.admitted_count)
-            assert type(single) is float and closed[i] == single  # bit for bit
+            single = cumulative_power_closed_form(gains[i], thresholds[i], res.admitted_count)
+            assert closed[i] == single  # a batch of one: the same bits
             assert abs(single - math.fsum(res.power_coefficients)) <= 1e-12
 
     def test_zero_count_costs_nothing(self):
-        inst = AdmissionInstance(gains=[4.0, 2.0], sinr_thresholds=[1.0, 1.0])
-        assert cumulative_power_closed_form(inst, 0) == 0.0
+        assert cumulative_power_closed_form([4.0, 2.0], [1.0, 1.0], 0) == 0.0
 
-    @pytest.mark.parametrize("count", [-1, 3, 1.5])
+    @pytest.mark.parametrize("count", [-1, 3, 1.5, np.nan, True])
     def test_count_validation(self, count):
-        inst = AdmissionInstance(gains=[4.0, 2.0], sinr_thresholds=[1.0, 1.0])
-        with pytest.raises(ValueError):
-            cumulative_power_closed_form(inst, count)
+        with pytest.raises(ValueError, match="count"):
+            cumulative_power_closed_form([4.0, 2.0], [1.0, 1.0], count)
 
     def test_stacked_validation(self):
         pair = (np.array([[4.0, 2.0], [4.0, 0.0]]), np.ones(2))
-        assert cumulative_power_closed_form(pair, np.array([2, 1]))[1] == 0.25
+        assert cumulative_power_closed_form(*pair, np.array([2, 1]))[1] == 0.25
         for count in ([2, 2], [2, 3], [1.5, 1], [-1, 0]):  # a zero gain counted, then bad counts
             with pytest.raises(ValueError):
-                cumulative_power_closed_form(pair, np.array(count))
+                cumulative_power_closed_form(*pair, np.array(count))
         with pytest.raises(ValueError, match="finite"):
-            cumulative_power_closed_form((np.array([[np.nan, 1.0]]), np.ones(2)), np.array([0]))
+            cumulative_power_closed_form(np.array([[np.nan, 1.0]]), np.ones(2), np.array([0]))
 
     @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
     def test_rejects_malformed_input(self, gains, thresholds):
         with pytest.raises(ValueError, match="gains|sinr_thresholds"):
-            cumulative_power_closed_form((gains, thresholds), np.zeros(np.shape(gains)[:-1], dtype=int))
+            cumulative_power_closed_form(gains, thresholds, np.zeros(np.shape(gains)[:-1], dtype=int))
 
 
 class TestExhaustiveAdmit:
@@ -294,6 +291,16 @@ class TestExhaustiveAdmit:
         assert res.admitted_count == 2
         assert res.power_coefficients[1] > 0.0
         assert res.power_coefficients[2] == 0.0
+
+    def test_rate_ties_go_to_the_first_subset_within_the_tolerance_of_the_highest(self):
+        # one user fits; the singletons' rates rise by about 0.6e-12 per user,
+        # so user 2's is the highest, user 1's is within 1e-12 of it and user
+        # 0's is not: user 1 is the first within the tolerance
+        targets = 3.0 * np.array([1.0, 1.0 + 0.55e-12, 1.0 + 1.1e-12])
+        inst = AdmissionInstance(gains=[10.0, 10.0, 10.0], sinr_thresholds=targets)
+        res = exhaustive_admit(inst)
+        assert res.admitted_count == 1
+        np.testing.assert_array_equal(res.power_coefficients > 0, [False, True, False])
 
     def test_beats_blocked_sequential_scan(self):
         # sequential stops at the middle blocker; enumeration skips past it
@@ -334,12 +341,13 @@ def small_batches(draw, min_users=1):
 
 
 def scan_subsets(gains, thresholds):
-    """The enumeration reference as a plain scan: count, sum rate and winning
-    index set of the first subset, sizes descending, that beats the best so
-    far by more than 1e-12."""
+    """The enumeration reference as a plain scan: count, sum rate and index
+    set of the winner, the first feasible subset of the largest feasible size
+    (in :func:`itertools.combinations` order) whose rate is within 1e-12 of
+    the highest rate of that size."""
     g, t = [float(x) for x in gains], [float(x) for x in thresholds]
-    best = None
     for size in range(len(g), -1, -1):
+        feasible = []
         for combo in itertools.combinations(range(len(g)), size):
             coeffs, fits = allocate_sequential([g[i] for i in combo], [t[i] for i in combo])
             if not fits:
@@ -348,29 +356,37 @@ def scan_subsets(gains, thresholds):
             for i, w in zip(combo, coeffs):
                 rate += math.log2(1.0 + w * g[i] / (1.0 + g[i] * total))
                 total = total + w
-            if best is None or rate > best[1] + 1e-12:
-                best = (size, rate, combo)
-        if best is not None:
-            return best
+            feasible.append((size, rate, combo))
+        if feasible:
+            highest = max(rate for _, rate, _ in feasible)
+            return next(f for f in feasible if highest - f[1] <= 1e-12)
+
+
+def condition_by_slices(g, t, k):
+    """The sufficient condition of one instance, read clause by clause on slices."""
+    if np.any(g[:k] <= 0) or np.any(np.diff(t[:k] / g[:k]) < 0):
+        return False
+    if 0 < k < len(g) and t[:k].max() > t[k:].min():
+        return False
+    return not (k + 1 < len(g) and t[k] > t[k + 1 :].min())
 
 
 class TestExhaustiveBatch:
     """The batched enumeration against a plain subset scan, bit for bit."""
 
-    @staticmethod
-    def members(users, subset):
-        """Index set of the subset at ``subset`` in enumeration order."""
-        return tuple(np.flatnonzero(admission._members(admission._subset_table(users)[0][subset], users)))
-
     @given(small_batches())
     @settings(max_examples=100, deadline=None)
     def test_matches_a_plain_scan(self, batch):
-        count, rate, subset = _exhaustive_admit_batch(*batch)
-        assert count.shape == rate.shape == subset.shape == batch[0].shape[:1]
+        count, rate, members = _exhaustive_admit_batch(*batch)
+        assert count.shape == rate.shape == batch[0].shape[:1] and members.shape == batch[0].shape
         for i, (g, t) in enumerate(zip(*batch)):
-            assert (count[i], rate[i], self.members(len(g), subset[i])) == scan_subsets(g, t)  # exact
+            assert (count[i], rate[i], tuple(np.flatnonzero(members[i]))) == scan_subsets(g, t)  # exact
             alone = _exhaustive_admit_batch(g, t)  # a batch of one: the same bits
-            assert tuple(alone) == (count[i], rate[i], subset[i])
+            assert (alone[0], alone[1]) == (count[i], rate[i])
+            np.testing.assert_array_equal(alone[2], members[i])
+            res = exhaustive_admit(AdmissionInstance(g, t))  # its result builder: the same subset and bits
+            assert (res.admitted_count, res.sum_rate_bps_hz) == (count[i], rate[i])
+            np.testing.assert_array_equal(res.power_coefficients > 0, members[i])
 
     def test_broadcast_batch_axes(self):
         rng = np.random.default_rng(25)
@@ -538,7 +554,7 @@ class TestOptimalityCondition:
         best = exhaustive_admit(inst)
         assert greedy.admitted_count == 2
         assert best.admitted_count == 3
-        assert not greedy_optimality_condition(inst, greedy.admitted_count)
+        assert not greedy_optimality_condition(inst.gains, inst.sinr_thresholds, greedy.admitted_count)
         np.testing.assert_allclose(
             best.power_coefficients,
             [0.003162, 0.016325, 0.0, 0.188114],
@@ -554,46 +570,56 @@ class TestOptimalityCondition:
             thresholds = 10.0 ** (rng.choice([0.0, 3.0, 5.0, 10.0, 15.0], size=(1000, n)) / 10.0)
             count, _ = _sequential_admit_batch(gains, thresholds)
             best, _ = _optimal_admit_batch(gains, thresholds)
-            for g, t, k, b in zip(gains, thresholds, count, best):
-                if k < n and greedy_optimality_condition(AdmissionInstance(gains=g, sinr_thresholds=t), k):
-                    hits += 1
-                    assert k == b
+            hit = greedy_optimality_condition(gains, thresholds, count) & (count < n)
+            np.testing.assert_array_equal(count[hit], best[hit])
+            hits += hit.sum()
         assert hits >= 500
+
+    @given(small_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_form_matches_a_per_instance_reading(self, batch):
+        gains, thresholds = batch
+        for counts in (_sequential_admit_batch(gains, thresholds)[0], np.arange(len(gains)) % (gains.shape[1] + 1)):
+            condition = greedy_optimality_condition(gains, thresholds, counts)
+            assert condition.shape == counts.shape
+            for g, t, k, holds in zip(gains, thresholds, counts, condition):
+                assert holds == condition_by_slices(g, t, k)
 
     def test_equal_targets_always_satisfy_it(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            g = np.sort(10.0 ** rng.uniform(-1, 3, n))[::-1]
-            inst = AdmissionInstance.from_db(g, np.full(n, 10.0))
-            assert greedy_optimality_condition(inst, greedy_admit(inst).admitted_count)
+        for n in range(2, 9):
+            gains = np.sort(10.0 ** rng.uniform(-1, 3, (20, n)), axis=-1)[:, ::-1]
+            count, _ = _sequential_admit_batch(gains, 10.0)
+            assert np.all(greedy_optimality_condition(gains, 10.0, count))
 
     def test_decreasing_cost_ratio_fails_it(self):
-        inst = AdmissionInstance(gains=[10.0, 9.0], sinr_thresholds=[10.0, 1.0])
-        assert not greedy_optimality_condition(inst, 2)
+        assert not greedy_optimality_condition([10.0, 9.0], [10.0, 1.0], 2)
 
     def test_admitted_target_above_rejected_target_fails_it(self):
-        inst = AdmissionInstance(gains=[10.0, 9.0, 8.0], sinr_thresholds=[1.0, 5.0, 1.0])
-        assert not greedy_optimality_condition(inst, 2)
+        assert not greedy_optimality_condition([10.0, 9.0, 8.0], [1.0, 5.0, 1.0], 2)
 
-    @pytest.mark.parametrize("count", [-1, 5, 0.5])
+    @pytest.mark.parametrize("count", [-1, 5, 0.5, [1, 3]])
     def test_count_validation(self, count):
-        inst = AdmissionInstance(gains=[10.0, 9.0], sinr_thresholds=[1.0, 1.0])
-        with pytest.raises(ValueError):
-            greedy_optimality_condition(inst, count)
+        with pytest.raises(ValueError, match="count"):
+            greedy_optimality_condition([[10.0, 9.0], [8.0, 7.0]], [1.0, 1.0], count)
+
+    @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
+    def test_rejects_malformed_input(self, gains, thresholds):
+        with pytest.raises(ValueError, match="gains|sinr_thresholds"):
+            greedy_optimality_condition(gains, thresholds, np.zeros(np.shape(gains)[:-1], dtype=int))
 
 
 class TestAlignedThresholds:
     def test_detects_alignment(self):
-        assert aligned_thresholds(
-            AdmissionInstance(gains=[10.0, 5.0], sinr_thresholds=[1.0, 2.0])
-        )
-        assert aligned_thresholds(
-            AdmissionInstance(gains=[10.0, 5.0], sinr_thresholds=[2.0, 2.0])
-        )
-        assert not aligned_thresholds(
-            AdmissionInstance(gains=[10.0, 5.0], sinr_thresholds=[2.0, 1.0])
-        )
+        assert aligned_thresholds([1.0, 2.0])
+        assert aligned_thresholds([2.0, 2.0])
+        assert not aligned_thresholds([2.0, 1.0])
+        np.testing.assert_array_equal(aligned_thresholds([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0]]), [True, False, True])
+
+    @pytest.mark.parametrize("thresholds", [[1.0, 0.0], [np.nan, 1.0], [], 1.0])
+    def test_rejects_malformed_targets(self, thresholds):
+        with pytest.raises(ValueError):
+            aligned_thresholds(thresholds)
 
     @given(small_batches(min_users=2))
     @settings(max_examples=100, deadline=None)
@@ -612,5 +638,5 @@ class TestAlignedThresholds:
             g = np.sort(10.0 ** rng.uniform(-1, 4, n))[::-1]
             t_db = np.sort(rng.choice([5.0, 10.0, 15.0], size=n))
             inst = AdmissionInstance.from_db(g, t_db)
-            assert aligned_thresholds(inst)
+            assert aligned_thresholds(inst.sinr_thresholds)
             assert greedy_admit(inst).admitted_count == exhaustive_admit(inst).admitted_count
