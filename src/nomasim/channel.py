@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import db_to_linear, is_whole, require_finite, store_python_numbers
+from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
 # Singular values below this fraction of the largest one count as zero when
 # ranking the interference span.
@@ -64,6 +64,10 @@ class SystemConfig:
             raise ValueError("users_per_cluster must be an integer >= 2")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
+        require_linear(
+            "tx_power_dbm over the noise power of noise_density_dbm_hz and bandwidth_hz",
+            self.tx_power_dbm - self.noise_power_dbm,
+        )
         lo, hi = self.cell_radius_range_km
         if not (0 < lo < hi):
             raise ValueError("cell_radius_range_km must satisfy 0 < min < max")

@@ -32,7 +32,7 @@ from . import __version__
 from .admission import _optimal_admit_batch, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
-from .units import db_to_linear, is_whole, require_finite, store_python_numbers
+from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
 # Decorrelates the threshold draws of the mixed-target benchmark from the
 # channel stream of the same trial.
@@ -93,6 +93,13 @@ class SweepSpec:
         _check_grid(entry, self.grid)
         if 0 in (len(self.power_dbm_values), len(self.target_sinr_db_values), len(self.threshold_choices_db)):
             raise ValueError("series value lists must be non-empty")
+        noise = self.config.noise_power_dbm  # a power's linear value is its ratio to the noise
+        decibels = {"power_dbm_values": noise, "target_sinr_db_values": 0.0, "threshold_choices_db": 0.0}
+        for key, offset in decibels.items():
+            if key in entry.reads:
+                require_linear(f"{key} entries", np.subtract(getattr(self, key), offset))
+        if entry.powers or entry.targets:
+            require_linear("grid entries", np.subtract(self.grid, noise if entry.powers else 0.0))
         if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
         w1, w2 = self.base_split
@@ -159,6 +166,8 @@ class _Kind:
     surface: bool = False  # grid of (strong share, mid-user fraction) pairs
     shares: bool = False  # grid entries are power shares in [0, 1]
     pools: bool = False  # grid entries are requesting-pool sizes
+    powers: bool = False  # grid entries are transmit powers in dBm
+    targets: bool = False  # grid entries are SINR targets in dB
     levels: Callable[[SweepSpec], int] | None = None  # distinct targets an oracle instance can draw
     defaults: dict = field(default_factory=dict)  # SweepSpec fields make_sweep sets
 
@@ -355,8 +364,8 @@ _KINDS = {
         3, 1, _SURFACE_GRID, _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_rate),
         surface=True, shares=True,
     ),
-    "power_sweep": _Kind(3, 1, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS),
-    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS),
+    "power_sweep": _Kind(3, 1, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS, powers=True),
+    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS, powers=True),
     "fairness_2user": _Kind(
         2, 1, _SHARE_GRID, _rate_series((2,), "jain_index"), _share_values((2,), jain_index), shares=True
     ),
@@ -366,7 +375,7 @@ _KINDS = {
     ),
     "admission_vs_sinr": _Kind(
         None, 1000, value_grid(5.0, 20.0, 2.5), _admission_series(_SEQUENTIAL, _power_labels), _sinr_values,
-        reads=("power_dbm_values", "requesting_users"),
+        reads=("power_dbm_values", "requesting_users"), targets=True,
     ),
     "admission_vs_requesting": _Kind(
         None, 1000, tuple(float(n) for n in range(2, 13)),
@@ -376,11 +385,12 @@ _KINDS = {
     "oracle_compare_equal": _Kind(
         None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, _target_labels), _oracle_equal_values,
         reads=("target_sinr_db_values", "requesting_users"), defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
-        levels=lambda spec: 1,
+        levels=lambda spec: 1, powers=True,
     ),
     "oracle_compare_mixed": _Kind(
         None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values,
         reads=("threshold_choices_db", "requesting_users"), levels=lambda spec: len(set(spec.threshold_choices_db)),
+        powers=True,
     ),
 }
 SWEEP_KINDS = tuple(_KINDS)

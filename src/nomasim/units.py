@@ -15,6 +15,15 @@ def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0) if np.ndim(value_db) else 10.0 ** (float(value_db) / 10.0)
 
 
+def require_linear(name: str, value_db) -> None:
+    """Raise ``ValueError`` naming ``name`` unless every dB value in ``value_db``
+    converts to a finite, positive float64 (it neither overflows nor underflows)."""
+    with np.errstate(over="ignore", under="ignore"):
+        linear = 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
+    if not np.all(np.isfinite(linear) & (linear > 0)):
+        raise ValueError(f"{name} must stay within float64 range on linear scale")
+
+
 def is_whole(value, minimum: int) -> bool:
     """True for an integer, or a float holding one, of at least ``minimum``; never for NaN or inf."""
     return (isinstance(value, numbers.Integral) or float(value).is_integer()) and value >= minimum

@@ -175,6 +175,27 @@ class TestDispatch:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["ergodic", "--set", "tx_power_dbm=5000"], "tx_power_dbm"),
+            (["verify", "--set", "tx_power_dbm=5000"], "tx_power_dbm"),
+            (["gap", "--set", "tx_power_dbm=5000"], "tx_power_dbm"),
+            (["ergodic", "--set", "grid=1e308"], "grid"),
+            (["admission", "--set", "power_dbm_values=1e308"], "power_dbm_values"),
+            (["ergodic", "--set", "bandwidth_hz=1e-320"], "bandwidth_hz"),
+            (["oracle-compare", "--set", "target_sinr_db_values=1e5"], "target_sinr_db_values"),
+        ],
+    )
+    def test_finite_db_value_beyond_float64_is_exit_code_2_naming_the_key(self, args, key, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        flags = {"gap": [], "verify": ["--trials", "2"]}.get(args[0], ["--trials", "2", "--out", str(out)])
+        rc = main(args + flags)
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args,key",
         [
