@@ -12,7 +12,10 @@ is short (2-6 users in practice), so the kernels loop over it and do array work
 on the leading axes; a short last axis costs numpy a loop per row. The running
 and plain sums over users add the columns in order, the IEEE operations of
 ``np.cumsum`` and (below 8 users) of ``.sum(axis=-1)``, so results equal the
-whole-array expressions bit for bit.
+whole-array expressions bit for bit. The interference power a user sees from
+the users decoded before it is an exclusive running sum, the shares before it
+added in order, not a running total minus its own share: that difference
+cancels to a few ulps of the total when an earlier share is tiny.
 """
 
 from __future__ import annotations
@@ -55,14 +58,15 @@ def _noma_columns(g: list, w: list) -> list:
 
     User l sees the power of users decoded after it (indices > l) removed by
     its own successive decoding and the power of users decoded before it as
-    interference. ``running`` is ``np.cumsum``'s running sum, so the earlier
-    power ``running - w_l`` is bit-equal to ``cumsum(w) - w``.
+    interference. That earlier power is an exclusive running sum, added after
+    each user's rate: it never subtracts a share from a total that holds it,
+    which would cancel when an earlier share is tiny.
     """
-    running = 0.0
+    earlier = 0.0
     rates = []
     for gk, wk in zip(g, w):
-        running = running + wk
-        rates.append(np.log2(1.0 + wk * gk / (1.0 + gk * (running - wk))))
+        rates.append(np.log2(1.0 + wk * gk / (1.0 + gk * earlier)))
+        earlier = earlier + wk
     return rates
 
 
@@ -154,7 +158,8 @@ def sic_feasibility_check(gains, split) -> SicFeasibility:
     if g.ndim == 0 or w.shape != g.shape:
         raise ValueError("gains and split must have equal shapes, users on the last axis")
     _require_finite(g, w)
-    earlier = np.cumsum(w, axis=-1) - w
+    earlier = np.zeros_like(w)  # the exclusive running sum of _noma_columns
+    earlier[..., 1:] = np.cumsum(w[..., :-1], axis=-1)
     rx = g[..., :, None]
     # cross[..., l, k]: rate of user k's signal when decoded at receiver l
     cross = np.log2(1.0 + w[..., None, :] * rx / (1.0 + rx * earlier[..., None, :]))
