@@ -54,7 +54,7 @@ def _stacked(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     on the last, broadcast to one float shape and validated as a whole."""
     g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
     if g.ndim == 0 or g.shape[-1] == 0:
-        raise ValueError("gains must be non-empty along the last axis")
+        raise ValueError("gains and sinr_thresholds must be non-empty along the last axis")
     if not np.all(np.isfinite(g)) or np.any(g < 0):
         raise ValueError("gains must be finite and non-negative")
     if np.any(np.diff(g, axis=-1) > 0):

@@ -313,8 +313,9 @@ def _aligned_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
             thresholds.append(np.full(8, float(db_to_linear(rng.choice(np.array([5.0, 10.0, 15.0]))))))
         else:
             thresholds.append(_random_thresholds(rng, 8))
+    gains, thresholds = np.array(gains), np.array(thresholds)
     aligned = aligned_thresholds(thresholds)
-    return np.array(gains)[aligned], np.array(thresholds)[aligned]
+    return gains[aligned], thresholds[aligned]
 
 
 def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | None = None) -> list[CheckResult]:
