@@ -39,14 +39,14 @@ _RATE_TIE_TOL = 1e-12
 
 DEFAULT_ENUMERATION_CAP = 12
 
-# Float64 states one pass of the composition DP holds per array: enough
-# instances per pass to spread the per-step overhead of its array operations,
-# few enough that a pass's working arrays (32 KiB each) stay in cache.
-_DP_PASS_STATES = 1 << 12
+# States one pass of either search holds per array, (instance, subset) or
+# (instance, composition): 256 KiB of float64, enough instances to spread the
+# per-step overhead of the array operations.
+_PASS_STATES = 1 << 15
 
-# (Instance, subset) states one enumeration pass holds per array: a 256 KiB
-# running-power array, and passes of 128 eight-user or 8 twelve-user instances.
-_ENUMERATION_PASS_STATES = 1 << 15
+# Most composition-DP states an oracle instance may need (512 KiB per
+# float64 array); a pool of at most 12 users needs at most 2**12.
+_DP_STATE_BOUND = 1 << 16
 
 
 def _stacked(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -301,9 +301,9 @@ def _exhaustive_admit_batch(gains, thresholds):
     :func:`exhaustive_admit`: most users, then the highest sum rate, with its
     tie rule. Gives counts, sum rates and each winner's member mask (users on
     the last axis), equal to :func:`exhaustive_admit`'s bit for bit. Instances
-    run in passes of at most ``_ENUMERATION_PASS_STATES`` (instance, subset)
-    states, or one instance if it alone has more; an instance's results do
-    not depend on the rest of its pass. Instances above
+    run in passes of at most ``_PASS_STATES`` (instance, subset) states, or
+    one instance if it alone has more; an instance's results do not depend
+    on the rest of its pass. Instances above
     ``DEFAULT_ENUMERATION_CAP`` users are refused: the search is exponential.
     """
     g, t = _stacked(gains, thresholds)
@@ -313,7 +313,7 @@ def _exhaustive_admit_batch(gains, thresholds):
     g, t = g.reshape(-1, users), t.reshape(-1, users)
     code, sizes = _subset_table(users)
     count, rate, members = np.empty(len(g), dtype=int), np.empty(len(g)), np.empty(g.shape, dtype=bool)
-    step = max(1, _ENUMERATION_PASS_STATES // len(code))
+    step = max(1, _PASS_STATES // len(code))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, len(g), step):
             part = slice(lo, lo + step)
@@ -343,7 +343,8 @@ def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndar
 
     ``t`` and ``cost`` (target over gain) hold one instance per row, ``level``
     each user's target level and ``values`` each instance's level targets (0
-    for a level it lacks); ``dims`` bounds the count per level over the pass.
+    for a level it lacks); ``dims`` is each instance's own count per level
+    plus one, so every instance of a pass has the same shape.
     ``power[b, c]`` is the least total, as :func:`allocate_sequential`
     computes it, of a fitting subset of the users walked so far with ``c[l]``
     users at level ``l`` (inf if none fits). Walking strongest first, user k
@@ -410,10 +411,9 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     equal :func:`exhaustive_admit`'s exactly and rates agree within rounding;
     nobody admitted gives rate 0.0. An instance with ``s_l`` users at level
     ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a
-    fixed number of levels. Instances run in passes of at most
-    ``_DP_PASS_STATES`` states (or one instance, if it alone has more), whose
-    sizes are the per-level maxima within the pass; instances of like shape
-    share a pass.
+    fixed number of levels. Instances are grouped by their exact per-level
+    counts, and each group runs in passes of at most ``_PASS_STATES`` states
+    (or one instance, if it alone has more), so no pass holds a padded state.
     """
     g, t = _stacked(gains, thresholds)
     shape, users = g.shape[:-1], g.shape[-1]
@@ -431,20 +431,27 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
         cost = t / g  # a zero gain costs inf
 
     count, rate = np.empty(len(t), dtype=int), np.empty(len(t))
-    bounds = [tuple(s + 1 for s in row) for row in sizes.tolist()]
-    order = sorted(range(len(t)), key=bounds.__getitem__)  # like shapes share a pass
-    start = 0
-    while start < len(t):
-        dims, stop = bounds[order[start]], start + 1
-        while stop < len(t):
-            grown = tuple(map(max, dims, bounds[order[stop]]))
-            if (stop + 1 - start) * math.prod(grown) > _DP_PASS_STATES:
-                break
-            dims, stop = grown, stop + 1
-        part = order[start:stop]
-        count[part], rate[part] = _composition_pass(t[part], cost[part], level[part], values[part], dims)
-        start = stop
+    shapes, group = np.unique(sizes + 1, axis=0, return_inverse=True)
+    group = group.ravel()  # numpy 2.0 gives the inverse the input's shape
+    for i, dims in enumerate(map(tuple, shapes.tolist())):
+        same = np.flatnonzero(group == i)
+        step = max(1, _PASS_STATES // math.prod(dims))
+        for lo in range(0, len(same), step):
+            part = same[lo : lo + step]
+            count[part], rate[part] = _composition_pass(t[part], cost[part], level[part], values[part], dims)
     return count.reshape(shape), rate.reshape(shape)
+
+
+def _require_dp_states(users: int, levels: int) -> None:
+    """Refuse pools of ``users`` whose instances, drawing from ``levels``
+    distinct targets, can need more than ``_DP_STATE_BOUND`` DP states. The
+    most states, ``prod_l (s_l + 1)``, come from users spread evenly."""
+    spread = min(levels, users)
+    q, r = divmod(users, spread)
+    if (states := (q + 2) ** r * (q + 1) ** (spread - r)) > _DP_STATE_BOUND:
+        raise ValueError(
+            f"requesting_users {users} can need {states} DP states per instance, above the bound {_DP_STATE_BOUND}"
+        )
 
 
 def greedy_optimality_condition(gains, thresholds, count) -> np.ndarray:

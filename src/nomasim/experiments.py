@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .admission import _optimal_admit_batch, _sequential_admit_batch
+from .admission import _optimal_admit_batch, _require_dp_states, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
@@ -44,10 +44,6 @@ _THRESHOLD_STREAM = 104729
 ORACLE_BENCHMARK_RADIUS_KM = (0.01, 0.15)
 
 _EQUAL_MODE_RATE_TOL = 1e-12
-
-# Most composition-DP states an oracle instance may need (512 KiB per
-# float64 array); a pool of at most 12 users needs at most 2**12.
-_DP_STATE_BOUND = 1 << 16
 
 # Trials per array pass: enough to spread the per-call overhead of the array
 # kernels, few enough that a chunk's temporaries stay around a megabyte.
@@ -98,8 +94,8 @@ class SweepSpec:
         for key, offset in decibels.items():
             if key in entry.reads:
                 require_linear(f"{key} entries", np.subtract(getattr(self, key), offset))
-        if entry.powers or entry.targets:
-            require_linear("grid entries", np.subtract(self.grid, noise if entry.powers else 0.0))
+        if entry.unit in ("dBm", "dB"):
+            require_linear("grid entries", np.subtract(self.grid, noise if entry.unit == "dBm" else 0.0))
         if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
         w1, w2 = self.base_split
@@ -107,16 +103,10 @@ class SweepSpec:
             raise ValueError("base_split must be two non-negative shares summing to 1")
         if not 0 <= self.extension_fraction <= 1:
             raise ValueError("extension_fraction must lie in [0, 1]")
-        if entry.pools and max(self.grid) != self.requesting_users:
+        if entry.unit == "users" and max(self.grid) != self.requesting_users:
             raise ValueError("requesting_users must equal the largest pool size in grid")
-        if entry.levels:  # the most states: users spread evenly over the levels
-            spread = min(entry.levels(self), self.requesting_users)
-            q, r = divmod(self.requesting_users, spread)
-            if (states := (q + 2) ** r * (q + 1) ** (spread - r)) > _DP_STATE_BOUND:
-                raise ValueError(
-                    f"requesting_users {self.requesting_users} can need {states} DP states per instance, "
-                    f"above the bound {_DP_STATE_BOUND}"
-                )
+        if entry.levels:
+            _require_dp_states(self.requesting_users, entry.levels(self))
         drawn = entry.users or self.requesting_users
         if self.config.users_per_cluster != drawn:
             raise ValueError(
@@ -148,7 +138,11 @@ class _Kind:
     """Everything that tells one sweep kind from the others.
 
     ``users`` is the cluster size drawn per trial; ``None`` draws
-    ``requesting_users``, which a grid of pool sizes (``pools``) must end at.
+    ``requesting_users``, which a grid of pool sizes must end at. ``unit``
+    says what a grid entry is: a strong-user power ``"share"`` in [0, 1], a
+    ``"share pair"`` (strong share, mid-user fraction of the rest), a
+    transmit power in ``"dBm"``, an SINR target in ``"dB"`` or a pool size in
+    ``"users"``.
     ``evaluate(spec, realization, trials)`` gives the values of a chunk of
     trials, shape ``(len(trials), len(series(spec)), len(spec.grid))``, from
     the chunk's batched draw (trial axis first) and its trial indices; trial
@@ -160,14 +154,10 @@ class _Kind:
     users: int | None
     trials: int
     grid: tuple
+    unit: str
     series: Callable[[SweepSpec], tuple[tuple[str, str], ...]]
     evaluate: Callable[[SweepSpec, ClusterRealization, np.ndarray], np.ndarray]
     reads: tuple[str, ...] = ()
-    surface: bool = False  # grid of (strong share, mid-user fraction) pairs
-    shares: bool = False  # grid entries are power shares in [0, 1]
-    pools: bool = False  # grid entries are requesting-pool sizes
-    powers: bool = False  # grid entries are transmit powers in dBm
-    targets: bool = False  # grid entries are SINR targets in dB
     levels: Callable[[SweepSpec], int] | None = None  # distinct targets an oracle instance can draw
     defaults: dict = field(default_factory=dict)  # SweepSpec fields make_sweep sets
 
@@ -181,7 +171,7 @@ def _kind_entry(kind: str) -> _Kind:
 def _check_grid(entry: _Kind, grid) -> None:
     if not grid:
         raise ValueError("grid must be non-empty")
-    if entry.surface:
+    if entry.unit == "share pair":
         if any(np.ndim(p) != 1 or len(p) != 2 for p in grid):
             raise ValueError("surface sweeps need a grid of (x, y) pairs")
         flat = [v for p in grid for v in p]
@@ -191,9 +181,9 @@ def _check_grid(entry: _Kind, grid) -> None:
         flat = list(grid)
     if not np.all(np.isfinite(flat)):
         raise ValueError("grid entries must be finite")
-    if entry.shares and (min(flat) < 0 or max(flat) > 1):
+    if entry.unit.startswith("share") and (min(flat) < 0 or max(flat) > 1):
         raise ValueError("power-share grids must stay inside [0, 1]")
-    if entry.pools and any(int(p) != p or p < 1 for p in grid):
+    if entry.unit == "users" and any(int(p) != p or p < 1 for p in grid):
         raise ValueError("requesting-user grid must hold positive integers")
 
 
@@ -359,38 +349,35 @@ _RATE_KEYS = ("base_split", "extension_fraction")
 # The split and power sweeps draw three users and carry the 2- and 3-user
 # schemes on the same draw.
 _KINDS = {
-    "split_sweep_2user": _Kind(3, 1, _SHARE_GRID, _SUM_RATES, _share_values((2, 3), _sum_rate), shares=True),
+    "split_sweep_2user": _Kind(3, 1, _SHARE_GRID, "share", _SUM_RATES, _share_values((2, 3), _sum_rate)),
     "split_sweep_3user": _Kind(
-        3, 1, _SURFACE_GRID, _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_rate),
-        surface=True, shares=True,
+        3, 1, _SURFACE_GRID, "share pair", _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_rate)
     ),
-    "power_sweep": _Kind(3, 1, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS, powers=True),
-    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, _SUM_RATES, _power_values, reads=_RATE_KEYS, powers=True),
+    "power_sweep": _Kind(3, 1, _POWER_GRID, "dBm", _SUM_RATES, _power_values, reads=_RATE_KEYS),
+    "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, "dBm", _SUM_RATES, _power_values, reads=_RATE_KEYS),
     "fairness_2user": _Kind(
-        2, 1, _SHARE_GRID, _rate_series((2,), "jain_index"), _share_values((2,), jain_index), shares=True
+        2, 1, _SHARE_GRID, "share", _rate_series((2,), "jain_index"), _share_values((2,), jain_index)
     ),
     "fairness_3user": _Kind(
-        3, 1, _SURFACE_GRID, _rate_series((3,), "jain_index"), _share_values((3,), jain_index),
-        surface=True, shares=True,
+        3, 1, _SURFACE_GRID, "share pair", _rate_series((3,), "jain_index"), _share_values((3,), jain_index)
     ),
     "admission_vs_sinr": _Kind(
-        None, 1000, value_grid(5.0, 20.0, 2.5), _admission_series(_SEQUENTIAL, _power_labels), _sinr_values,
-        reads=("power_dbm_values", "requesting_users"), targets=True,
+        None, 1000, value_grid(5.0, 20.0, 2.5), "dB", _admission_series(_SEQUENTIAL, _power_labels), _sinr_values,
+        reads=("power_dbm_values", "requesting_users"),
     ),
     "admission_vs_requesting": _Kind(
-        None, 1000, tuple(float(n) for n in range(2, 13)),
+        None, 1000, tuple(float(n) for n in range(2, 13)), "users",
         _admission_series(_SEQUENTIAL, _power_target_labels), _requesting_values,
-        reads=("power_dbm_values", "target_sinr_db_values", "requesting_users"), pools=True,
+        reads=("power_dbm_values", "target_sinr_db_values", "requesting_users"),
     ),
     "oracle_compare_equal": _Kind(
-        None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, _target_labels), _oracle_equal_values,
+        None, 1000, _ORACLE_GRID, "dBm", _admission_series(_ORACLE, _target_labels), _oracle_equal_values,
         reads=("target_sinr_db_values", "requesting_users"), defaults={"target_sinr_db_values": (5.0, 10.0, 15.0)},
-        levels=lambda spec: 1, powers=True,
+        levels=lambda spec: 1,
     ),
     "oracle_compare_mixed": _Kind(
-        None, 1000, _ORACLE_GRID, _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values,
+        None, 1000, _ORACLE_GRID, "dBm", _admission_series(_ORACLE, lambda spec: ["mixed"]), _oracle_mixed_values,
         reads=("threshold_choices_db", "requesting_users"), levels=lambda spec: len(set(spec.threshold_choices_db)),
-        powers=True,
     ),
 }
 SWEEP_KINDS = tuple(_KINDS)
@@ -413,7 +400,7 @@ def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **ove
     grid = overrides.pop("grid", None)
     grid = entry.grid if grid is None else tuple(grid)
     fields = {**entry.defaults, **overrides}
-    if entry.pools:
+    if entry.unit == "users":
         _check_grid(entry, grid)  # before the pool size is read from it
         fields.setdefault("requesting_users", int(max(grid)))
     requesting = fields.get("requesting_users", SweepSpec.requesting_users)
@@ -472,7 +459,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         stderr = np.zeros_like(mean)
 
     series = sweep_series(spec)
-    surface = _KINDS[spec.kind].surface
+    surface = _KINDS[spec.kind].unit == "share pair"
     rows = []
     for gi, point in enumerate(spec.grid):
         pt = tuple(point) if surface else (float(point),)

@@ -56,7 +56,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return self.violations == 0 and self.trials > 0  # a check that measured nothing shows nothing
 
 
 @dataclass(frozen=True)

@@ -421,7 +421,7 @@ class TestExhaustiveBatch:
         gains = np.sort(10.0 ** rng.uniform(-1, 4, (300, 8)), axis=-1)[:, ::-1]
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(300, 8)) / 10.0)
         count, rate, _ = _exhaustive_admit_batch(gains, thresholds)
-        assert len(passes) > 1 and max(passes) <= admission._ENUMERATION_PASS_STATES
+        assert len(passes) > 1 and max(passes) <= admission._PASS_STATES
         for i in range(0, 300, 30):
             assert (count[i], rate[i]) == scan_subsets(gains[i], thresholds[i])[:2]
 
@@ -536,7 +536,29 @@ class TestOptimalBatch:
         assert len(passes) > 1
         for batch, dims in passes:
             assert dims == (2,) * 8
-            assert batch * math.prod(dims) <= admission._DP_PASS_STATES
+            assert batch * math.prod(dims) <= admission._PASS_STATES
+
+    def test_each_pass_holds_one_exact_shape(self, monkeypatch):
+        passes = []
+        run_pass = admission._composition_pass
+
+        def spy(t, cost, level, values, dims):
+            passes.append((cost, level, dims))
+            return run_pass(t, cost, level, values, dims)
+
+        monkeypatch.setattr(admission, "_composition_pass", spy)
+        rng = np.random.default_rng(30)
+        gains = np.sort(10.0 ** rng.uniform(-1, 3, (600, 12)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(600, 12)) / 10.0)
+        count, _ = self.assert_matches_enumeration(gains, thresholds)
+        assert 0 < count.min() and count.max() < 12
+        for cost, level, dims in passes:
+            own = (level[:, :, None] == np.arange(len(dims))).sum(axis=1) + 1  # each instance's counts
+            assert np.all(own == dims)
+            assert len(cost) == 1 or len(cost) * math.prod(dims) <= admission._PASS_STATES
+        seen = np.concatenate([cost for cost, _, _ in passes])  # a cost row names its instance
+        assert len(seen) == len(gains) == len(np.unique(seen, axis=0))
+        np.testing.assert_array_equal(np.unique(seen, axis=0), np.unique(thresholds / gains, axis=0))
 
     @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
     def test_rejects_malformed_input(self, gains, thresholds):

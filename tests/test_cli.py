@@ -327,6 +327,15 @@ class TestVerifyCommand:
         assert all(l.startswith("PASS") for l in lines)
         assert "11/11 checks passed" in out
 
+    def test_a_check_that_measured_no_instance_fails(self, capsys):
+        # trial 0 draws mixed targets, so one trial leaves no aligned instance
+        assert main(["verify", "--trials", "1"]) == 1
+        out = capsys.readouterr().out
+        assert [l.split()[:3] for l in out.splitlines() if l.startswith("FAIL")] == [
+            ["FAIL", "aligned_condition_optimality", "trials="]
+        ]
+        assert "10/11 checks passed" in out
+
     def test_json_gives_each_check_its_tolerance_and_direction(self, capsys):
         assert main(["verify", "--trials", "5", "--json"]) == 0
         rows = {row.pop("name"): row for row in json.loads(capsys.readouterr().out)}

@@ -43,7 +43,8 @@ def stacked_instances(draw, max_users=6, max_gain=1e6):
     users = draw(st.integers(2, max_users))
     batch = draw(st.integers(1, 6))
     gains = draw(hnp.arrays(float, (batch, users), elements=st.floats(1e-3, max_gain)))
-    raw = draw(hnp.arrays(float, (batch, users), elements=st.floats(1e-3, 1.0)))
+    # tiny raw shares make tiny earlier shares, where a running total cancels
+    raw = draw(hnp.arrays(float, (batch, users), elements=st.one_of(st.just(1e-12), st.floats(1e-3, 1.0))))
     return np.sort(gains, axis=-1)[:, ::-1], raw / raw.sum(axis=-1, keepdims=True)
 
 

@@ -29,7 +29,8 @@ def test_results_are_reproducible():
 def test_passed_reflects_violations():
     ok = CheckResult(name="x", trials=10, violations=0, worst=0.0, note="")
     bad = CheckResult(name="x", trials=10, violations=1, worst=2.0, note="")
-    assert ok.passed and not bad.passed
+    empty = CheckResult(name="x", trials=0, violations=0, worst=0.0, note="")
+    assert ok.passed and not bad.passed and not empty.passed
 
 
 @pytest.mark.parametrize(
