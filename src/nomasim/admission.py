@@ -17,10 +17,11 @@ the IEEE operations of :func:`allocate_sequential` (plain Python floats) in
 its order on arrays, so :func:`_sequential_admit_batch` equals
 :func:`greedy_admit` bit for bit, and :func:`_exhaustive_admit_batch` is the
 subset search, of which :func:`exhaustive_admit` is a batch of one. Sweeps
-take the optimum from :func:`_optimal_admit_batch`, a composition DP in the
-allocation's own arithmetic whose counts equal the enumeration's exactly (sum
-rates within rounding); the enumeration stays the reference that ``verify``
-and the tests check the other rules against.
+take the optimum from :func:`_optimal_admit_batch`, a composition DP whose
+counts equal the enumeration's exactly (sum rates within rounding); both
+exact searches allocate through :func:`_append`, the allocation's append
+step on arrays. The enumeration stays the reference that ``verify`` and the
+tests check the other rules against.
 """
 
 from __future__ import annotations
@@ -248,42 +249,53 @@ def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
     return code, sizes
 
 
+def _append(power, t, cost) -> np.ndarray:
+    """Totals once a user of target ``t`` and cost ``t/g`` joins subsets of
+    total ``power`` last, as :func:`allocate_sequential` appends it: ``need =
+    t*P + t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``.
+
+    Both exact searches rest on this step being monotone. With ``t > 0``,
+    each of its IEEE operations is monotone in ``P`` (rounding is), so ``P <=
+    P'`` gives ``need <= need'`` and ``1 - P >= 1 - P'``: a rejection at ``P``
+    is one at ``P'``, and ``P + need <= P' + need'``. An inf total or an inf
+    cost (a zero gain) gives inf. So a set's total is finite exactly when
+    each of its members passes the allocation's check in its own order, and
+    the least total of a family of sets stays least once a user joins them.
+    """
+    total = t * power
+    total += cost
+    rejected = total > 1.0 - power
+    total += power
+    np.putmask(total, rejected, np.inf)
+    return total
+
+
 def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts, sum rates and winners' member masks of one pass of instances.
 
-    ``g`` and ``t`` hold one instance per row. Feasibility walks the users
-    once with :func:`allocate_sequential`'s operations in its order, on
-    (instances, subsets) arrays indexed by code: the subsets holding user k
-    as their last member are those of users ``0..k-1`` with k added, so each
-    step extends the ``2**k`` subsets built so far. Rates then follow for
-    the feasible subsets of the best size alone, in the operations of
-    :func:`_admission_result`. The winner is the first of them in enumeration
-    order whose rate is within ``_RATE_TIE_TOL`` of their highest.
+    ``g`` and ``t`` hold one instance per row. Totals walk the users once
+    through :func:`_append`, on (instances, subsets) arrays indexed by code:
+    the subsets holding user k as their last member are those of users
+    ``0..k-1`` with k added, so each step extends the ``2**k`` subsets built
+    so far; a subset that does not fit holds inf. Rates of the fitting
+    subsets of the best size follow in :func:`_admission_result`'s
+    operations, each member's prior total read from the walk. The winner is
+    the first of them in enumeration order whose rate is within
+    ``_RATE_TIE_TOL`` of their highest.
     """
     batch, users = g.shape
     cost = t / g  # a zero gain costs inf, more than is ever left
     total = np.zeros((batch, 1 << users))
-    fits = np.ones(total.shape, dtype=bool)
     for k in range(users):
-        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
-        before = total[:, low]
-        need = t[:, k, None] * before + cost[:, k, None]
-        fits[:, high] = fits[:, low] & ~(need > 1.0 - before)
-        total[:, high] = before + need
-    fits = fits[:, code]
-    best = sizes[fits.argmax(axis=-1)]  # sizes descend, and the empty subset always fits
-    inst, subset = np.nonzero(fits & (sizes == best[:, None]))
+        total[:, 1 << k : 2 << k] = _append(total[:, : 1 << k], t[:, k, None], cost[:, k, None])
+    feasible = total[:, code] < np.inf
+    best = sizes[feasible.argmax(axis=-1)]  # sizes descend, and the empty subset always fits
+    inst, subset = np.nonzero(feasible & (sizes == best[:, None]))
 
-    # Non-members get target 0 and gain 1: their share, SINR and rate term
-    # are exactly 0, so adding them changes no member's bits.
     members = _members(code[subset], users)
-    gc, tc = np.where(members, g[inst], 1.0), np.where(members, t[inst], 0.0)
-    total = np.zeros(len(inst))
-    sinr = np.empty(gc.shape)
-    for k in range(users):
-        need = tc[:, k] * total + tc[:, k] / gc[:, k]
-        sinr[:, k] = need * gc[:, k] / (1.0 + gc[:, k] * total)
-        total = total + need
+    prior = total[inst[:, None], code[subset, None] & ((1 << np.arange(users)) - 1)]
+    need = t[inst] * prior + cost[inst]
+    sinr = np.where(members, need * g[inst] / (1.0 + g[inst] * prior), 0.0)  # a non-member's term is log2(1) = 0
     terms = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), dtype=float, count=sinr.size)
     rate = np.add.accumulate(terms.reshape(sinr.shape), axis=-1)[:, -1]  # added in user order
 
@@ -348,20 +360,13 @@ def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndar
     ``power[b, c]`` is the least total, as :func:`allocate_sequential`
     computes it, of a fitting subset of the users walked so far with ``c[l]``
     users at level ``l`` (inf if none fits). Walking strongest first, user k
-    joins each subset last, as the allocation appends it: ``need = t*P +
-    t/g``, rejected when ``need > 1 - P``, else the total is ``P + need``.
-    The pick is the finite composition with the most users, then the largest
-    ``sum_l c[l] * log2(1 + values[l])``. A level an instance lacks adds
-    exactly 0.0, so an instance's results do not depend on its pass.
-
-    Proof that the counts equal the enumeration's: with ``t > 0``, each of
-    those IEEE operations is monotone in ``P`` (rounding is), so ``P <= P'``
-    gives ``need <= need'`` and ``1 - P >= 1 - P'``: a rejection at ``P`` is
-    one at ``P'``, and ``P + need <= P' + need'``. So a composition's least
-    total stays least once user k joins, and fits if any of its subsets
-    does; by induction a state is finite exactly when a subset of its
-    composition passes each of the allocation's checks in its own order,
-    which is the enumeration's test. A zero gain costs inf, which is rejected.
+    joins each subset last through :func:`_append`, whose monotonicity keeps
+    a composition's least total least; by induction a state is finite
+    exactly when a subset of its composition fits, the enumeration's test, so
+    the counts equal the enumeration's. The pick is the finite composition
+    with the most users, then the largest ``sum_l c[l] * log2(1 +
+    values[l])``. A level an instance lacks adds exactly 0.0, so an
+    instance's results do not depend on its pass.
 
     States are flattened in C order, so adding a user at level ``l`` is a
     shift by that level's stride. A shift off the top of level ``l`` wraps
@@ -381,17 +386,12 @@ def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndar
     present = at.any(axis=0).tolist()
     power = np.full(rate.shape, np.inf)
     power[:, 0] = 0.0
-    need = np.empty_like(power)
     for k in range(users):
-        np.multiply(t[:, k, None], power, out=need)
-        need += cost[:, k, None]
-        rejected = need > 1.0 - power
-        need += power
-        np.putmask(need, rejected, np.inf)
+        joined = _append(power, t[:, k, None], cost[:, k, None])
         for l, stride in enumerate(strides):
             if present[k][l]:
                 grown = power[:, stride:]
-                np.minimum(grown, need[:, :-stride], out=grown, where=at[:, k, l, None])
+                np.minimum(grown, joined[:, :-stride], out=grown, where=at[:, k, l, None])
 
     total = counts.sum(axis=0)
     feasible = power < np.inf

@@ -71,6 +71,7 @@ class SystemConfig:
         lo, hi = self.cell_radius_range_km
         if not (0 < lo < hi):
             raise ValueError("cell_radius_range_km must satisfy 0 < min < max")
+        self._require_over_pathloss("tx_power_dbm", self.tx_power_dbm)
         if not is_whole(self.rng_seed, 0):
             raise ValueError("rng_seed must be a non-negative integer")
         store_python_numbers(self)
@@ -88,6 +89,18 @@ class SystemConfig:
     def rho_at(self, tx_power_dbm: float) -> float:
         """Same as :attr:`rho` for an alternative transmit power."""
         return db_to_linear(tx_power_dbm - self.noise_power_dbm)
+
+    def _require_over_pathloss(self, name: str, powers_dbm) -> None:
+        """Raise ``ValueError`` naming ``name`` and the path-loss keys unless the
+        path gain, and each power over the noise and the path loss, stay within
+        float64 range on linear scale across the cell. Path loss is affine in
+        ``log10 d``, so the two ends of ``cell_radius_range_km`` bound it."""
+        with np.errstate(over="ignore"):
+            loss = self.pathloss_fixed_db + self.pathloss_slope * np.log10(self.cell_radius_range_km)
+        keys = "pathloss_fixed_db, pathloss_slope and cell_radius_range_km"
+        require_linear(f"the path gain of {keys}", -loss)
+        over = np.subtract.outer(powers_dbm, self.noise_power_dbm + loss)
+        require_linear(f"{name} over the noise power and the path loss of {keys}", over)
 
     def with_(self, **changes) -> "SystemConfig":
         return replace(self, **changes)
@@ -130,14 +143,9 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
     """
     n_rx, n_tx = channels.shape[-2:]
     own = channels[..., own_column_index]
-    if n_tx == 1:
-        u = np.broadcast_to(np.eye(n_rx, dtype=complex), channels.shape[:-2] + (n_rx, n_rx))
-        rank = np.zeros(channels.shape[:-2], dtype=int)
-    else:
-        others = [j for j in range(n_tx) if j != own_column_index]
-        u, s = np.linalg.svd(channels[..., others])[:2]
-        top = s[..., :1]
-        rank = np.where(top[..., 0] > 0, np.count_nonzero(s > top * _RANK_RTOL, axis=-1), 0)
+    others = [j for j in range(n_tx) if j != own_column_index]
+    u, s = np.linalg.svd(channels[..., others])[:2]  # with no other column, u is the identity
+    rank = np.count_nonzero(s > np.max(s, axis=-1, initial=0.0)[..., None] * _RANK_RTOL, axis=-1)
     if np.any(rank >= n_rx):
         raise DegenerateChannelError("interfering columns span the entire receive space")
     # Columns of u from the rank on span the orthogonal complement of the

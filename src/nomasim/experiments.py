@@ -96,6 +96,9 @@ class SweepSpec:
                 require_linear(f"{key} entries", np.subtract(getattr(self, key), offset))
         if entry.unit in ("dBm", "dB"):
             require_linear("grid entries", np.subtract(self.grid, noise if entry.unit == "dBm" else 0.0))
+        for key, read in (("power_dbm_values", "power_dbm_values" in entry.reads), ("grid", entry.unit == "dBm")):
+            if read:  # a power's SNR-scale gains also carry the path loss
+                self.config._require_over_pathloss(f"{key} entries", getattr(self, key))
         if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
         w1, w2 = self.base_split

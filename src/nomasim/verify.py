@@ -122,7 +122,7 @@ def zero_forcing_excess(realization, cluster_index: int) -> np.ndarray:
     r = realization
     norms = np.linalg.norm(r.detection_vectors, axis=-1)
     prods = np.einsum("tln,tlnm->tlm", r.detection_vectors.conj(), r.channels @ r.precoder)
-    leak = np.abs(np.delete(prods, cluster_index, axis=-1)).max(axis=(1, 2))
+    leak = np.abs(np.delete(prods, cluster_index, axis=-1)).max(axis=(1, 2), initial=0.0)  # one beam leaks nowhere
     bad = np.abs(norms - 1.0).max(axis=-1)
     unsorted = np.any(np.diff(r.effective_gains, axis=-1) > 0, axis=-1).astype(float)
     return _largest(bad - 1e-12, leak - 1e-10, unsorted)

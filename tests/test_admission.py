@@ -269,6 +269,45 @@ class TestClosedForm:
             cumulative_power_closed_form(gains, thresholds, np.zeros(np.shape(gains)[:-1], dtype=int))
 
 
+class TestAppendStep:
+    """The append step both exact searches allocate through, in rounded arithmetic."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0) | st.just(math.inf),
+                st.floats(0.0, 1e4, exclude_min=True),
+                st.floats(0.0, 1e9),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_monotone_in_the_prior_total(self, cases):
+        a, b, t, g = map(np.array, zip(*cases))
+        power, later = np.minimum(a, b), np.maximum(a, b)
+        with np.errstate(divide="ignore", over="ignore"):
+            cost = t / g  # a zero gain costs inf
+        joined, joined_later = admission._append(power, t, cost), admission._append(later, t, cost)
+        assert np.all(joined <= joined_later)
+        assert np.all(joined_later[np.isinf(later) | np.isinf(cost)] == np.inf)
+        assert np.all(joined[np.isinf(cost)] == np.inf)
+
+    def test_chains_to_the_sequential_totals(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            inst = random_instance(rng)
+            g, t = inst.gains, inst.sinr_thresholds
+            coeffs, _ = allocate_sequential(g.tolist(), t.tolist())
+            total, running = np.zeros(1), 0.0
+            for k in range(min(len(coeffs) + 1, len(g))):  # the fitting users, then the first rejected
+                total = admission._append(total, t[k], t[k] / g[k])
+                running = running + coeffs[k] if k < len(coeffs) else math.inf
+                assert total[0] == running
+
+
 class TestExhaustiveAdmit:
     def test_cap_guards_the_search(self):
         inst = AdmissionInstance(

@@ -186,6 +186,17 @@ class TestDispatch:
             (["admission", "--set", "power_dbm_values=1e308"], "power_dbm_values"),
             (["ergodic", "--set", "bandwidth_hz=1e-320"], "bandwidth_hz"),
             (["oracle-compare", "--set", "target_sinr_db_values=1e5"], "target_sinr_db_values"),
+            # path loss: the path gain, or a power's SNR-scale gain, leaves float64 range
+            (["ergodic", "--set", "pathloss_fixed_db=-3050"], "pathloss_fixed_db"),
+            (["sweep-split", "--set", "pathloss_fixed_db=-3050"], "pathloss_fixed_db"),
+            (["ergodic", "--set", "pathloss_fixed_db=-2950", "--set", "tx_power_dbm=0"], "pathloss_fixed_db"),
+            (["ergodic", "--set", "pathloss_slope=1e6"], "pathloss_slope"),
+            (["ergodic", "--set", "pathloss_fixed_db=1e6"], "pathloss_fixed_db"),
+            (["ergodic", "--set", "pathloss_fixed_db=-1e6"], "pathloss_fixed_db"),
+            (["sweep-split", "--set", "cell_radius_range_km=1e-300,1e-299"], "cell_radius_range_km"),
+            (["oracle-compare", "--set", "pathloss_fixed_db=-5000"], "pathloss_fixed_db"),
+            (["admission", "--set", "pathloss_fixed_db=5000"], "pathloss_fixed_db"),
+            (["admission", "--set", "pathloss_fixed_db=-3050"], "pathloss_fixed_db"),
         ],
     )
     def test_finite_db_value_beyond_float64_is_exit_code_2_naming_the_key(self, args, key, capsys, tmp_path):

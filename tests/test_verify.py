@@ -47,6 +47,13 @@ def test_config_threads_through():
     assert all(r.passed for r in results)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_single_transmit_antenna_passes_every_check():
+    # one beam has no other beam to leak into
+    results = run_verification(trials=25, seed=0, config=SystemConfig(tx_antennas=1, rx_antennas=2))
+    assert len(results) == 11 and all(r.passed for r in results)
+
+
 def test_every_result_carries_its_tolerance_and_direction():
     results = {r.name: r for r in run_verification(trials=10, seed=0)}
     assert (results["noma_dominance"].tolerance, results["noma_dominance"].direction) == (-1e-9, MIN_SLACK)
