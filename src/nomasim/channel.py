@@ -64,14 +64,10 @@ class SystemConfig:
             raise ValueError("users_per_cluster must be an integer >= 2")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
-        require_linear(
-            "tx_power_dbm over the noise power of noise_density_dbm_hz and bandwidth_hz",
-            self.tx_power_dbm - self.noise_power_dbm,
-        )
         lo, hi = self.cell_radius_range_km
         if not (0 < lo < hi):
             raise ValueError("cell_radius_range_km must satisfy 0 < min < max")
-        self._require_over_pathloss("tx_power_dbm", self.tx_power_dbm)
+        self._require_power("tx_power_dbm", self.tx_power_dbm)
         if not is_whole(self.rng_seed, 0):
             raise ValueError("rng_seed must be a non-negative integer")
         store_python_numbers(self)
@@ -90,11 +86,14 @@ class SystemConfig:
         """Same as :attr:`rho` for an alternative transmit power."""
         return db_to_linear(tx_power_dbm - self.noise_power_dbm)
 
-    def _require_over_pathloss(self, name: str, powers_dbm) -> None:
-        """Raise ``ValueError`` naming ``name`` and the path-loss keys unless the
-        path gain, and each power over the noise and the path loss, stay within
-        float64 range on linear scale across the cell. Path loss is affine in
-        ``log10 d``, so the two ends of ``cell_radius_range_km`` bound it."""
+    def _require_power(self, name: str, powers_dbm) -> None:
+        """Raise ``ValueError`` naming ``name`` and the keys at fault unless each
+        power over the noise power, the path gain, and each power over the noise
+        and the path loss stay within float64 range on linear scale across the
+        cell. Path loss is affine in ``log10 d``, so the two ends of
+        ``cell_radius_range_km`` bound it."""
+        over_noise = np.subtract(powers_dbm, self.noise_power_dbm)
+        require_linear(f"{name} over the noise power of noise_density_dbm_hz and bandwidth_hz", over_noise)
         with np.errstate(over="ignore"):
             loss = self.pathloss_fixed_db + self.pathloss_slope * np.log10(self.cell_radius_range_km)
         keys = "pathloss_fixed_db, pathloss_slope and cell_radius_range_km"
@@ -146,8 +145,6 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
     others = [j for j in range(n_tx) if j != own_column_index]
     u, s = np.linalg.svd(channels[..., others])[:2]  # with no other column, u is the identity
     rank = np.count_nonzero(s > np.max(s, axis=-1, initial=0.0)[..., None] * _RANK_RTOL, axis=-1)
-    if np.any(rank >= n_rx):
-        raise DegenerateChannelError("interfering columns span the entire receive space")
     # Columns of u from the rank on span the orthogonal complement of the
     # interfering columns. u^H own is taken as the conjugate of own^H u, which
     # needs no conjugated copy of u.

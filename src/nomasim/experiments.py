@@ -68,7 +68,8 @@ def split_surface_grid(step: float = 0.05) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to run: sweep kind, its grid, trial count and the cell setup."""
+    """What to run: sweep kind, its grid, trial count and the cell setup, whose
+    cluster size is set to the one the kind draws (see :class:`_Kind`)."""
 
     kind: str
     grid: tuple
@@ -82,25 +83,26 @@ class SweepSpec:
     extension_fraction: float = 1.0 / 3.0
 
     def __post_init__(self):
-        require_finite(self, tuple_suffix=" entries")
+        require_finite(self)
         entry = _kind_entry(self.kind)
         if not is_whole(self.trials, 1):
             raise ValueError("trials must be a positive integer")
         _check_grid(entry, self.grid)
         if 0 in (len(self.power_dbm_values), len(self.target_sinr_db_values), len(self.threshold_choices_db)):
             raise ValueError("series value lists must be non-empty")
-        noise = self.config.noise_power_dbm  # a power's linear value is its ratio to the noise
-        decibels = {"power_dbm_values": noise, "target_sinr_db_values": 0.0, "threshold_choices_db": 0.0}
-        for key, offset in decibels.items():
+        if "power_dbm_values" in entry.reads:
+            self.config._require_power("power_dbm_values entries", self.power_dbm_values)
+        for key in ("target_sinr_db_values", "threshold_choices_db"):
             if key in entry.reads:
-                require_linear(f"{key} entries", np.subtract(getattr(self, key), offset))
-        if entry.unit in ("dBm", "dB"):
-            require_linear("grid entries", np.subtract(self.grid, noise if entry.unit == "dBm" else 0.0))
-        for key, read in (("power_dbm_values", "power_dbm_values" in entry.reads), ("grid", entry.unit == "dBm")):
-            if read:  # a power's SNR-scale gains also carry the path loss
-                self.config._require_over_pathloss(f"{key} entries", getattr(self, key))
+                require_linear(f"{key} entries", getattr(self, key))
+        if entry.unit == "dBm":
+            self.config._require_power("grid entries", self.grid)
+        elif entry.unit == "dB":
+            require_linear("grid entries", self.grid)
         if not is_whole(self.requesting_users, 1):
             raise ValueError("requesting_users must be a positive integer")
+        if entry.users is None and self.requesting_users < 2:
+            raise ValueError("requesting_users must be at least 2, as it is the cluster size drawn")
         w1, w2 = self.base_split
         if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-9:
             raise ValueError("base_split must be two non-negative shares summing to 1")
@@ -110,13 +112,8 @@ class SweepSpec:
             raise ValueError("requesting_users must equal the largest pool size in grid")
         if entry.levels:
             _require_dp_states(self.requesting_users, entry.levels(self))
-        drawn = entry.users or self.requesting_users
-        if self.config.users_per_cluster != drawn:
-            raise ValueError(
-                f"{self.kind} draws {drawn}-user clusters, "
-                f"but config.users_per_cluster is {self.config.users_per_cluster}"
-            )
         store_python_numbers(self)
+        object.__setattr__(self, "config", replace(self.config, users_per_cluster=entry.users or self.requesting_users))
 
 
 @dataclass(frozen=True)
@@ -389,9 +386,6 @@ SWEEP_KINDS = tuple(_KINDS)
 def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **overrides) -> SweepSpec:
     """Build a :class:`SweepSpec` with the conventional defaults per kind.
 
-    The cluster size is normalized to what the kind draws (the split and
-    power sweeps carry both the 2- and 3-user schemes on one draw; admission
-    sweeps draw the full requesting pool, which a pool-size grid ends at).
     Overrides are ``grid`` and the fields the kind reads; any other key is
     rejected, since it would be recorded in the sidecar without effect.
     """
@@ -406,17 +400,7 @@ def make_sweep(kind: str, config: SystemConfig, trials: int | None = None, **ove
     if entry.unit == "users":
         _check_grid(entry, grid)  # before the pool size is read from it
         fields.setdefault("requesting_users", int(max(grid)))
-    requesting = fields.get("requesting_users", SweepSpec.requesting_users)
-    if not is_whole(requesting, 1):  # before the cluster size is read from it
-        raise ValueError("requesting_users must be a positive integer")
-    users = entry.users or int(requesting)
-    return SweepSpec(
-        kind=kind,
-        grid=grid,
-        trials=entry.trials if trials is None else trials,
-        config=replace(config, users_per_cluster=users),
-        **fields,
-    )
+    return SweepSpec(kind=kind, grid=grid, trials=entry.trials if trials is None else trials, config=config, **fields)
 
 
 def sweep_series(spec: SweepSpec) -> tuple[tuple[str, str], ...]:

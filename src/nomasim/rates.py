@@ -178,8 +178,12 @@ def two_user_gap(gains, omega1):
     w1 = np.asarray(omega1, dtype=float)
     if np.any(w1 < -_SUM_TOL) or np.any(w1 > 1 + _SUM_TOL):
         raise ValueError("omega1 must lie in [0, 1]")
-    g, w = [g[..., 0], g[..., 1]], [w1, 1.0 - w1]
-    return _sum_users(_noma_columns(g, w)) - np.log2(1.0 + _sum_users(_received(g, w)))
+    g1, g2, w2 = g[..., 0], g[..., 1], 1.0 - w1
+    # The superposed sum rate minus the orthogonal bound is exactly log2(1 + x).
+    # log1p keeps the gap's curvature, which the rounding of log2(1 + z) swamps
+    # at small gains, and each factor of x stays finite at large ones.
+    x = w1 * g2 / (1.0 + w1 * g2) * (w2 * (g1 - g2) / (1.0 + w1 * g1 + w2 * g2))
+    return np.log1p(x) / np.log(2.0)
 
 
 def two_user_gap_maximizer(scaled_gain):
@@ -269,16 +273,11 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
     def ratio(x, y, gain):
         return (1.0 + x * gain) / (1.0 + y * gain)
 
-    if l == 1:
-        head = 1.0
-        chain = 1.0
-        tail = ratio(b[0], a[0], g[0]) * ratio(b[1], b[0], g[1])
-    else:
-        head = ratio(b[0], a[0], g[0]) * ratio(a[0], b[0], g[1])
-        chain = 1.0
-        for j in range(1, l - 1):
-            chain *= ratio(b[j], a[j], g[j]) * ratio(a[j], b[j], g[j + 1])
-        tail = ratio(b[l - 1], a[l - 1], g[l - 1]) * ratio(b[l], b[l - 1], g[l])
+    head = ratio(b[0], a[0], g[0]) * ratio(a[0], b[0], g[1]) if l > 1 else 1.0
+    chain = 1.0
+    for j in range(1, l - 1):
+        chain *= ratio(b[j], a[j], g[j]) * ratio(a[j], b[j], g[j + 1])
+    tail = ratio(b[l - 1], a[l - 1], g[l - 1]) * ratio(b[l], b[l - 1], g[l])
     factored = np.log2(head) + np.log2(chain) + np.log2(tail)
     batch = th.shape[:-1]
     fields = (delta, factored, head, chain, tail)

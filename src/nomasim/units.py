@@ -36,12 +36,12 @@ def _numeric_fields(cls) -> tuple[tuple[str, type], ...]:
     return tuple((k, hint) for k, hint in hints if hint in (int, float) or (get_origin(hint) is tuple and get_args(hint)))
 
 
-def require_finite(instance, tuple_suffix: str = "") -> None:
+def require_finite(instance) -> None:
     """Raise ``ValueError`` naming the first numeric field of a dataclass instance that holds NaN or an infinity."""
     for name, _ in _numeric_fields(type(instance)):
         value = getattr(instance, name)
         if not all(isinstance(v, numbers.Integral) or math.isfinite(v) for v in np.ravel(value)):
-            raise ValueError(f"{name}{tuple_suffix if np.ndim(value) else ''} must be finite")
+            raise ValueError(f"{name} must be finite")
 
 
 def store_python_numbers(instance) -> None:

@@ -165,6 +165,9 @@ class TestDispatch:
             ),
             (["oracle-compare", "--set", "enumeration_cap=0"], "enumeration_cap"),
             (["gap", "--set", "users_per_cluster=1"], "users_per_cluster"),
+            (["admission", "--set", "requesting_users=1"], "requesting_users"),
+            (["oracle-compare", "--mixed", "--set", "requesting_users=1"], "requesting_users"),
+            (["admission", "--by-requesting", "--set", "grid=1"], "requesting_users"),
         ],
     )
     def test_bad_value_is_exit_code_2_naming_the_key(self, args, key, capsys, tmp_path):
@@ -314,6 +317,10 @@ class TestGapCommand:
         closed = float(out.split("closed-form maximizer: ")[1].splitlines()[0])
         at_grid = float(out.split("): ")[1].splitlines()[0])
         assert abs(closed - at_grid) <= 1e-4
+
+    @pytest.mark.parametrize("power", ["-60", "-100"])
+    def test_low_power_argmax_matches(self, power):
+        assert main(["gap", "--set", f"tx_power_dbm={power}"]) == 0
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_grid_below_two_points_is_exit_code_2(self, points, capsys):

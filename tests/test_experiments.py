@@ -186,11 +186,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
             SweepSpec(kind="power_sweep", grid=(30.0,), trials=1, config=CFG3, **{key: value})
 
-    def test_config_must_match_the_drawn_cluster_size(self):
-        with pytest.raises(ValueError, match="8-user clusters"):
-            SweepSpec(
-                kind="admission_vs_sinr", grid=(10.0,), trials=1, config=SystemConfig(users_per_cluster=4)
-            )
+    def test_config_takes_the_drawn_cluster_size(self):
+        spec = SweepSpec(kind="admission_vs_sinr", grid=(10.0,), trials=1, config=SystemConfig(users_per_cluster=4))
+        assert spec.config.users_per_cluster == 8
+        assert run_sweep(spec).metadata["config"]["users_per_cluster"] == 8
 
     def test_pool_grid_must_end_at_requesting_users(self):
         with pytest.raises(ValueError, match="largest pool size"):

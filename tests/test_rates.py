@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
@@ -35,6 +35,12 @@ def random_instance(rng, size):
 gains_strategy = st.lists(
     st.floats(min_value=1e-3, max_value=1e6, allow_nan=False), min_size=2, max_size=6
 ).map(lambda xs: np.sort(np.asarray(xs))[::-1])
+
+
+def descending_pairs(smallest):
+    """Two distinct gains in [smallest, 1e6], the stronger first."""
+    pair = st.lists(st.floats(smallest, 1e6), min_size=2, max_size=2, unique=True)
+    return pair.map(lambda xs: np.sort(np.asarray(xs))[::-1])
 
 
 @st.composite
@@ -194,6 +200,28 @@ class TestTwoUserGap:
             g = np.sort(10.0 ** rng.uniform(-1, 3, 2))[::-1]
             gaps = two_user_gap(g, grid)
             assert abs(grid[np.argmax(gaps)] - two_user_gap_maximizer(g[0])) <= grid[1]
+
+
+    @given(pair=descending_pairs(1e-12), omega1=st.floats(0.0, 1.0))
+    def test_non_negative_and_exactly_zero_at_the_edges(self, pair, omega1):
+        assert two_user_gap(pair, omega1) >= 0
+        assert two_user_gap(pair, 0.0) == 0.0 and two_user_gap(pair, 1.0) == 0.0
+
+    @given(pair=descending_pairs(1e-1), omega1=st.floats(0.0, 1.0))
+    def test_equals_the_superposed_sum_minus_the_orthogonal_bound(self, pair, omega1):
+        split = np.array([omega1, 1.0 - omega1])
+        direct = noma_sum_rate(pair, split) - oma_sum_upper_bound(pair, split)
+        assert two_user_gap(pair, omega1) == pytest.approx(direct, abs=1e-12)
+
+    @settings(deadline=None)
+    @example(pair=np.array([3e-12, 1e-12]))
+    @given(pair=descending_pairs(1e-12))
+    def test_grid_argmax_is_within_one_step_down_to_tiny_gains(self, pair):
+        # log2(1 + z) rounds to about 1e-16, which at these gains hides the
+        # gap's curvature near its peak
+        grid = np.linspace(0.0, 1.0, 10001)
+        at = grid[np.argmax(two_user_gap(pair, grid))]
+        assert abs(at - two_user_gap_maximizer(pair[0])) <= grid[1]
 
 
 class TestClusterGrowth:
