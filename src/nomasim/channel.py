@@ -1,10 +1,10 @@
 """Random downlink cluster channels and interference-free receive combiners.
 
 One cluster is served by a single column of an identity precoder; users in the
-cluster cancel the other columns with a combiner chosen in the orthogonal
-complement of the interfering columns, then maximize the remaining signal
-power. Effective scalar gains come out sorted in decreasing order, which is
-the decoding order assumed everywhere else in the package.
+cluster cancel the other columns with their own column projected off the
+interfering ones, which maximizes the remaining signal power when those columns
+are linearly independent (see :func:`_combiners`). Effective scalar gains come
+out sorted in decreasing order, the decoding order assumed across the package.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
-# Singular values below this fraction of the largest one count as zero when
-# ranking the interference span.
-_RANK_RTOL = 1e-10
+# A projected own column no longer than this fraction of the own column is QR
+# rounding of a column inside the interfering span.
+_DEGENERATE_RTOL = 1e-12
 
 # numpy's SeedSequence pool size and hash constants, and PCG64's multiplier. NEP 19
 # keeps both seedings stable across numpy versions.
@@ -135,25 +135,25 @@ class ClusterRealization:
 
 
 def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
-    """Combiners of a stack of (n_rx, n_tx) channels, one stacked SVD for all.
+    """Combiners of a stack of (n_rx, n_tx) channels, from one stacked reduced QR.
 
-    Each matrix is handled on its own by the SVD and matmul kernels, so a
-    combiner does not depend on what else is in the stack.
+    The own column h is projected off q, the orthonormal QR factor of the
+    interfering columns, p = h - q q^H h, and v = p / ||p|| nulls every
+    interferer. With independent interfering columns, as drawn ones are with
+    probability 1, q spans exactly their span and v also maximizes |v^H h|;
+    dependent ones leave q extra directions, and v need not. Raises
+    DegenerateChannelError if ||p|| <= _DEGENERATE_RTOL * ||h||. The kernels
+    treat each matrix alone, so no combiner depends on the rest of the stack.
     """
-    n_rx, n_tx = channels.shape[-2:]
-    own = channels[..., own_column_index]
-    others = [j for j in range(n_tx) if j != own_column_index]
-    u, s = np.linalg.svd(channels[..., others])[:2]  # with no other column, u is the identity
-    rank = np.count_nonzero(s > np.max(s, axis=-1, initial=0.0)[..., None] * _RANK_RTOL, axis=-1)
-    # Columns of u from the rank on span the orthogonal complement of the
-    # interfering columns. u^H own is taken as the conjugate of own^H u, which
-    # needs no conjugated copy of u.
-    in_complement = np.arange(n_rx) >= rank[..., None]
-    w = np.where(in_complement, (own.conj()[..., None, :] @ u)[..., 0, :].conj(), 0.0)
-    norm = np.sqrt(np.sum(w.real**2 + w.imag**2, axis=-1))
-    if not ((norm > 0) & np.isfinite(norm)).all():
+    own = channels[..., own_column_index, None]
+    q = np.linalg.qr(np.delete(channels, own_column_index, axis=-1))[0]  # with no other column, q is empty
+    qh = q.conj().swapaxes(-1, -2)
+    p = own - q @ (qh @ own)
+    p = (p - q @ (qh @ p))[..., 0]  # projecting twice leaves rounding along q at eps ||p||, not eps ||h||
+    norm = np.sqrt(np.sum(p.real**2 + p.imag**2, axis=-1))
+    if not (norm > _DEGENERATE_RTOL * np.linalg.norm(own[..., 0], axis=-1)).all():  # false for NaN too
         raise DegenerateChannelError("own column lies in the span of the interfering columns")
-    return (u @ (w / norm[..., None])[..., None])[..., 0]
+    return p / norm[..., None]
 
 
 def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:

@@ -20,6 +20,21 @@ def combiner(h, own_column_index):
     return _combiners(h[None], own_column_index)[0]
 
 
+def svd_combiner(channels, own_column_index):
+    """Reference combiners of a stack with independent interfering columns: the own
+    column projected on the left singular vectors past the interference span."""
+    others = np.delete(channels, own_column_index, axis=-1)
+    u = np.linalg.svd(others)[0][..., others.shape[-1] :] if others.shape[-1] else np.eye(channels.shape[-2])
+    w = (u @ (u.conj().swapaxes(-1, -2) @ channels[..., own_column_index, None]))[..., 0]
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
+def leakage(v, interferers):
+    """``|v^H a_j|`` over the largest interfering column norm of each matrix."""
+    products = np.abs(v.conj()[..., None, :] @ interferers)[..., 0, :]
+    return products / np.linalg.norm(interferers, axis=-2).max(axis=-1, keepdims=True)
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return SystemConfig()
@@ -146,6 +161,33 @@ class TestDetectionVector:
         again = np.abs(np.vdot(combiner(scaled, 0), scaled[:, 0])) ** 2
         assert again == pytest.approx(base, rel=1e-9)
 
+    @pytest.mark.parametrize("n_rx,n_tx", [(3, 3), (6, 4), (5, 2), (2, 1), (8, 8)])
+    def test_matches_svd_reference(self, n_rx, n_tx):
+        rng = np.random.default_rng(n_rx * 10 + n_tx)
+        h = rng.standard_normal((500, n_rx, n_tx)) + 1j * rng.standard_normal((500, n_rx, n_tx))
+        for c in range(n_tx):
+            v = _combiners(h, c)
+            ref = svd_combiner(h, c)
+            np.testing.assert_allclose(v, ref, rtol=0, atol=1e-12)
+            own = h[..., c]
+            gains = np.abs(np.sum(v.conj() * own, axis=-1)) ** 2
+            np.testing.assert_allclose(gains, np.abs(np.sum(ref.conj() * own, axis=-1)) ** 2, rtol=1e-10)
+            if n_tx > 1:  # a single projection pass would leak up to 8e-14 at 8x8; the second keeps it near 5e-16
+                assert leakage(v, np.delete(h, c, axis=-1)).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", ["duplicate", "zero", "perturbed duplicate"])
+    def test_dependent_interferers_still_nulled(self, case):
+        # with dependent interfering columns q holds extra directions, so the
+        # combiner need not maximize the gain, but it still nulls them all
+        rng = np.random.default_rng(7)
+        h = rng.standard_normal((50, 4, 3)) + 1j * rng.standard_normal((50, 4, 3))
+        h[..., 2] = 0.0 if case == "zero" else h[..., 1]
+        if case == "perturbed duplicate":
+            h[..., 2] += 1e-7 * (rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4)))
+        v = _combiners(h, 0)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert leakage(v, h[..., 1:]).max() <= 1e-12
+
 
 class TestDrawCluster:
     def test_shapes_and_basic_invariants(self, cfg):
@@ -172,6 +214,18 @@ class TestDrawCluster:
         recomputed = np.abs(np.einsum("ln,ln->l", r.detection_vectors.conj(), r.channels[:, :, 0])) ** 2
         np.testing.assert_allclose(r.effective_gains, recomputed, rtol=1e-12)
         assert sorted(r.sort_order.tolist()) == list(range(cfg.users_per_cluster))
+
+    def test_gains_follow_path_loss_down_to_subnormal_range(self):
+        # at 3100 dB the interfering columns' Gram entries go subnormal, so a
+        # normal-equation solve fails here where the QR factor does not
+        near, far = (
+            draw_cluster(SystemConfig(pathloss_fixed_db=db, cell_radius_range_km=(0.9, 1.1)), 0, range(50))
+            for db in (114.0, 3100.0)
+        )
+        np.testing.assert_array_equal(far.sort_order, near.sort_order)
+        # gains near 1e-312 are subnormal, spaced 2**-1074 apart, so their rounding is absolute
+        expected = near.effective_gains * 10 ** (-(3100 - 114) / 10)
+        np.testing.assert_allclose(far.effective_gains, expected, rtol=1e-12, atol=4 * 2.0**-1074)
 
     def test_distances_stay_inside_annulus(self, cfg):
         r = draw_cluster(cfg, 0, 21)
