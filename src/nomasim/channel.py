@@ -2,9 +2,9 @@
 
 One cluster is served by a single column of an identity precoder; users in the
 cluster cancel the other columns with their own column projected off the
-interfering ones, which maximizes the remaining signal power when those columns
-are linearly independent (see :func:`_combiners`). Effective scalar gains come
-out sorted in decreasing order, the decoding order assumed across the package.
+interfering ones, which maximizes the remaining signal power (see
+:func:`_combiners`). Effective scalar gains come out sorted in decreasing
+order, the decoding order assumed across the package.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
-# A projected own column no longer than this fraction of the own column is QR
-# rounding of a column inside the interfering span.
+# A column projected off the basis that keeps no more than this fraction of its
+# norm is rounding of a column inside the span of the basis.
 _DEGENERATE_RTOL = 1e-12
 
 # numpy's SeedSequence pool size and hash constants, and PCG64's multiplier. NEP 19
@@ -135,25 +136,36 @@ class ClusterRealization:
 
 
 def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
-    """Combiners of a stack of (n_rx, n_tx) channels, from one stacked reduced QR.
+    """Combiners of a stack of (n_rx, n_tx) channels, by Gram-Schmidt on the whole stack.
 
-    The own column h is projected off q, the orthonormal QR factor of the
-    interfering columns, p = h - q q^H h, and v = p / ||p|| nulls every
-    interferer. With independent interfering columns, as drawn ones are with
-    probability 1, q spans exactly their span and v also maximizes |v^H h|;
-    dependent ones leave q extra directions, and v need not. Raises
-    DegenerateChannelError if ||p|| <= _DEGENERATE_RTOL * ||h||. The kernels
-    treat each matrix alone, so no combiner depends on the rest of the stack.
+    Each matrix is scaled by the power of two that brings its largest entry into
+    [0.5, 1); that is exact, and keeps every sum of squares clear of underflow.
+    The interfering columns, then the own column h, are each projected off the
+    orthonormal basis q built so far, twice, and normalized. An interfering
+    column that keeps at most _DEGENERATE_RTOL of its norm lies in the span of
+    the others and adds nothing to q. The own column's v = p / ||p||, with
+    p = h - q q^H h, nulls every interferer and maximizes |v^H h|. Raises
+    DegenerateChannelError if ||p|| <= _DEGENERATE_RTOL * ||h||. Every sum adds
+    one matrix's entries in index order, so no combiner depends on the rest of
+    the stack.
     """
-    own = channels[..., own_column_index, None]
-    q = np.linalg.qr(np.delete(channels, own_column_index, axis=-1))[0]  # with no other column, q is empty
-    qh = q.conj().swapaxes(-1, -2)
-    p = own - q @ (qh @ own)
-    p = (p - q @ (qh @ p))[..., 0]  # projecting twice leaves rounding along q at eps ||p||, not eps ||h||
-    norm = np.sqrt(np.sum(p.real**2 + p.imag**2, axis=-1))
-    if not (norm > _DEGENERATE_RTOL * np.linalg.norm(own[..., 0], axis=-1)).all():  # false for NaN too
+    exponent = np.frexp(np.abs(channels).max(axis=(-2, -1)))[1]
+    scale = np.ldexp(1.0, -np.maximum(exponent, -1022))  # 2**1022 at most, so it stays finite
+    columns = np.moveaxis(channels, (-1, -2), (0, 1)).copy() * scale  # (n_tx, n_rx, *stack), entries leading
+    lengths = np.sqrt(reduce(np.add, (columns.real**2 + columns.imag**2).swapaxes(0, 1)))
+    basis = []
+    for c in [c for c in range(channels.shape[-1]) if c != own_column_index] + [own_column_index]:  # own last
+        p = columns[c]
+        for _ in range(2):  # projecting twice leaves rounding along q at eps ||p||, not eps ||h||
+            for q, q_conj in basis:
+                p = p - q * reduce(np.add, q_conj * p)
+        norm = np.sqrt(reduce(np.add, p.real**2 + p.imag**2))
+        kept = norm > _DEGENERATE_RTOL * lengths[c]  # false for NaN too
+        q = p / np.where(kept, norm, np.inf)
+        basis.append((q, q.conj()))
+    if not kept.all():
         raise DegenerateChannelError("own column lies in the span of the interfering columns")
-    return p / norm[..., None]
+    return np.moveaxis(q, 0, -1)
 
 
 def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:
@@ -230,21 +242,22 @@ def draw_cluster(
     if not 0 <= cluster_index < config.tx_antennas:
         raise ValueError("cluster_index must select one precoder column")
     ndim = np.ndim(trial_seed)
-    trials = list(trial_seed) if ndim == 1 else [trial_seed]
+    int_array = ndim == 1 and isinstance(trial_seed, np.ndarray) and trial_seed.dtype.kind in "iu"
+    trials = trial_seed.tolist() if int_array else list(trial_seed) if ndim == 1 else [trial_seed]
     if ndim > 1 or not trials:
         raise ValueError("trial_seed must be an integer or a non-empty 1-D sequence of them")
-    for t in trials:
-        if not is_whole(t, 0):
-            raise ValueError("trial_seed must be a non-negative integer")
+    if (trial_seed < 0).any() if int_array else not all(is_whole(t, 0) for t in trials):
+        raise ValueError("trial_seed must be a non-negative integer")
     n_users = config.users_per_cluster
     n_rx, n_tx = config.rx_antennas, config.tx_antennas
 
     lo, hi = config.cell_radius_range_km
-    distances = np.empty((len(trials), n_users))
+    unit = np.empty((len(trials), n_users))
     normals = np.empty((len(trials), 2, n_users, n_rx, n_tx))  # real parts, then imaginary
     for i, rng in enumerate(_trial_streams([(config.rng_seed, int(cluster_index), int(t)) for t in trials])):
-        distances[i] = rng.uniform(lo, hi, size=n_users)
+        rng.random(out=unit[i])
         rng.standard_normal(out=normals[i])
+    distances = lo + (hi - lo) * unit  # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
     channels = np.empty((len(trials), n_users, n_rx, n_tx), dtype=complex)
     channels.real, channels.imag = normals[:, 0], normals[:, 1]
     channels /= math.sqrt(2.0)  # unit-variance fading

@@ -188,6 +188,17 @@ class TestDetectionVector:
         np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=1e-12)
         assert leakage(v, h[..., 1:]).max() <= 1e-12
 
+    @pytest.mark.parametrize("case", ["duplicate", "zero"])
+    def test_dependent_interferers_regain_the_best_combiner(self, case):
+        # an interfering column inside the span of the others adds nothing to the
+        # basis, so the gain is that of the combiner built without it
+        rng = np.random.default_rng(17)
+        h = rng.standard_normal((500, 4, 3)) + 1j * rng.standard_normal((500, 4, 3))
+        h[..., 2] = 0.0 if case == "zero" else h[..., 1]
+        gain = np.abs(np.sum(_combiners(h, 0).conj() * h[..., 0], axis=-1)) ** 2
+        best = np.abs(np.sum(_combiners(h[..., :2], 0).conj() * h[..., 0], axis=-1)) ** 2
+        np.testing.assert_allclose(gain, best, rtol=1e-12)
+
 
 class TestDrawCluster:
     def test_shapes_and_basic_invariants(self, cfg):
@@ -226,6 +237,21 @@ class TestDrawCluster:
         # gains near 1e-312 are subnormal, spaced 2**-1074 apart, so their rounding is absolute
         expected = near.effective_gains * 10 ** (-(3100 - 114) / 10)
         np.testing.assert_allclose(far.effective_gains, expected, rtol=1e-12, atol=4 * 2.0**-1074)
+
+    @pytest.mark.parametrize("pathloss_db", [3100.0, 3200.0, 3220.0])
+    def test_combiners_do_not_depend_on_the_path_loss_scale(self, pathloss_db):
+        # each matrix is scaled by a power of two before its sums of squares, so
+        # gains deep in the subnormal range (zero at 3220 dB) leave the combiners whole
+        near, far = (
+            draw_cluster(SystemConfig(pathloss_fixed_db=db, cell_radius_range_km=(0.9, 1.1)), 0, range(200))
+            for db in (114.0, pathloss_db)
+        )
+        in_draw_order = []
+        for r in (near, far):
+            v = np.empty_like(r.detection_vectors)
+            np.put_along_axis(v, r.sort_order[..., None], r.detection_vectors, axis=1)
+            in_draw_order.append(v)
+        np.testing.assert_allclose(*in_draw_order, rtol=0, atol=1e-14)
 
     def test_distances_stay_inside_annulus(self, cfg):
         r = draw_cluster(cfg, 0, 21)
@@ -279,6 +305,15 @@ class TestBatchedDraw:
         cfg = SystemConfig(users_per_cluster=3)
         wide = draw_cluster(cfg, 0, range(300))
         narrow = draw_cluster(cfg, 0, range(250, 260))
+        np.testing.assert_array_equal(wide.detection_vectors[250:260], narrow.detection_vectors)
+        np.testing.assert_array_equal(wide.effective_gains[250:260], narrow.effective_gains)
+
+    @pytest.mark.parametrize("n_rx,n_tx", [(8, 8), (6, 4)])
+    def test_batch_element_does_not_depend_on_its_neighbours_at_wide_arrays(self, n_rx, n_tx):
+        # numpy's own sums unroll from 8 entries up, so 8 receive antennas pin the summation order
+        cfg = SystemConfig(tx_antennas=n_tx, rx_antennas=n_rx, users_per_cluster=3)
+        wide = draw_cluster(cfg, 1, range(300))
+        narrow = draw_cluster(cfg, 1, range(250, 260))
         np.testing.assert_array_equal(wide.detection_vectors[250:260], narrow.detection_vectors)
         np.testing.assert_array_equal(wide.effective_gains[250:260], narrow.effective_gains)
 
@@ -350,3 +385,21 @@ class TestTrialStreams:
                 order = batch.sort_order[i]
                 np.testing.assert_array_equal(batch.distances_km[i], distances[order])
                 np.testing.assert_array_equal(batch.channels[i], h[order])
+
+    @pytest.mark.parametrize("radii", [(0.25, 2.5), (0.9, 1.1), (1e-3, 1e3)])
+    def test_distances_equal_numpy_uniform(self, radii):
+        cfg = SystemConfig(users_per_cluster=3, cell_radius_range_km=radii)
+        batch = draw_cluster(cfg, 0, np.arange(2000))
+        for t in range(2000):
+            ref = numpy_stream([cfg.rng_seed, 0, t]).uniform(*radii, size=3)
+            np.testing.assert_array_equal(batch.distances_km[t], ref[batch.sort_order[t]])
+
+    def test_integer_array_seeds(self, cfg):
+        seeds = np.array([2**63, 2**64 - 1, 5], dtype=np.uint64)
+        batch = draw_cluster(cfg, 2, seeds)
+        for i, t in enumerate(seeds.tolist()):
+            one = draw_cluster(cfg, 2, t)
+            np.testing.assert_array_equal(batch.channels[i], one.channels)
+            np.testing.assert_array_equal(batch.effective_gains[i], one.effective_gains)
+        with pytest.raises(ValueError, match="non-negative"):
+            draw_cluster(cfg, 0, np.array([0, -1]))

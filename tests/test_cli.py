@@ -258,6 +258,11 @@ class TestSweepCommands:
         assert main(args + ["--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_deepest_valid_path_loss_runs(self, tmp_path):
+        # gains underflow to zero here; the combiners must not report a degenerate channel
+        args = ["ergodic", "--trials", "50", "--set", "pathloss_fixed_db=3220", "--set", "cell_radius_range_km=0.9,1.1"]
+        assert main(args + ["--out", str(tmp_path / "deep.csv")]) == 0
+
     def test_default_output_honors_env_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NOMASIM_OUT_DIR", str(tmp_path))
         rc = main(["sweep-split", "--set", "grid=0.5"])
