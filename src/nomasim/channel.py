@@ -22,11 +22,11 @@ from .units import db_to_linear, is_whole, require_finite, require_linear, store
 # norm is rounding of a column inside the span of the basis.
 _DEGENERATE_RTOL = 1e-12
 
-# numpy's SeedSequence pool size and hash constants, and PCG64's multiplier. NEP 19
-# keeps both seedings stable across numpy versions.
-_SEED_POOL, _MASK32, _MASK128 = 4, (1 << 32) - 1, (1 << 128) - 1
+# numpy's SeedSequence pool size and hash constants. NEP 19 keeps SeedSequence and
+# PCG64 seeding stable across numpy versions.
+_SEED_POOL, _MASK32 = 4, (1 << 32) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class DegenerateChannelError(ValueError):
@@ -182,43 +182,69 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return value ^ value >> 16
 
 
-def _pcg64_seeds(words: np.ndarray) -> list:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of at least ``_SEED_POOL``
-    uint32 words; each pass of numpy's loops over the pool is one step on all rows."""
+def _pcg64_seeds(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row[:n]).generate_state(4, np.uint64)`` of each row of uint32 ``words``, zero past its
+    length ``n >= _SEED_POOL`` in ``lengths``; each pass of numpy's loops over the pool is one step on all rows."""
     consts = _hash_constants(_INIT_A, _MULT_A, _SEED_POOL * words.shape[1])
     pool = _hashmix(words[:, :_SEED_POOL], consts[: _SEED_POOL + 1])
     k = _SEED_POOL
-    for src in range(words.shape[1]):  # the pool's own words mix into the others, then any words beyond it
+    for src in range(lengths.max()):  # the pool's own words mix into the others, then any words beyond it
         dst = [d for d in range(_SEED_POOL) if d != src]
         h = _hashmix(pool[:, src, None] if src < _SEED_POOL else words[:, src, None], consts[k : k + len(dst) + 1])
         k += len(dst)
         mixed = _MIX_L * pool[:, dst] - _MIX_R * h
-        pool[:, dst] = mixed ^ mixed >> 16
+        mixed ^= mixed >> 16
+        pool[:, dst] = mixed if src < _SEED_POOL else np.where(src < lengths[:, None], mixed, pool[:, dst])
     state = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_POOL))
-    return state.astype("<u4").view("<u8").tolist()
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _trial_streams(keys: Sequence[Sequence[int]]):
-    """Yield, for each key of non-negative ints in turn, one shared generator set to the
-    state of ``np.random.default_rng(np.random.SeedSequence(list(key)))``; draw from it
-    before taking the next. SeedSequence's hash runs once on uint32 arrays (keys of up to
-    ``_SEED_POOL`` words hash as their zero-padded form, longer keys are grouped by
-    length); each key then costs PCG64's two 128-bit seeding steps."""
-    words = [
-        list(key) if max(key) <= _MASK32 else [n >> s & _MASK32 for n in key for s in range(0, n.bit_length() or 1, 32)]
-        for key in keys
-    ]
-    seeds = {}
-    for n in {max(len(w), _SEED_POOL) for w in words}:
-        rows = [i for i, w in enumerate(words) if max(len(w), _SEED_POOL) == n]
-        padded = np.array([words[i] + [0] * (n - len(words[i])) for i in rows], dtype=np.uint32)
-        seeds.update(zip(rows, _pcg64_seeds(padded)))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for s_hi, s_lo, i_hi, i_lo in map(seeds.get, range(len(words))):
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = {"state": (((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-        yield rng
+class _Seeded:
+    """One key's row of :func:`_pcg64_seeds`, the words PCG64 seeds itself from. It becomes an
+    ``ISeedSequence`` when :func:`_trial_streams` runs, so importing nomasim leaves numpy.random unloaded."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds the 4 uint64 words PCG64 seeds from, not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def _stream_keys(head: tuple, trials, tail: tuple = ()):
+    """The keys ``(*head, t, *tail)`` of the non-negative int ``trials``: uint64 rows, or int tuples if an entry
+    is 2**64 or more."""
+    try:
+        keys = np.tile(np.array((*head, 0, *tail), dtype=np.uint64), (len(trials), 1))
+        keys[:, len(head)] = trials
+    except OverflowError:
+        return [(*head, int(t), *tail) for t in trials]
+    return keys
+
+
+def _trial_streams(keys):
+    """Iterate over ``np.random.default_rng(np.random.SeedSequence(list(key)))`` for each key of non-negative ints,
+    each a generator of its own. The keys' uint32 words are hashed together, on arrays, and PCG64 seeds itself
+    from each key's hashed words. Keys that make one uint64 array are split into words as a whole; other keys
+    (an entry of 2**64 or more, or keys of unequal lengths) are split int by int."""
+    try:
+        keys = np.asarray(keys, dtype=np.uint64)
+    except (OverflowError, ValueError):
+        split = [[n >> s & _MASK32 for n in map(int, key) for s in range(0, n.bit_length() or 1, 32)] for key in keys]
+        lengths = np.array([len(w) for w in split])
+        width = max(lengths.max(), _SEED_POOL)
+        words = np.array([w + [0] * (width - len(w)) for w in split], dtype=np.uint32)
+    else:
+        wide = keys > _MASK32
+        at = np.arange(keys.shape[1]) + np.cumsum(wide, axis=1) - wide  # each entry's low word
+        words = np.zeros((len(keys), max(2 * keys.shape[1], _SEED_POOL)), dtype=np.uint32)
+        words[np.arange(len(keys))[:, None], at + 1] = keys >> 32  # a narrow entry's 0 is overwritten or padding
+        words[np.arange(len(keys))[:, None], at] = keys & _MASK32
+        lengths = at[:, -1] + wide[:, -1] + 1
+    seeds = _pcg64_seeds(words, np.maximum(lengths, _SEED_POOL))  # shorter keys hash zero-padded
+    np.random.bit_generator.ISeedSequence.register(_Seeded)  # returns at once after the first call
+    return (np.random.Generator(np.random.PCG64(_Seeded(row))) for row in seeds)
 
 
 def draw_cluster(
@@ -234,29 +260,30 @@ def draw_cluster(
     given triple always reproduces the same realization, independent of call
     order.
 
-    ``trial_seed`` may also be a 1-D sequence of trial seeds, whose streams are
-    seeded together by :func:`_trial_streams`. The result stacks the trials on
-    a leading axis; trial ``i`` of it equals ``draw_cluster(config,
-    cluster_index, trial_seed[i])`` bit for bit.
+    ``trial_seed`` may also be a 1-D sequence of trial seeds, whose keys go to
+    :func:`_trial_streams` as one uint64 array unless an entry is 2**64 or more.
+    The result stacks the trials on a leading axis; trial ``i`` of it equals
+    ``draw_cluster(config, cluster_index, trial_seed[i])`` bit for bit.
     """
     if not 0 <= cluster_index < config.tx_antennas:
         raise ValueError("cluster_index must select one precoder column")
     ndim = np.ndim(trial_seed)
     int_array = ndim == 1 and isinstance(trial_seed, np.ndarray) and trial_seed.dtype.kind in "iu"
-    trials = trial_seed.tolist() if int_array else list(trial_seed) if ndim == 1 else [trial_seed]
-    if ndim > 1 or not trials:
+    trials = trial_seed if int_array else list(trial_seed) if ndim == 1 else [trial_seed]
+    if ndim > 1 or not len(trials):
         raise ValueError("trial_seed must be an integer or a non-empty 1-D sequence of them")
     if (trial_seed < 0).any() if int_array else not all(is_whole(t, 0) for t in trials):
         raise ValueError("trial_seed must be a non-negative integer")
+    keys = _stream_keys((config.rng_seed, int(cluster_index)), trials if int_array else [int(t) for t in trials])
     n_users = config.users_per_cluster
     n_rx, n_tx = config.rx_antennas, config.tx_antennas
 
     lo, hi = config.cell_radius_range_km
     unit = np.empty((len(trials), n_users))
     normals = np.empty((len(trials), 2, n_users, n_rx, n_tx))  # real parts, then imaginary
-    for i, rng in enumerate(_trial_streams([(config.rng_seed, int(cluster_index), int(t)) for t in trials])):
-        rng.random(out=unit[i])
-        rng.standard_normal(out=normals[i])
+    for u, normal, rng in zip(unit, normals, _trial_streams(keys)):
+        rng.random(out=u)
+        rng.standard_normal(out=normal)
     distances = lo + (hi - lo) * unit  # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
     channels = np.empty((len(trials), n_users, n_rx, n_tx), dtype=complex)
     channels.real, channels.imag = normals[:, 0], normals[:, 1]

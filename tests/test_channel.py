@@ -11,7 +11,7 @@ from nomasim import (
     SystemConfig,
     draw_cluster,
 )
-from nomasim.channel import _combiners, _trial_streams
+from nomasim.channel import _combiners, _Seeded, _trial_streams
 from nomasim.experiments import _THRESHOLD_STREAM
 
 
@@ -349,7 +349,19 @@ class TestTrialStreams:
         (190, 12, _THRESHOLD_STREAM),
         (2**33, 2**64 + 5, _THRESHOLD_STREAM),
         (0,),
+        (190, 0, 2**63),
+        (190, 1, 2**64 - 1),
+        (2**64, 2, 5),
+        (2**64 + 5, 0, 2**32),
     ]
+    BATCHES = {
+        "straddling 2**32": np.array([(190, 1, t) for t in (2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 3)], np.uint64),
+        "2**63 and more": np.array([(190, 2, t) for t in (2**63 - 1, 2**63, 2**64 - 1, 0)], dtype=np.uint64),
+        "int64": np.array([(7, 0, t) for t in range(5)]),
+        "4, 5 and 6 words": np.array([(2**40, 1, 5), (2**40, 2**33, 2**32), (2**40, 1, 2**32 + 7)], dtype=np.uint64),
+        "rng_seed 2**64 and more": [(2**64 + 5, 0, t) for t in (0, 2**32, 2**64 + 5)],
+        "mixed widths": KEYS,
+    }
 
     @pytest.mark.parametrize("key", KEYS)
     def test_one_key_matches_seed_sequence(self, key):
@@ -367,6 +379,25 @@ class TestTrialStreams:
             ref = numpy_stream(key)
             np.testing.assert_array_equal(ints, ref.integers(0, 3, size=3))
             np.testing.assert_array_equal(uniforms, ref.uniform(size=2))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_collected_generators_are_each_keys_own_stream(self, batch):
+        keys = self.BATCHES[batch]
+        rngs = list(_trial_streams(keys))
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            ref = numpy_stream(int(n) for n in key)
+            assert rng.bit_generator.state == ref.bit_generator.state, key
+            np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64)])
+    def test_seeded_words_serve_only_pcg64s_request(self, n_words, dtype):
+        words = np.arange(4, dtype=np.uint64)
+        seeded = _Seeded(words)
+        assert seeded.generate_state(4, np.uint64) is words
+        assert seeded.generate_state(4, np.dtype(np.uint64)) is words
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seeded.generate_state(n_words, dtype)
 
     @pytest.mark.parametrize("users", [2, 3, 8])
     def test_draw_equals_a_per_trial_generator_loop(self, users):

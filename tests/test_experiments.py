@@ -141,7 +141,7 @@ class TestSweepSpec:
         for p in ((40.0,), (50.0,)):
             assert 0 <= means[p, "greedy_mixed", "admitted_count"] <= means[p, "exhaustive_mixed", "admitted_count"] <= 24
 
-    @pytest.mark.parametrize("seed", [190, 2**32 + 5])
+    @pytest.mark.parametrize("seed", [190, 2**32 + 5, 2**64 + 5])
     def test_mixed_targets_are_each_trials_own_choice_draw(self, seed):
         spec = make_sweep("oracle_compare_mixed", CFG.with_(rng_seed=seed), requesting_users=9)
         trials = [0, 1, 255, 256, 2**32, 2**64 + 5]
@@ -150,6 +150,15 @@ class TestSweepSpec:
         for row, t in zip(targets, trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, experiments._THRESHOLD_STREAM]))
             np.testing.assert_array_equal(row, rng.choice(np.asarray(spec.threshold_choices_db), size=9))
+
+    @pytest.mark.parametrize("trials", [np.arange(300), np.array([2**32 - 1, 2**32, 2**63, 2**64 - 1, 5], np.uint64)])
+    def test_mixed_targets_of_a_trial_array_are_each_trials_own_choice_draw(self, trials):
+        choices = (0.0, 5.0, 10.0, 15.0, 20.0)
+        spec = make_sweep("oracle_compare_mixed", CFG, requesting_users=7, threshold_choices_db=choices)
+        targets = experiments._mixed_thresholds_db(spec, trials)
+        for row, t in zip(targets, trials.tolist()):
+            rng = np.random.default_rng(np.random.SeedSequence([CFG.rng_seed, t, experiments._THRESHOLD_STREAM]))
+            np.testing.assert_array_equal(row, rng.choice(np.asarray(choices), size=7))
 
     def test_threshold_choices_must_be_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
