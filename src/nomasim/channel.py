@@ -212,26 +212,17 @@ class _Seeded:
         return self.words
 
 
-def _stream_keys(head: tuple, trials, tail: tuple = ()):
-    """The keys ``(*head, t, *tail)`` of the non-negative int ``trials``: uint64 rows, or int tuples if an entry
-    is 2**64 or more."""
+def _trial_streams(head: tuple, trials, tail: tuple = ()):
+    """Iterate over ``np.random.default_rng(np.random.SeedSequence([*head, t, *tail]))`` for each ``t`` of
+    ``trials``, each a generator of its own; every entry is a non-negative int. The keys' uint32 words are hashed
+    together, on arrays, and PCG64 seeds itself from each key's hashed words. Keys that fit uint64 rows are split
+    into words as a whole; if an entry is 2**64 or more, they are split int by int."""
     try:
         keys = np.tile(np.array((*head, 0, *tail), dtype=np.uint64), (len(trials), 1))
         keys[:, len(head)] = trials
     except OverflowError:
-        return [(*head, int(t), *tail) for t in trials]
-    return keys
-
-
-def _trial_streams(keys):
-    """Iterate over ``np.random.default_rng(np.random.SeedSequence(list(key)))`` for each key of non-negative ints,
-    each a generator of its own. The keys' uint32 words are hashed together, on arrays, and PCG64 seeds itself
-    from each key's hashed words. Keys that make one uint64 array are split into words as a whole; other keys
-    (an entry of 2**64 or more, or keys of unequal lengths) are split int by int."""
-    try:
-        keys = np.asarray(keys, dtype=np.uint64)
-    except (OverflowError, ValueError):
-        split = [[n >> s & _MASK32 for n in map(int, key) for s in range(0, n.bit_length() or 1, 32)] for key in keys]
+        keys = [(*head, int(t), *tail) for t in trials]
+        split = [[n >> s & _MASK32 for n in key for s in range(0, n.bit_length() or 1, 32)] for key in keys]
         lengths = np.array([len(w) for w in split])
         width = max(lengths.max(), _SEED_POOL)
         words = np.array([w + [0] * (width - len(w)) for w in split], dtype=np.uint32)
@@ -260,13 +251,13 @@ def draw_cluster(
     given triple always reproduces the same realization, independent of call
     order.
 
-    ``trial_seed`` may also be a 1-D sequence of trial seeds, whose keys go to
-    :func:`_trial_streams` as one uint64 array unless an entry is 2**64 or more.
-    The result stacks the trials on a leading axis; trial ``i`` of it equals
-    ``draw_cluster(config, cluster_index, trial_seed[i])`` bit for bit.
+    ``trial_seed`` may also be a 1-D sequence of trial seeds, seeded as one
+    batch. The result stacks the trials on a leading axis; trial ``i`` of it
+    equals ``draw_cluster(config, cluster_index, trial_seed[i])`` bit for bit.
     """
-    if not 0 <= cluster_index < config.tx_antennas:
+    if not (is_whole(cluster_index, 0) and cluster_index < config.tx_antennas):
         raise ValueError("cluster_index must select one precoder column")
+    cluster_index = int(cluster_index)
     ndim = np.ndim(trial_seed)
     int_array = ndim == 1 and isinstance(trial_seed, np.ndarray) and trial_seed.dtype.kind in "iu"
     trials = trial_seed if int_array else list(trial_seed) if ndim == 1 else [trial_seed]
@@ -274,14 +265,14 @@ def draw_cluster(
         raise ValueError("trial_seed must be an integer or a non-empty 1-D sequence of them")
     if (trial_seed < 0).any() if int_array else not all(is_whole(t, 0) for t in trials):
         raise ValueError("trial_seed must be a non-negative integer")
-    keys = _stream_keys((config.rng_seed, int(cluster_index)), trials if int_array else [int(t) for t in trials])
+    trials = trials if int_array else [int(t) for t in trials]
     n_users = config.users_per_cluster
     n_rx, n_tx = config.rx_antennas, config.tx_antennas
 
     lo, hi = config.cell_radius_range_km
     unit = np.empty((len(trials), n_users))
     normals = np.empty((len(trials), 2, n_users, n_rx, n_tx))  # real parts, then imaginary
-    for u, normal, rng in zip(unit, normals, _trial_streams(keys)):
+    for u, normal, rng in zip(unit, normals, _trial_streams((config.rng_seed, cluster_index), trials)):
         rng.random(out=u)
         rng.standard_normal(out=normal)
     distances = lo + (hi - lo) * unit  # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit

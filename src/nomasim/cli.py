@@ -14,6 +14,7 @@ import numpy as np
 
 from .channel import SystemConfig, draw_cluster
 from .experiments import (
+    _KINDS,
     ORACLE_BENCHMARK_RADIUS_KM,
     SweepSpec,
     make_sweep,
@@ -62,6 +63,11 @@ def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[
     feed :func:`nomasim.experiments.make_sweep`. Unknown keys and malformed
     lines are rejected with the offending line number.
     """
+    return _parse_settings(path, overrides, base)[:2]
+
+
+def _parse_settings(path, overrides, base) -> tuple[SystemConfig, dict, tuple[str, ...]]:
+    """:func:`parse_config`'s results, then the cell keys that were set."""
     pairs: list[tuple[str, object]] = []
     if path is not None:
         try:
@@ -71,11 +77,9 @@ def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[
             raise ConfigError(f"cannot read config file {path}: {e}") from None
         for i, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            pairs.append(_parse_pair(text, f"{path}:{i}"))
-    for text in overrides:
-        pairs.append(_parse_pair(text, f"override {text!r}"))
+            if text:
+                pairs.append(_parse_pair(text, f"{path}:{i}"))
+    pairs += [_parse_pair(text, f"override {text!r}") for text in overrides]
 
     system_kwargs = {key: value for key, value in pairs if key not in _SWEEP_KEYS}
     sweep_kwargs = {key: value for key, value in pairs if key in _SWEEP_KEYS}
@@ -83,7 +87,7 @@ def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[
         config = replace(base, **system_kwargs) if base is not None else SystemConfig(**system_kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return config, sweep_kwargs
+    return config, sweep_kwargs, tuple(system_kwargs)
 
 
 def _metadata_path(csv_path: str) -> str:
@@ -91,27 +95,31 @@ def _metadata_path(csv_path: str) -> str:
     return (root if ext == ".csv" else csv_path) + ".meta.json"
 
 
-def _resolve_config(args, reads: tuple[str, ...] | None = None) -> tuple[SystemConfig, dict]:
-    """Cell config and sweep settings of parsed arguments; ``reads`` lists the
-    sweep keys a non-sweep subcommand accepts (make_sweep checks a sweep's)."""
-    config, sweep_kwargs = parse_config(args.config, args.overrides, base=args.base)
+def _resolve_config(args, reads: tuple[str, ...] | None = None) -> tuple[SystemConfig, dict, tuple[str, ...]]:
+    """Cell config, sweep settings and the cell keys set of parsed arguments; ``reads``
+    lists the sweep keys a non-sweep subcommand accepts (make_sweep checks a sweep's)."""
+    config, sweep_kwargs, cell_keys = _parse_settings(args.config, args.overrides, args.base)
     if args.seed is not None:
         config = config.with_(rng_seed=args.seed)
     if reads is not None:
         unread = [key for key in sweep_kwargs if key not in reads]
         if unread:
             raise ConfigError(f"{args.subcommand} does not read the sweep key '{unread[0]}'")
-    return config, sweep_kwargs
+    return config, sweep_kwargs, cell_keys
 
 
 def _run_sweep_command(args) -> int:
-    config, sweep_kwargs = _resolve_config(args)
-    trials = args.trials if args.trials is not None else sweep_kwargs.pop("trials", None)
-    sweep_kwargs.pop("trials", None)
+    config, sweep_kwargs, cell_keys = _resolve_config(args)
+    trials = sweep_kwargs.pop("trials", None)
     try:
-        spec = make_sweep(args.kind, config, trials=trials, **sweep_kwargs)
+        spec = make_sweep(args.kind, config, trials=trials if args.trials is None else args.trials, **sweep_kwargs)
     except ValueError as e:
         raise ConfigError(f"{args.subcommand}: {e}") from None
+    # each sweep sets the cluster size it draws, and only a grid of power shares reads tx_power_dbm
+    shares = _KINDS[args.kind].unit.startswith("share")
+    unread = [key for key in cell_keys if key == "users_per_cluster" or key == "tx_power_dbm" and not shares]
+    if unread:
+        raise ConfigError(f"{args.subcommand} does not read the cell key '{unread[0]}', which the sweep sets itself")
     result = run_sweep(spec, workers=args.workers)
     out = args.out or os.path.join(os.environ.get("NOMASIM_OUT_DIR", "."), f"{args.kind}.csv")
     write_csv(result, out)
@@ -128,7 +136,7 @@ def _run_sweep_command(args) -> int:
 def _run_gap_command(args) -> int:
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
-    config, _ = _resolve_config(args, reads=())
+    config, _, _ = _resolve_config(args, reads=())
     realization = draw_cluster(config, 0, args.trial_index)
     pair = realization.snr_gains[:2]
     star = two_user_gap_maximizer(pair[0])
@@ -146,7 +154,7 @@ def _run_gap_command(args) -> int:
 
 
 def _run_verify_command(args) -> int:
-    config, sweep_kwargs = _resolve_config(args, reads=("trials",))
+    config, sweep_kwargs, _ = _resolve_config(args, reads=("trials",))
     trials = args.trials if args.trials is not None else sweep_kwargs.get("trials", 1000)
     results = run_verification(trials=trials, seed=config.rng_seed, config=config)
     failed = sum(not r.passed for r in results)

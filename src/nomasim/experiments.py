@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .admission import _optimal_admit_batch, _require_dp_states, _sequential_admit_batch
-from .channel import ClusterRealization, SystemConfig, _stream_keys, _trial_streams, draw_cluster
+from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
 from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
@@ -313,7 +313,7 @@ def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trial
 def _mixed_thresholds_db(spec: SweepSpec, trials) -> np.ndarray:
     """Targets of shape (trials, users); trial t's stream is keyed ``[rng_seed, t, _THRESHOLD_STREAM]``."""
     picks = np.empty((len(trials), spec.requesting_users), dtype=np.int64)
-    for row, rng in zip(picks, _trial_streams(_stream_keys((spec.config.rng_seed,), trials, (_THRESHOLD_STREAM,)))):
+    for row, rng in zip(picks, _trial_streams((spec.config.rng_seed,), trials, (_THRESHOLD_STREAM,))):
         row[:] = rng.integers(0, len(spec.threshold_choices_db), size=spec.requesting_users)  # choice()'s bits
     return np.asarray(spec.threshold_choices_db, dtype=float)[picks]
 

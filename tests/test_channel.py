@@ -76,6 +76,8 @@ class TestSystemConfig:
             {"tx_antennas": math.nan},
             {"users_per_cluster": math.inf},
             {"rng_seed": math.inf},
+            {"tx_antennas": 0},
+            {"rx_antennas": 3.5},
         ],
     )
     def test_invalid_configs_rejected(self, changes):
@@ -275,11 +277,16 @@ class TestDrawCluster:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "cluster_index,trial_seed", [(-1, 0), (3, 0), (0, -2), (0, 1.5), (0, math.inf), (0, math.nan)]
+        "cluster_index,trial_seed", [(-1, 0), (3, 0), (0, -2), (0, 1.5), (0, math.inf), (0, math.nan), (1.5, 0)]
     )
     def test_bad_draw_keys_rejected(self, cfg, cluster_index, trial_seed):
         with pytest.raises((ValueError, TypeError)):
             draw_cluster(cfg, cluster_index, trial_seed)
+
+    def test_whole_float_cluster_index_draws_that_cluster(self, cfg):
+        a, b = draw_cluster(cfg, 1.0, [0, 3]), draw_cluster(cfg, 1, [0, 3])
+        for name in ("channels", "detection_vectors", "effective_gains", "distances_km", "sort_order"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_arrays_are_read_only(self, cfg):
         r = draw_cluster(cfg, 0, 2)
@@ -341,53 +348,56 @@ def numpy_stream(key):
 class TestTrialStreams:
     """The batched seeding is pinned to numpy's own SeedSequence and PCG64."""
 
-    KEYS = [
-        *[(190, ci, t) for ci in range(3) for t in (0, 2**32 - 1, 2**32, 2**64 + 5)],
-        (2**32 + 7, 1, 3),
-        (2**40, 2, 2**64 + 5),  # six entropy words: the pool's extra mixing rounds
-        (2**64 - 1, 0, 2**32 - 1, 7),
-        (190, 12, _THRESHOLD_STREAM),
-        (2**33, 2**64 + 5, _THRESHOLD_STREAM),
-        (0,),
-        (190, 0, 2**63),
-        (190, 1, 2**64 - 1),
-        (2**64, 2, 5),
-        (2**64 + 5, 0, 2**32),
+    KEYS = [  # (head, trial, tail) of the key [*head, trial, *tail]
+        *[((190, ci), t, ()) for ci in range(3) for t in (0, 2**32 - 1, 2**32, 2**64 + 5)],
+        ((2**32 + 7, 1), 3, ()),
+        ((2**40, 2), 2**64 + 5, ()),  # six entropy words: the pool's extra mixing rounds
+        ((2**64 - 1, 0), 2**32 - 1, (7,)),
+        ((190,), 12, (_THRESHOLD_STREAM,)),
+        ((2**33,), 2**64 + 5, (_THRESHOLD_STREAM,)),
+        ((), 0, ()),
+        ((190, 0), 2**63, ()),
+        ((190, 1), 2**64 - 1, ()),
+        ((2**64, 2), 5, ()),
+        ((2**64 + 5, 0), 2**32, ()),
     ]
     BATCHES = {
-        "straddling 2**32": np.array([(190, 1, t) for t in (2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 3)], np.uint64),
-        "2**63 and more": np.array([(190, 2, t) for t in (2**63 - 1, 2**63, 2**64 - 1, 0)], dtype=np.uint64),
-        "int64": np.array([(7, 0, t) for t in range(5)]),
-        "4, 5 and 6 words": np.array([(2**40, 1, 5), (2**40, 2**33, 2**32), (2**40, 1, 2**32 + 7)], dtype=np.uint64),
-        "rng_seed 2**64 and more": [(2**64 + 5, 0, t) for t in (0, 2**32, 2**64 + 5)],
-        "mixed widths": KEYS,
+        "straddling 2**32": ((190, 1), np.array([2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 3], np.uint64), ()),
+        "2**63 and more": ((190, 2), np.array([2**63 - 1, 2**63, 2**64 - 1, 0], dtype=np.uint64), ()),
+        "int64": ((7,), np.arange(5), (_THRESHOLD_STREAM,)),
+        "4 and 5 words": ((2**40, 1), np.array([5, 2**32 + 7, 2**32 - 1], dtype=np.uint64), ()),
+        "5 and 6 words": ((2**40, 2**33), np.array([5, 2**32, 2**64 - 1], dtype=np.uint64), ()),
+        "rng_seed 2**64 and more": ((2**64 + 5, 0), [0, 2**32, 2**64 + 5], ()),
+        "trial 2**64 and more": ((190, 1), [0, 2**64 + 5, 2**32 - 1, 2**96], (_THRESHOLD_STREAM,)),
     }
 
     @pytest.mark.parametrize("key", KEYS)
     def test_one_key_matches_seed_sequence(self, key):
-        (rng,) = _trial_streams([key])
-        ref = numpy_stream(key)
+        head, trial, tail = key
+        (rng,) = _trial_streams(head, [trial], tail)
+        ref = numpy_stream((*head, trial, *tail))
         assert rng.bit_generator.state == ref.bit_generator.state
         np.testing.assert_array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
     def test_mixed_widths_keep_key_order(self):
+        trials = [2**32, 0, 2**64 + 5, 2**32 - 1, 2**63, 7]  # keys of 4, 3, 5, 3, 4 and 3 words
         draws = []
-        for key, rng in zip(self.KEYS, _trial_streams(self.KEYS)):
-            assert rng.bit_generator.state == numpy_stream(key).bit_generator.state, key
+        for t, rng in zip(trials, _trial_streams((190, 1), trials)):
+            assert rng.bit_generator.state == numpy_stream((190, 1, t)).bit_generator.state, t
             draws.append((rng.integers(0, 3, size=3), rng.uniform(size=2)))
-        for key, (ints, uniforms) in zip(self.KEYS, draws):
-            ref = numpy_stream(key)
+        for t, (ints, uniforms) in zip(trials, draws):
+            ref = numpy_stream((190, 1, t))
             np.testing.assert_array_equal(ints, ref.integers(0, 3, size=3))
             np.testing.assert_array_equal(uniforms, ref.uniform(size=2))
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_collected_generators_are_each_keys_own_stream(self, batch):
-        keys = self.BATCHES[batch]
-        rngs = list(_trial_streams(keys))
-        assert len(rngs) == len(keys)
-        for key, rng in zip(keys, rngs):
-            ref = numpy_stream(int(n) for n in key)
-            assert rng.bit_generator.state == ref.bit_generator.state, key
+        head, trials, tail = self.BATCHES[batch]
+        rngs = list(_trial_streams(head, trials, tail))
+        assert len(rngs) == len(trials)
+        for t, rng in zip(trials, rngs):
+            ref = numpy_stream((*head, int(t), *tail))
+            assert rng.bit_generator.state == ref.bit_generator.state, t
             np.testing.assert_array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64)])

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from nomasim import CheckResult, SweepSpec, SystemConfig, cli, make_sweep
@@ -229,6 +230,43 @@ class TestDispatch:
         assert key in err and args[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["sweep-split", "--set", "users_per_cluster=2"], "users_per_cluster"),
+            (["fairness", "--surface", "--set", "users_per_cluster=3"], "users_per_cluster"),
+            (["ergodic", "--set", "users_per_cluster=7"], "users_per_cluster"),
+            (["ergodic", "--set", "tx_power_dbm=20"], "tx_power_dbm"),
+            (["sweep-power", "--set", "tx_power_dbm=35"], "tx_power_dbm"),
+            (["admission", "--by-requesting", "--set", "tx_power_dbm=20"], "tx_power_dbm"),
+            (["admission", "--set", "users_per_cluster=8"], "users_per_cluster"),
+            (["oracle-compare", "--set", "tx_power_dbm=20"], "tx_power_dbm"),
+            (["oracle-compare", "--mixed", "--config"], "users_per_cluster"),
+        ],
+    )
+    def test_cell_key_the_sweep_sets_itself_is_exit_code_2(self, args, key, capsys, tmp_path):
+        if args[-1] == "--config":
+            args = args + [write_config(tmp_path, "rng_seed = 3\nusers_per_cluster = 5\n")]
+        out = tmp_path / "x.csv"
+        assert main(args + ["--trials", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err and args[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["sweep-split", "fairness"])
+    def test_share_sweeps_read_the_cell_power(self, sweep, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([sweep, "--set", "grid=0.3", "--out", str(a)]) == 0
+        assert main([sweep, "--set", "grid=0.3", "--set", "tx_power_dbm=20", "--out", str(b)]) == 0
+        assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("args", [["gap"], ["verify", "--trials", "3"]])
+    def test_gap_and_verify_read_both_cell_keys(self, args, capsys):
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--set", "users_per_cluster=3", "--set", "tx_power_dbm=20"]) == 0
+        assert capsys.readouterr().out != default
+
 
 class TestSweepCommands:
     def test_two_point_grid_writes_two_rows_per_scheme(self, tmp_path, capsys):
@@ -338,6 +376,11 @@ class TestGapCommand:
         main(["gap", "--trial", "1"])
         second = capsys.readouterr().out
         assert first != second
+
+    def test_grid_argmax_off_the_closed_form_is_exit_code_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gap_maximizer_excess", lambda pairs, grid: np.array([1.0]))
+        assert main(["gap"]) == 1
+        assert "grid argmax disagrees with the closed form" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -84,6 +84,11 @@ class TestGrids:
     def test_value_grid_avoids_float_drift(self):
         assert 0.3 in value_grid(0.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("start,stop,step", [(0.0, 1.0, 0.0), (0.0, 1.0, -0.5), (1.0, 0.0, 0.5)])
+    def test_value_grid_rejects_empty_ranges(self, start, stop, step):
+        with pytest.raises(ValueError, match="step > 0 and stop >= start"):
+            value_grid(start, stop, step)
+
     def test_surface_grid_shape(self):
         grid = split_surface_grid()
         assert len(grid) == 20 * 21
@@ -194,6 +199,16 @@ class TestSweepSpec:
     def test_counts_must_be_positive_integers(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
             SweepSpec(kind="power_sweep", grid=(30.0,), trials=1, config=CFG3, **{key: value})
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_extension_fraction_must_lie_in_the_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"extension_fraction must lie in \[0, 1\]"):
+            make_sweep("power_sweep", CFG, extension_fraction=fraction)
+
+    @pytest.mark.parametrize("kind", ["power_sweep", "split_sweep_3user"])
+    def test_empty_grid_rejected(self, kind):
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            make_sweep(kind, CFG, grid=())
 
     def test_config_takes_the_drawn_cluster_size(self):
         spec = SweepSpec(kind="admission_vs_sinr", grid=(10.0,), trials=1, config=SystemConfig(users_per_cluster=4))
@@ -411,6 +426,13 @@ class TestOracleCompare:
                 result, f"exhaustive_minus_greedy_s{s}", "sum_rate_bps_hz"
             )
             np.testing.assert_allclose(rate_diff, 0.0, atol=1e-12)
+
+    def test_equal_target_divergence_is_an_error(self, monkeypatch):
+        exact = experiments._optimal_admit_batch
+        monkeypatch.setattr(experiments, "_optimal_admit_batch", lambda g, t: (exact(g, t)[0] + 1, exact(g, t)[1]))
+        spec = make_sweep("oracle_compare_equal", CFG, trials=3, grid=(30.0, 50.0), requesting_users=4)
+        with pytest.raises(RuntimeError, match=r"diverged from the optimum \(trial 0, power 30.0 dBm, target 5.0 dB\)"):
+            run_sweep(spec)
 
     def test_benchmark_radius_is_dense(self):
         assert ORACLE_BENCHMARK_RADIUS_KM[1] < CFG.cell_radius_range_km[1]

@@ -339,6 +339,28 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(fn(g, w), [fn(gi, wi) for gi, wi in zip(g, w)])
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "fn,args,message",
+        [
+            (noma_user_rates, ([2.0, 1.0], [1.0]), "same number of users"),
+            (oma_user_rates, ([2.0, 1.0], [0.5, 0.5], [1.0]), "one entry per user"),
+            (two_user_gap, ([3.0, 2.0, 1.0], 0.5), "exactly two gains"),
+            (two_user_gap, ([2.0, 1.0], 1.5), "omega1 must lie in"),
+            (cluster_size_rate_delta, ([1.0, 2.0, 0.5], [0.5, 0.5], [0.4, 0.4, 0.2]), "non-increasing"),
+            (cluster_size_rate_delta, ([4.0, 2.0, -1.0], [0.5, 0.5], [0.4, 0.4, 0.2]), "non-negative"),
+            (cluster_size_rate_delta, ([4.0, 2.0, 1.0], [0.5, 0.4], [0.4, 0.4, 0.2]), "full power budget"),
+            (jain_index, ([],), "non-empty"),
+            (jain_index, (3.0,), "non-empty"),
+            (jain_index, ([1.0, -0.5],), "rates must be non-negative"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_rejected_with_a_message(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_gains_and_shares_must_be_finite(self, bad):
