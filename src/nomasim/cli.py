@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trials.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
     sweep = argparse.ArgumentParser(add_help=False, parents=[trials])
     sweep.add_argument("--out", metavar="PATH", help="output CSV path (default <kind>.csv in $NOMASIM_OUT_DIR or .)")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel trial workers (does not affect output)")
+    sweep.add_argument("--workers", type=int, default=1, help="trial processes, this one included (does not affect output)")
     sweep.set_defaults(handler=_run_sweep_command)
 
     parser = argparse.ArgumentParser(

@@ -6,7 +6,9 @@ scheme comparisons are paired and per-trial inequalities survive averaging.
 Trials are evaluated a chunk at a time, on arrays with a leading trial axis.
 Each trial's values are a pure function of ``(spec, trial)``, whatever chunk
 it falls in, and results are reduced in trial order, which keeps output
-byte-identical for any chunking and any worker count.
+byte-identical for any chunking and any worker count. With several workers the
+calling process evaluates the first contiguous share of trials itself while
+child processes evaluate the others and send their values back over pipes.
 
 Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
 default trials and grid, what its grid holds, the sweep keys it reads, the
@@ -23,7 +25,6 @@ import json
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -420,14 +421,31 @@ def _evaluate_trials(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _send_share(writer, spec: SweepSpec, start: int, stop: int) -> None:
+    """Body of a child process: send the values of trials ``start`` to
+    ``stop - 1``, or the exception that stopped them with its traceback, and
+    close the pipe."""
+    with writer:
+        try:
+            values = _evaluate_trials(spec, start, stop)
+        except Exception as exc:
+            import traceback
+
+            values = (exc, traceback.format_exc())
+        writer.send(values)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute a sweep and reduce per-trial values to mean and stderr rows.
 
-    ``workers`` only changes how trials are scheduled: each worker takes a
-    contiguous range of trials and evaluates it chunk by chunk. The pool gets
-    at most one worker per chunk, and none starts for a single chunk, where
-    its start-up costs more than it saves. The reduction always happens in
-    trial order, so results are identical for any width.
+    ``workers`` only changes how trials are scheduled: they are cut into that
+    many contiguous shares, each evaluated chunk by chunk. This process takes
+    the first share while a child process per other share sends its values
+    back over a pipe; a child's exception is raised here, a child that dies
+    raises ``RuntimeError``, and no child outlives the call. ``workers`` is
+    capped at one per chunk, so a single chunk starts no child, where its
+    start-up costs more than it saves. The reduction always happens in trial
+    order, so results are identical for any width.
     """
     if not is_whole(workers, 1):
         raise ValueError("workers must be a positive integer")
@@ -435,11 +453,41 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers == 1:
         stacked = _evaluate_trials(spec, 0, spec.trials)
     else:
+        import multiprocessing  # only a sweep that starts children pays for the import
+
         share = math.ceil(spec.trials / workers)
-        starts = range(0, spec.trials, share)
-        stops = [min(start + share, spec.trials) for start in starts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stacked = np.concatenate(list(pool.map(_evaluate_trials, [spec] * len(starts), starts, stops)))
+        shares = [(start, min(start + share, spec.trials)) for start in range(0, spec.trials, share)]
+        context = multiprocessing.get_context()
+        children, readers = [], []
+        try:
+            for start, stop in shares[1:]:
+                reader, writer = context.Pipe(duplex=False)
+                readers.append(reader)
+                # Closing this process's write end at once makes a dead child read as EOF.
+                with writer:
+                    child = context.Process(target=_send_share, args=(writer, spec, start, stop))
+                    child.start()
+                children.append(child)
+            parts = [_evaluate_trials(spec, *shares[0])]
+            for child, reader, (start, stop) in zip(children, readers, shares[1:]):
+                try:
+                    parts.append(reader.recv())
+                except EOFError:  # every write end closed with nothing sent: the child died
+                    child.join()
+                    raise RuntimeError(
+                        f"the worker for trials {start} to {stop - 1} exited with code {child.exitcode} before sending"
+                    ) from None
+                child.join()
+                if isinstance(parts[-1], tuple):
+                    exc, trace = parts[-1]
+                    raise exc from RuntimeError(f"in the worker for trials {start} to {stop - 1}:\n{trace}")
+        finally:
+            for child in children:
+                child.terminate()  # a no-op once joined; stops a child still running after a failure
+                child.join()
+            for reader in readers:
+                reader.close()
+        stacked = np.concatenate(parts)
     mean = stacked.mean(axis=0)
     if spec.trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)

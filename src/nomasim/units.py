@@ -25,7 +25,10 @@ def require_linear(name: str, value_db) -> None:
 
 
 def is_whole(value, minimum: int) -> bool:
-    """True for an integer, or a float holding one, of at least ``minimum``; never for NaN or inf."""
+    """True for an integer, or a float holding one, of at least ``minimum``; never
+    for NaN, inf or a bool, which is a flag and not a count."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     return (isinstance(value, numbers.Integral) or float(value).is_integer()) and value >= minimum
 
 

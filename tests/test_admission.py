@@ -249,7 +249,7 @@ class TestClosedForm:
     def test_zero_count_costs_nothing(self):
         assert cumulative_power_closed_form([4.0, 2.0], [1.0, 1.0], 0) == 0.0
 
-    @pytest.mark.parametrize("count", [-1, 3, 1.5, np.nan, True])
+    @pytest.mark.parametrize("count", [-1, 3, 1.5, np.nan, True, False])
     def test_count_validation(self, count):
         with pytest.raises(ValueError, match="count"):
             cumulative_power_closed_form([4.0, 2.0], [1.0, 1.0], count)

@@ -78,6 +78,9 @@ class TestSystemConfig:
             {"rng_seed": math.inf},
             {"tx_antennas": 0},
             {"rx_antennas": 3.5},
+            {"tx_antennas": True, "rx_antennas": True},
+            {"rng_seed": np.True_},
+            {"rng_seed": False},
         ],
     )
     def test_invalid_configs_rejected(self, changes):
@@ -277,7 +280,8 @@ class TestDrawCluster:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "cluster_index,trial_seed", [(-1, 0), (3, 0), (0, -2), (0, 1.5), (0, math.inf), (0, math.nan), (1.5, 0)]
+        "cluster_index,trial_seed",
+        [(-1, 0), (3, 0), (0, -2), (0, 1.5), (0, math.inf), (0, math.nan), (1.5, 0), (True, 0), (False, 0), (0, True)],
     )
     def test_bad_draw_keys_rejected(self, cfg, cluster_index, trial_seed):
         with pytest.raises((ValueError, TypeError)):
@@ -329,7 +333,9 @@ class TestBatchedDraw:
         with pytest.raises(ValueError):
             r.channels[0, 0, 0, 0] = 0.0
 
-    @pytest.mark.parametrize("trial_seed", [[], [[0, 1]], [0, -1], [0, 1.5], [0, math.inf]])
+    @pytest.mark.parametrize(
+        "trial_seed", [[], [[0, 1]], [0, -1], [0, 1.5], [0, math.inf], [0, True], np.array([False, True])]
+    )
     def test_bad_batches_rejected(self, cfg, trial_seed):
         with pytest.raises(ValueError):
             draw_cluster(cfg, 0, trial_seed)

@@ -3,7 +3,12 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,7 +108,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown sweep kind"):
             SweepSpec(kind="nope", grid=(1.0,), trials=1, config=CFG3)
 
-    @pytest.mark.parametrize("trials", [0, -1, 1.5, math.inf, math.nan])
+    @pytest.mark.parametrize("trials", [0, -1, 1.5, math.inf, math.nan, True, False])
     def test_bad_trials_rejected(self, trials):
         with pytest.raises(ValueError, match="trials"):
             SweepSpec(kind="power_sweep", grid=(30.0,), trials=trials, config=CFG3)
@@ -438,6 +443,46 @@ class TestOracleCompare:
         assert ORACLE_BENCHMARK_RADIUS_KM[1] < CFG.cell_radius_range_km[1]
 
 
+# Three chunks: run at workers=3, the parent takes trials 0-255 and two children the rest.
+THREE_SHARES = make_sweep("ergodic_power_sweep", CFG, trials=3 * experiments._CHUNK_TRIALS, grid=(30.0,))
+
+# A monkeypatched share function reaches a child only through fork.
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs the fork start method")
+
+
+def hook_shares(monkeypatch, parent, child):
+    """Run ``parent()`` before the parent's share and ``child()`` before each child's."""
+    evaluate = experiments._evaluate_trials
+
+    def patched(spec, start, stop):
+        (child if start else parent)()
+        return evaluate(spec, start, stop)
+
+    monkeypatch.setattr(experiments, "_evaluate_trials", patched)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that has not returned within 60 s instead of hanging; a
+    pending alarm is not inherited by forked children."""
+
+    def expire(signum, frame):
+        raise TimeoutError("run_sweep did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_import_loads_neither_a_pool_nor_numpy_random():
+    deferred = ("concurrent.futures", "multiprocessing", "numpy.random")
+    code = f"import sys, nomasim; print([m for m in {deferred!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestExecution:
     def test_rerun_is_identical(self):
         spec = make_sweep("ergodic_power_sweep", CFG, trials=5, grid=(30.0, 40.0))
@@ -457,11 +502,56 @@ class TestExecution:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool started for one chunk of trials")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
         spec = make_sweep("ergodic_power_sweep", CFG, trials=experiments._CHUNK_TRIALS, grid=(30.0,))
         assert run_sweep(spec, workers=4).rows == run_sweep(spec).rows
 
-    @pytest.mark.parametrize("workers", [0, -2, 1.5, math.inf, math.nan])
+    def test_the_parent_takes_the_first_of_uneven_shares(self, monkeypatch):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def record(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+        # Shares of 172, 172 and 171 trials: the parent and two children.
+        spec = make_sweep("ergodic_power_sweep", CFG, trials=2 * experiments._CHUNK_TRIALS + 3, grid=(30.0, 50.0))
+        assert run_sweep(spec, workers=3).rows == run_sweep(spec).rows
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+
+    @forked
+    def test_a_child_exception_is_raised_with_its_type(self, monkeypatch, deadline):
+        def fail():
+            raise ValueError("share 1 failed")
+
+        hook_shares(monkeypatch, parent=lambda: None, child=fail)
+        with pytest.raises(ValueError, match="share 1 failed") as raised:
+            run_sweep(THREE_SHARES, workers=3)
+        assert "trials 256 to 511" in str(raised.value.__cause__) and "in fail" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    @forked
+    def test_a_child_that_dies_is_a_runtime_error(self, monkeypatch, deadline):
+        hook_shares(monkeypatch, parent=lambda: None, child=lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="trials 256 to 511 exited with code 3"):
+            run_sweep(THREE_SHARES, workers=3)
+        assert multiprocessing.active_children() == []
+
+    @forked
+    def test_a_failing_parent_stops_its_children(self, monkeypatch, deadline):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        hook_shares(monkeypatch, parent=interrupt, child=lambda: time.sleep(120))
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(THREE_SHARES, workers=3)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - began < 30
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, math.inf, math.nan, True, False])
     def test_worker_count_validated(self, workers):
         spec = make_sweep("power_sweep", CFG, grid=(30.0,))
         with pytest.raises(ValueError):

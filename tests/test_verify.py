@@ -34,7 +34,17 @@ def test_passed_reflects_violations():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"trials": 0}, {"trials": 1.5}, {"trials": math.inf}, {"trials": math.nan}, {"seed": -1}, {"seed": math.inf}]
+    "kwargs",
+    [
+        {"trials": 0},
+        {"trials": 1.5},
+        {"trials": math.inf},
+        {"trials": math.nan},
+        {"trials": True},
+        {"seed": -1},
+        {"seed": math.inf},
+        {"seed": False},
+    ],
 )
 def test_bad_arguments_rejected(kwargs):
     with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
