@@ -8,11 +8,9 @@ an exhaustive optimality reference plus Monte-Carlo sweep drivers.
 __version__ = "0.1.0"
 
 from .admission import (
-    DEFAULT_ENUMERATION_CAP,
     AdmissionInstance,
     AdmissionResult,
     aligned_thresholds,
-    allocate_sequential,
     cumulative_power_closed_form,
     exhaustive_admit,
     greedy_admit,
@@ -63,7 +61,6 @@ __all__ = [
     "CheckResult",
     "ClusterRealization",
     "ClusterSizeDelta",
-    "DEFAULT_ENUMERATION_CAP",
     "DegenerateChannelError",
     "ORACLE_BENCHMARK_RADIUS_KM",
     "SWEEP_KINDS",
@@ -73,7 +70,6 @@ __all__ = [
     "SweepSpec",
     "SystemConfig",
     "aligned_thresholds",
-    "allocate_sequential",
     "cluster_size_rate_delta",
     "cumulative_power_closed_form",
     "db_to_linear",

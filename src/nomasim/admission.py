@@ -9,19 +9,17 @@ search over the same per-subset allocation rule defines it, and a composition
 DP computes it exactly without enumerating subsets.
 
 Gains are on SNR scale (transmit-to-noise ratio and path loss folded in) and
-sorted in decreasing order; targets are linear. :func:`greedy_admit` and
-:func:`exhaustive_admit` take one :class:`AdmissionInstance` and give an
-:class:`AdmissionResult`; every other function takes ``(gains, thresholds[,
-count])`` arrays, instances stacked on leading axes. The batch kernels repeat
-the IEEE operations of :func:`allocate_sequential` (plain Python floats) in
-its order on arrays, so :func:`_sequential_admit_batch` equals
-:func:`greedy_admit` bit for bit, and :func:`_exhaustive_admit_batch` is the
-subset search, of which :func:`exhaustive_admit` is a batch of one. Sweeps
-take the optimum from :func:`_optimal_admit_batch`, a composition DP whose
-counts equal the enumeration's exactly (sum rates within rounding); both
-exact searches allocate through :func:`_append`, the allocation's append
-step on arrays. The enumeration stays the reference that ``verify`` and the
-tests check the other rules against.
+sorted in decreasing order; targets are linear. Functions take ``(gains,
+thresholds[, count])`` arrays, instances stacked on leading axes, except the
+batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
+an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
+:func:`_sequential_admit_batch` is the one implementation of the sequential
+rule and :func:`_exhaustive_admit_batch` the subset search. Sweeps take the
+optimum from :func:`_optimal_admit_batch`, a composition DP whose counts equal
+the enumeration's exactly (sum rates within rounding); both exact searches
+allocate through :func:`_append`, the rule's append step. The kernels match a
+scalar reference of the rule in the tests bit for bit; the enumeration stays
+the reference that ``verify`` and the tests check the other rules against.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .units import db_to_linear
 # broken toward the subset enumerated first.
 _RATE_TIE_TOL = 1e-12
 
-DEFAULT_ENUMERATION_CAP = 12
+_ENUMERATION_CAP = 12
 
 # States one pass of either search holds per array, (instance, subset) or
 # (instance, composition): 256 KiB of float64, enough instances to spread the
@@ -83,11 +81,9 @@ class AdmissionInstance:
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.gains, dtype=float))
         t = np.atleast_1d(np.asarray(self.sinr_thresholds, dtype=float))
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("gains must be a non-empty 1-D sequence")
-        if t.shape != g.shape:
-            raise ValueError("sinr_thresholds must match gains in length")
-        _stacked(g, t)
+        if g.ndim != 1 or t.shape != g.shape:
+            raise ValueError("gains and sinr_thresholds must be 1-D sequences of one length")
+        _stacked(g, t)  # and non-empty
         g.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "gains", g)
@@ -118,46 +114,20 @@ class AdmissionResult:
     achieved_sinrs: np.ndarray
 
 
-def allocate_sequential(gains, thresholds) -> tuple[list[float], bool]:
-    """Threshold-tight allocation along the given order.
-
-    Returns the shares of the users that fit and whether everyone did. Each
-    user costs a constant number of scalar operations: the interference term
-    reuses the running total instead of re-summing.
-    """
-    total = 0.0
-    coeffs: list[float] = []
-    for g, t in zip(gains, thresholds):
-        if not g > 0.0:
-            return coeffs, False
-        need = t * total + t / g
-        if need > 1.0 - total:
-            return coeffs, False
-        coeffs.append(need)
-        total = total + need
-    return coeffs, True
-
-
-def _admission_result(instance: AdmissionInstance, admitted, coeffs: list[float]) -> AdmissionResult:
-    """Result of admitting the users ``admitted`` (a prefix slice or an index
-    array, in gain order) with their shares ``coeffs``; SINRs and the sum
-    rate follow the allocation in its order."""
-    sinrs: list[float] = []
-    rate = total = 0.0
-    for g, w in zip(instance.gains[admitted].tolist(), coeffs):
-        sinr = w * g / (1.0 + g * total)
-        sinrs.append(sinr)
-        rate += math.log2(1.0 + sinr)
-        total = total + w
+def _batch_of_one(instance: AdmissionInstance, members) -> AdmissionResult:
+    """The sequential rule over the users the mask ``members`` marks, as a batch
+    of one: members in gain order, then zero gains, which end admission."""
+    order = np.argsort(~members, kind="stable")
+    gains, thresholds = np.where(members, instance.gains, 0.0)[order], instance.sinr_thresholds[order]
+    count, rate, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
     power, achieved = np.zeros(len(instance)), np.zeros(len(instance))
-    power[admitted], achieved[admitted] = coeffs, sinrs
-    return AdmissionResult(len(coeffs), power, 1.0 - math.fsum(coeffs), rate, achieved)
+    power[order], achieved[order] = shares, sinrs
+    return AdmissionResult(int(count), power, 1.0 - math.fsum(shares), float(rate), achieved)
 
 
 def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
     """Admit users sequentially in decreasing-gain order until power runs out."""
-    coeffs, _ = allocate_sequential(instance.gains.tolist(), instance.sinr_thresholds.tolist())
-    return _admission_result(instance, slice(0, len(coeffs)), coeffs)
+    return _batch_of_one(instance, np.ones(len(instance), dtype=bool))
 
 
 def _sequential_admit_batch(gains, thresholds, detail: bool = False):
@@ -167,14 +137,14 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     axis is the admission order; the leading axes are the batch (e.g. trials
     x powers x targets). Inputs are validated once for the batch, as
     :class:`AdmissionInstance` validates one instance. The recurrence walks
-    the users once, doing :func:`greedy_admit`'s operations in its order on
-    the whole batch, and the rate terms go through ``math.log2`` as there
-    (numpy's log2 can differ from it in the last bit), so the results equal
-    :func:`greedy_admit`'s bit for bit. Zero-gain users end admission, so
-    padding an instance with trailing zero gains leaves its result unchanged.
-    With ``detail``, each user's power share and achieved SINR (zero for the
-    rejected) follow: :func:`greedy_admit`'s ``power_coefficients`` and
-    ``achieved_sinrs``, bit for bit.
+    the users once on the whole batch: with ``P`` the power committed, a user
+    of gain ``g`` and target ``t`` needs ``t*P + t/g`` and reaches SINR
+    ``need*g / (1 + g*P)``; the first user with a zero gain or a need above
+    ``1 - P`` ends admission, so trailing zero-gain padding changes nothing.
+    Rate terms go through ``math.log2`` (numpy's log2 can differ from it in
+    the last bit), so each instance's results equal these operations on
+    Python floats bit for bit. With ``detail``, each user's power share and
+    achieved SINR (zero for the rejected) follow.
     """
     g, t = _stacked(gains, thresholds)
     total, rate = np.zeros(g.shape[:-1]), np.zeros(g.shape[:-1])
@@ -182,7 +152,7 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     admitted = np.ones(g.shape[:-1], dtype=bool)
     if detail:
         shares, sinrs = np.zeros(g.shape), np.zeros(g.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(g.shape[-1]):
             gk, tk = g[..., k], t[..., k]
             need = tk * total + tk / gk
@@ -191,9 +161,7 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
             if detail:
                 shares[..., k][admitted] = need[admitted]
                 sinrs[..., k][admitted] = sinr
-            term = np.zeros(rate.shape)
-            term[admitted] = np.fromiter(map(math.log2, (1.0 + sinr).tolist()), dtype=float, count=sinr.size)
-            rate = rate + term
+            rate[admitted] += np.fromiter(map(math.log2, (1.0 + sinr).tolist()), dtype=float, count=sinr.size)
             total = np.where(admitted, total + need, total)
             count += admitted
     return (count, rate, shares, sinrs) if detail else (count, rate)
@@ -251,8 +219,8 @@ def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _append(power, t, cost) -> np.ndarray:
     """Totals once a user of target ``t`` and cost ``t/g`` joins subsets of
-    total ``power`` last, as :func:`allocate_sequential` appends it: ``need =
-    t*P + t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``.
+    total ``power`` last, as the sequential rule appends it: ``need = t*P +
+    t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``.
 
     Both exact searches rest on this step being monotone. With ``t > 0``,
     each of its IEEE operations is monotone in ``P`` (rounding is), so ``P <=
@@ -278,7 +246,7 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     the subsets holding user k as their last member are those of users
     ``0..k-1`` with k added, so each step extends the ``2**k`` subsets built
     so far; a subset that does not fit holds inf. Rates of the fitting
-    subsets of the best size follow in :func:`_admission_result`'s
+    subsets of the best size follow in :func:`_sequential_admit_batch`'s
     operations, each member's prior total read from the walk. The winner is
     the first of them in enumeration order whose rate is within
     ``_RATE_TIE_TOL`` of their highest.
@@ -315,13 +283,13 @@ def _exhaustive_admit_batch(gains, thresholds):
     the last axis), equal to :func:`exhaustive_admit`'s bit for bit. Instances
     run in passes of at most ``_PASS_STATES`` (instance, subset) states, or
     one instance if it alone has more; an instance's results do not depend
-    on the rest of its pass. Instances above
-    ``DEFAULT_ENUMERATION_CAP`` users are refused: the search is exponential.
+    on the rest of its pass. Instances above ``_ENUMERATION_CAP`` users are
+    refused: the search is exponential.
     """
     g, t = _stacked(gains, thresholds)
     shape, users = g.shape[:-1], g.shape[-1]
-    if users > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"instance has {users} users, above the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    if users > _ENUMERATION_CAP:
+        raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
     g, t = g.reshape(-1, users), t.reshape(-1, users)
     code, sizes = _subset_table(users)
     count, rate, members = np.empty(len(g), dtype=int), np.empty(len(g)), np.empty(g.shape, dtype=bool)
@@ -341,13 +309,11 @@ def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
     members fit. Subsets are enumerated by size, descending, then in
     lexicographic order of their index sets; among the feasible subsets of
     the largest size, the first whose sum rate is within ``_RATE_TIE_TOL``
-    (``1e-12``) of their highest wins. Refused above
-    ``DEFAULT_ENUMERATION_CAP`` users since the search is exponential. A
-    batch of one of :func:`_exhaustive_admit_batch`.
+    (``1e-12``) of their highest wins. Refused above ``_ENUMERATION_CAP``
+    users since the search is exponential. A batch of one of
+    :func:`_exhaustive_admit_batch`, its winner allocated sequentially.
     """
-    combo = np.flatnonzero(_exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)[2])
-    coeffs, _ = allocate_sequential(instance.gains[combo].tolist(), instance.sinr_thresholds[combo].tolist())
-    return _admission_result(instance, combo, coeffs)
+    return _batch_of_one(instance, _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)[2])
 
 
 def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndarray]:
@@ -357,7 +323,7 @@ def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndar
     each user's target level and ``values`` each instance's level targets (0
     for a level it lacks); ``dims`` is each instance's own count per level
     plus one, so every instance of a pass has the same shape.
-    ``power[b, c]`` is the least total, as :func:`allocate_sequential`
+    ``power[b, c]`` is the least total, as :func:`_sequential_admit_batch`
     computes it, of a fitting subset of the users walked so far with ``c[l]``
     users at level ``l`` (inf if none fits). Walking strongest first, user k
     joins each subset last through :func:`_append`, whose monotonicity keeps

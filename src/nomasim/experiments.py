@@ -206,6 +206,14 @@ def _scheme_rows(pairs, reduce) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
+def _fairness(rates: np.ndarray) -> np.ndarray:
+    """Jain index of each rate vector; shares sum to 1, so all-zero rates mean gains too low for any rate."""
+    if np.any(np.all(rates == 0.0, axis=-1)):
+        keys = "tx_power_dbm, noise_density_dbm_hz, bandwidth_hz, pathloss_fixed_db, pathloss_slope and cell_radius_range_km"
+        raise ValueError(f"every rate rounds to 0: the SNR that {keys} give is too low")
+    return jain_index(rates)
+
+
 def _rate_series(sizes, metric: str):
     series = tuple((f"{scheme}_{k}user", metric) for k in sizes for scheme in ("noma", "oma"))
     return lambda spec: series
@@ -358,10 +366,10 @@ _KINDS = {
     "power_sweep": _Kind(3, 1, _POWER_GRID, "dBm", _SUM_RATES, _power_values, reads=_RATE_KEYS),
     "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, "dBm", _SUM_RATES, _power_values, reads=_RATE_KEYS),
     "fairness_2user": _Kind(
-        2, 1, _SHARE_GRID, "share", _rate_series((2,), "jain_index"), _share_values((2,), jain_index)
+        2, 1, _SHARE_GRID, "share", _rate_series((2,), "jain_index"), _share_values((2,), _fairness)
     ),
     "fairness_3user": _Kind(
-        3, 1, _SURFACE_GRID, "share pair", _rate_series((3,), "jain_index"), _share_values((3,), jain_index)
+        3, 1, _SURFACE_GRID, "share pair", _rate_series((3,), "jain_index"), _share_values((3,), _fairness)
     ),
     "admission_vs_sinr": _Kind(
         None, 1000, value_grid(5.0, 20.0, 2.5), "dB", _admission_series(_SEQUENTIAL, _power_labels), _sinr_values,

@@ -25,7 +25,6 @@ from nomasim import (
     db_to_linear,
     draw_cluster,
     extend_split,
-    greedy_admit,
     greedy_optimality_condition,
     make_sweep,
     run_sweep,
@@ -85,14 +84,6 @@ def mixed_pairs(bench_gains):
     best_count, best_rate, _ = _exhaustive_admit_batch(gains, thresholds)
     condition = greedy_optimality_condition(gains, thresholds, count)
     return np.stack([count, best_count], axis=-1), np.stack([rate, best_rate], axis=-1), condition
-
-
-def enumerate_batch(instances, shape):
-    """Enumerated counts and sum rates of the instances, in one batched call."""
-    gains = np.stack([inst.gains for inst in instances])
-    thresholds = np.stack([inst.sinr_thresholds for inst in instances])
-    count, rate, _ = _exhaustive_admit_batch(gains, thresholds)
-    return count.reshape(shape), rate.reshape(shape)
 
 
 @pytest.fixture(scope="session")
@@ -163,18 +154,20 @@ def test_c05_descending_gain_decoding_is_always_feasible():
 
 
 def test_c06a_equal_targets_make_sequential_and_enumerated_agree(bench_gains):
-    instances, greedy = [], []
+    instances = []
     for s in (5.0, 10.0, 15.0):
         thr = np.full(8, s)
         for t, eff in enumerate(bench_gains):
             for p in POWERS:
-                inst = AdmissionInstance.from_db(BENCH.rho_at(p) * eff, thr)
-                instances.append(inst)
-                greedy.append(greedy_admit(inst))
+                instances.append(AdmissionInstance.from_db(BENCH.rho_at(p) * eff, thr))
+    gains = np.stack([inst.gains for inst in instances])
+    thresholds = np.stack([inst.sinr_thresholds for inst in instances])
+    count, rate = _sequential_admit_batch(gains, thresholds)
+    best_count, best_rate, _ = _exhaustive_admit_batch(gains, thresholds)
     cases = 0
-    for gre, exh_count, exh_rate in zip(greedy, *enumerate_batch(instances, len(instances))):
-        assert gre.admitted_count == exh_count
-        assert abs(gre.sum_rate_bps_hz - exh_rate) <= 1e-12
+    for gre_count, gre_rate, exh_count, exh_rate in zip(count, rate, best_count, best_rate):
+        assert gre_count == exh_count
+        assert abs(gre_rate - exh_rate) <= 1e-12
         cases += 1
     assert cases == 15_000
 

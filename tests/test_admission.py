@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nomasim import (
     AdmissionInstance,
     aligned_thresholds,
-    allocate_sequential,
     cumulative_power_closed_form,
     exhaustive_admit,
     greedy_admit,
@@ -28,6 +27,49 @@ def random_instance(rng, size=None):
     g = np.sort(10.0 ** rng.uniform(-1, 4, n))[::-1]
     t_db = rng.choice([5.0, 10.0, 15.0], size=n)
     return AdmissionInstance.from_db(g, t_db)
+
+
+def allocate_sequential(gains, thresholds) -> tuple[list[float], bool]:
+    """The scalar reference of the sequential rule: threshold-tight shares
+    along the given order, in plain Python floats.
+
+    Returns the shares of the users that fit and whether everyone did. Each
+    user costs a constant number of scalar operations: the interference term
+    reuses the running total instead of re-summing.
+    """
+    total = 0.0
+    coeffs: list[float] = []
+    for g, t in zip(gains, thresholds):
+        if not g > 0.0:
+            return coeffs, False
+        need = t * total + t / g
+        if need > 1.0 - total:
+            return coeffs, False
+        coeffs.append(need)
+        total = total + need
+    return coeffs, True
+
+
+def sequential_reference(gains, thresholds) -> tuple[list[float], list[float], float]:
+    """Shares, achieved SINRs and sum rate of the users the scalar reference
+    admits along the given order; SINRs and rate follow the allocation in its
+    order."""
+    gains, thresholds = [float(x) for x in gains], [float(x) for x in thresholds]
+    coeffs, _ = allocate_sequential(gains, thresholds)
+    sinrs: list[float] = []
+    rate = total = 0.0
+    for g, w in zip(gains, coeffs):
+        sinrs.append(w * g / (1.0 + g * total))
+        rate += math.log2(1.0 + sinrs[-1])
+        total = total + w
+    return coeffs, sinrs, rate
+
+
+def scattered(values, users, n) -> np.ndarray:
+    """``values`` of the users ``users`` on a length-``n`` array, zero elsewhere."""
+    out = np.zeros(n)
+    out[list(users)] = values
+    return out
 
 
 # Batches every stacked-instance kernel rejects.
@@ -183,41 +225,48 @@ class TestGreedyAdmit:
 
 
 class TestSequentialBatch:
-    """The array form of the sequential rule against greedy_admit, exactly."""
+    """The array form of the sequential rule against the scalar reference, exactly."""
 
     @staticmethod
-    def assert_matches_greedy(gains, thresholds):
+    def assert_matches_reference(gains, thresholds):
         count, rate = _sequential_admit_batch(gains, thresholds)
         g, t = np.broadcast_arrays(gains, thresholds)
         for idx in np.ndindex(count.shape):
-            res = greedy_admit(AdmissionInstance(g[idx], t[idx]))
-            assert count[idx] == res.admitted_count
-            assert rate[idx] == res.sum_rate_bps_hz  # bit for bit, not approximately
+            shares, _, ref_rate = sequential_reference(g[idx], t[idx])
+            assert count[idx] == len(shares)
+            assert rate[idx] == ref_rate  # bit for bit, not approximately
         return count
 
     def test_random_instances_match_bit_for_bit(self):
         rng = np.random.default_rng(21)
         gains = np.sort(10.0 ** rng.uniform(-2, 4, (400, 8)), axis=-1)[:, ::-1]
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(400, 8)) / 10.0)
-        count = self.assert_matches_greedy(gains, thresholds)
+        count = self.assert_matches_reference(gains, thresholds)
         assert len(np.unique(count)) >= 4  # several stopping points are exercised
 
     def test_zero_gain_users_end_admission(self):
         gains = np.array([[50.0, 40.0, 0.0, 0.0], [50.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        count = self.assert_matches_greedy(gains, np.full(4, 1.0))
+        count = self.assert_matches_reference(gains, np.full(4, 1.0))
         np.testing.assert_array_equal(count, [2, 1, 0])
 
     def test_all_rejected_and_all_admitted(self):
         gains = np.array([[1e-9, 1e-10, 1e-11], [1e6, 1e6, 1e6]])
-        count = self.assert_matches_greedy(gains, np.full(3, 0.1))
+        count = self.assert_matches_reference(gains, np.full(3, 0.1))
         np.testing.assert_array_equal(count, [0, 3])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_gains_are_rejected_without_overflow(self):
+        # a target over a subnormal gain overflows to inf, a need no budget covers
+        gains = np.array([[1e-310, 1e-315], [1e3, 1e-320], [5e-324, 0.0]])
+        count = self.assert_matches_reference(gains, np.array([10.0, 10.0]))
+        np.testing.assert_array_equal(count, [0, 1, 0])
 
     def test_broadcast_batch_axes(self):
         # trials x powers x targets, targets broadcast from a column
         rng = np.random.default_rng(22)
         eff = np.sort(rng.exponential(size=(6, 5)), axis=-1)[:, ::-1]
         gains = np.array([1.0, 10.0, 100.0])[:, None, None] * eff[:, None, None, :]
-        count = self.assert_matches_greedy(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
+        count = self.assert_matches_reference(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
         assert count.shape == (6, 3, 4)
 
     @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
@@ -238,13 +287,14 @@ class TestClosedForm:
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(batch, users)) / 10.0)
         count, _, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
         closed = cumulative_power_closed_form(gains, thresholds, count)  # a stack of instances
-        for i, inst in enumerate(map(AdmissionInstance, gains, thresholds)):
-            res = greedy_admit(inst)
-            np.testing.assert_array_equal(shares[i], res.power_coefficients)
-            np.testing.assert_array_equal(sinrs[i], res.achieved_sinrs)
-            single = cumulative_power_closed_form(gains[i], thresholds[i], res.admitted_count)
+        for i in range(batch):
+            ref_shares, ref_sinrs, _ = sequential_reference(gains[i], thresholds[i])
+            admitted = range(len(ref_shares))
+            np.testing.assert_array_equal(shares[i], scattered(ref_shares, admitted, users))
+            np.testing.assert_array_equal(sinrs[i], scattered(ref_sinrs, admitted, users))
+            single = cumulative_power_closed_form(gains[i], thresholds[i], len(ref_shares))
             assert closed[i] == single  # a batch of one: the same bits
-            assert abs(single - math.fsum(res.power_coefficients)) <= 1e-12
+            assert abs(single - math.fsum(ref_shares)) <= 1e-12
 
     def test_zero_count_costs_nothing(self):
         assert cumulative_power_closed_form([4.0, 2.0], [1.0, 1.0], 0) == 0.0
@@ -388,14 +438,9 @@ def scan_subsets(gains, thresholds):
     for size in range(len(g), -1, -1):
         feasible = []
         for combo in itertools.combinations(range(len(g)), size):
-            coeffs, fits = allocate_sequential([g[i] for i in combo], [t[i] for i in combo])
-            if not fits:
-                continue
-            rate, total = 0.0, 0.0
-            for i, w in zip(combo, coeffs):
-                rate += math.log2(1.0 + w * g[i] / (1.0 + g[i] * total))
-                total = total + w
-            feasible.append((size, rate, combo))
+            coeffs, _, rate = sequential_reference([g[i] for i in combo], [t[i] for i in combo])
+            if len(coeffs) == size:
+                feasible.append((size, rate, combo))
         if feasible:
             highest = max(rate for _, rate, _ in feasible)
             return next(f for f in feasible if highest - f[1] <= 1e-12)
@@ -463,6 +508,51 @@ class TestExhaustiveBatch:
         assert len(passes) > 1 and max(passes) <= admission._PASS_STATES
         for i in range(0, 300, 30):
             assert (count[i], rate[i]) == scan_subsets(gains[i], thresholds[i])[:2]
+
+
+class TestBatchesOfOne:
+    """greedy_admit and exhaustive_admit against the scalar reference, every field bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(res, gains, thresholds, members):
+        shares, sinrs, rate = sequential_reference([gains[i] for i in members], [thresholds[i] for i in members])
+        admitted = members[: len(shares)]
+        assert type(res.admitted_count) is int and res.admitted_count == len(shares)
+        np.testing.assert_array_equal(res.power_coefficients, scattered(shares, admitted, len(gains)))
+        np.testing.assert_array_equal(res.achieved_sinrs, scattered(sinrs, admitted, len(gains)))
+        assert type(res.residual_power) is float and res.residual_power == 1.0 - math.fsum(shares)
+        assert type(res.sum_rate_bps_hz) is float and res.sum_rate_bps_hz == rate
+
+    def assert_both_match(self, gains, thresholds):
+        inst = AdmissionInstance(gains, thresholds)
+        greedy, best = greedy_admit(inst), exhaustive_admit(inst)
+        self.assert_matches_reference(greedy, gains, thresholds, range(len(gains)))
+        winner = np.flatnonzero(_exhaustive_admit_batch(gains, thresholds)[2])  # scan_subsets's, as tested above
+        self.assert_matches_reference(best, gains, thresholds, winner)
+        return greedy.admitted_count, best.admitted_count
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(32)
+        counts = set()
+        for i in range(300):
+            n = int(rng.integers(1, 11))
+            g = rng.choice([0.0, 0.05, 0.5, 3.0, 40.0, 900.0], size=n) if i % 2 else 10.0 ** rng.uniform(-2, 4, n)
+            t = 10.0 ** (rng.choice([-5.0, 0.0, 5.0, 10.0, 15.0], size=n) / 10.0)
+            counts.add(self.assert_both_match(np.sort(g)[::-1], t))  # zero and equal gains on odd i
+        assert (0, 0) in counts and len(counts) >= 10  # nobody admitted, and many other outcomes
+
+    @pytest.mark.parametrize(
+        "gains,thresholds,counts",
+        [
+            ([50.0, 40.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], (2, 2)),  # zero gains end admission
+            ([10.0, 9.0, 8.0, 0.0], [1.0, 1000.0, 1.0, 1.0], (1, 2)),  # the winner skips a blocker
+            ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], (0, 0)),  # nobody has a gain
+            ([1e-9, 1e-10], [100.0, 100.0], (0, 0)),  # nobody fits
+            ([7.0], [3.0], (1, 1)),
+        ],
+    )
+    def test_zero_gains_and_nobody_admitted(self, gains, thresholds, counts):
+        assert self.assert_both_match(np.array(gains), np.array(thresholds)) == counts
 
 
 class TestOptimalBatch:
@@ -694,10 +784,16 @@ class TestAlignedThresholds:
         # targets sorted to never decrease along the scan: enumeration can
         # then never beat the sequential count
         rng = np.random.default_rng(21)
+        by_size = {}
         for _ in range(300):
             n = int(rng.integers(2, 9))
             g = np.sort(10.0 ** rng.uniform(-1, 4, n))[::-1]
             t_db = np.sort(rng.choice([5.0, 10.0, 15.0], size=n))
             inst = AdmissionInstance.from_db(g, t_db)
             assert aligned_thresholds(inst.sinr_thresholds)
-            assert greedy_admit(inst).admitted_count == exhaustive_admit(inst).admitted_count
+            by_size.setdefault(n, []).append(inst)
+        for instances in by_size.values():  # one batch per pool size
+            gains = np.stack([inst.gains for inst in instances])
+            thresholds = np.stack([inst.sinr_thresholds for inst in instances])
+            count, _ = _sequential_admit_batch(gains, thresholds)
+            np.testing.assert_array_equal(count, _exhaustive_admit_batch(gains, thresholds)[0])

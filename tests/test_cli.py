@@ -211,6 +211,16 @@ class TestDispatch:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [[], ["--surface"]])
+    def test_all_zero_rates_in_fairness_are_exit_code_2_naming_the_keys(self, mode, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        cell = ["noise_density_dbm_hz=3000", "pathloss_fixed_db=3000", "tx_power_dbm=3000"]
+        assert main(["fairness", *mode, *(a for kv in cell for a in ("--set", kv)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for key in ("tx_power_dbm", "noise_density_dbm_hz", "bandwidth_hz", "pathloss_fixed_db", "pathloss_slope"):
+            assert key in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args,key",
         [
