@@ -137,8 +137,8 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     axis is the admission order; the leading axes are the batch (e.g. trials
     x powers x targets). Inputs are validated once for the batch, as
     :class:`AdmissionInstance` validates one instance. The recurrence walks
-    the users once on the whole batch: with ``P`` the power committed, a user
-    of gain ``g`` and target ``t`` needs ``t*P + t/g`` and reaches SINR
+    the users until every instance stops: with ``P`` the power committed, a
+    user of gain ``g`` and target ``t`` needs ``t*P + t/g`` and reaches SINR
     ``need*g / (1 + g*P)``; the first user with a zero gain or a need above
     ``1 - P`` ends admission, so trailing zero-gain padding changes nothing.
     Rate terms go through ``math.log2`` (numpy's log2 can differ from it in
@@ -157,6 +157,8 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
             gk, tk = g[..., k], t[..., k]
             need = tk * total + tk / gk
             admitted &= (gk > 0.0) & ~(need > 1.0 - total)
+            if not admitted.any():
+                break
             sinr = need[admitted] * gk[admitted] / (1.0 + gk[admitted] * total[admitted])
             if detail:
                 shares[..., k][admitted] = need[admitted]
@@ -316,12 +318,20 @@ def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
     return _batch_of_one(instance, _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)[2])
 
 
-def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and sum rates of one pass of instances.
+@cache
+def _composition_table(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Per-level counts (levels first) and totals of the states of ``dims`` in C order, and level strides."""
+    counts = np.indices(dims).reshape(len(dims), -1)
+    for table in (counts, total := counts.sum(axis=0)):
+        table.setflags(write=False)
+    return counts, total, tuple(math.prod(dims[l + 1 :]) for l in range(len(dims)))
+
+
+def _composition_pass(t, cost, level, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best counts of one pass of instances, and their fitting compositions.
 
     ``t`` and ``cost`` (target over gain) hold one instance per row, ``level``
-    each user's target level and ``values`` each instance's level targets (0
-    for a level it lacks); ``dims`` is each instance's own count per level
+    each user's target level; ``dims`` is each instance's own count per level
     plus one, so every instance of a pass has the same shape.
     ``power[b, c]`` is the least total, as :func:`_sequential_admit_batch`
     computes it, of a fitting subset of the users walked so far with ``c[l]``
@@ -329,10 +339,8 @@ def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndar
     joins each subset last through :func:`_append`, whose monotonicity keeps
     a composition's least total least; by induction a state is finite
     exactly when a subset of its composition fits, the enumeration's test, so
-    the counts equal the enumeration's. The pick is the finite composition
-    with the most users, then the largest ``sum_l c[l] * log2(1 +
-    values[l])``. A level an instance lacks adds exactly 0.0, so an
-    instance's results do not depend on its pass.
+    the counts equal the enumeration's. Gives each instance's best count, then
+    the row and per-level counts (levels last) of its fitting compositions.
 
     States are flattened in C order, so adding a user at level ``l`` is a
     shift by that level's stride. A shift off the top of level ``l`` wraps
@@ -340,30 +348,22 @@ def _composition_pass(t, cost, level, values, dims) -> tuple[np.ndarray, np.ndar
     level-``l`` users as the instance has is unreachable while one of them is
     still to come.
     """
-    batch, users = cost.shape
-    counts = np.indices(dims).reshape(len(dims), -1)  # c[l] of each state
-    rate = np.zeros((batch, counts.shape[1]))
-    for l, c in enumerate(counts):
-        log_base = np.fromiter(map(math.log2, (1.0 + values[:, l]).tolist()), dtype=float, count=batch)
-        rate += c * log_base[:, None]
-
-    strides = [math.prod(dims[l + 1 :]) for l in range(len(dims))]
+    counts, total, strides = _composition_table(dims)
     at = level[:, :, None] == np.arange(len(dims))  # (batch, users, levels)
     present = at.any(axis=0).tolist()
-    power = np.full(rate.shape, np.inf)
+    power = np.full((len(cost), len(total)), np.inf)
     power[:, 0] = 0.0
-    for k in range(users):
+    for k in range(cost.shape[1]):
         joined = _append(power, t[:, k, None], cost[:, k, None])
         for l, stride in enumerate(strides):
             if present[k][l]:
                 grown = power[:, stride:]
                 np.minimum(grown, joined[:, :-stride], out=grown, where=at[:, k, l, None])
 
-    total = counts.sum(axis=0)
     feasible = power < np.inf
     best = (feasible * total).max(axis=-1)
-    rate[~(feasible & (total == best[:, None]))] = -np.inf
-    return best, rate.max(axis=-1)
+    inst, state = np.nonzero(feasible & (total == best[:, None]))
+    return best, inst, counts[:, state].T
 
 
 def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -377,9 +377,11 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     equal :func:`exhaustive_admit`'s exactly and rates agree within rounding;
     nobody admitted gives rate 0.0. An instance with ``s_l`` users at level
     ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a
-    fixed number of levels. Instances are grouped by their exact per-level
-    counts, and each group runs in passes of at most ``_PASS_STATES`` states
-    (or one instance, if it alone has more), so no pass holds a padded state.
+    fixed number of levels. The walk never reads which target a level holds,
+    so instances are grouped by canonical shape (levels by count, descending,
+    ties by target), each group in passes of at most ``_PASS_STATES`` states
+    (or one instance, if it alone has more). Rates ``sum_l c[l] * log2(1 +
+    target_l)`` add up from 0.0 in ascending target order, whatever the pass.
     """
     g, t = _stacked(gains, thresholds)
     shape, users = g.shape[:-1], g.shape[-1]
@@ -391,20 +393,28 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     level = (distinct[:, None, :] & (ordered[:, None, :] < t[:, :, None])).sum(axis=-1)
     n_levels = int(distinct.sum(axis=-1).max())
     sizes = (level[:, :, None] == np.arange(n_levels)).sum(axis=1)
-    values = np.zeros((len(t), n_levels))
+    values = np.zeros((len(t), n_levels))  # 0 for a level an instance lacks: log2(1) = 0
     np.put_along_axis(values, level, t, axis=-1)
+    log_base = np.fromiter(map(math.log2, (1.0 + values).ravel().tolist()), dtype=float, count=values.size)
     with np.errstate(divide="ignore", over="ignore"):
         cost = t / g  # a zero gain costs inf
+    rank = np.argsort(np.argsort(-sizes, axis=-1, kind="stable"), axis=-1)  # each level's canonical place
 
-    count, rate = np.empty(len(t), dtype=int), np.empty(len(t))
-    shapes, group = np.unique(sizes + 1, axis=0, return_inverse=True)
+    count, found = np.empty(len(t), dtype=int), []
+    shapes, group = np.unique(np.sort(sizes, axis=-1)[:, ::-1] + 1, axis=0, return_inverse=True)
     group = group.ravel()  # numpy 2.0 gives the inverse the input's shape
     for i, dims in enumerate(map(tuple, shapes.tolist())):
         same = np.flatnonzero(group == i)
         step = max(1, _PASS_STATES // math.prod(dims))
         for lo in range(0, len(same), step):
             part = same[lo : lo + step]
-            count[part], rate[part] = _composition_pass(t[part], cost[part], level[part], values[part], dims)
+            canonical = np.take_along_axis(rank[part], level[part], axis=-1)
+            count[part], inst, held = _composition_pass(t[part], cost[part], canonical, dims)
+            found.append((part[inst], held))
+    inst, held = map(np.concatenate, zip(*found))
+    terms = np.take_along_axis(held, rank[inst], axis=-1) * log_base.reshape(values.shape)[inst]
+    rate = np.full(len(t), -np.inf)
+    np.maximum.at(rate, inst, np.add.accumulate(terms, axis=-1)[:, -1])  # added in target order
     return count.reshape(shape), rate.reshape(shape)
 
 

@@ -261,6 +261,19 @@ class TestSequentialBatch:
         count = self.assert_matches_reference(gains, np.array([10.0, 10.0]))
         np.testing.assert_array_equal(count, [0, 1, 0])
 
+    def test_long_pools_stop_where_the_scheme_stops(self):
+        # every instance stops within a few of its 4096 users; the rest stay zero
+        rng = np.random.default_rng(33)
+        gains = np.sort(10.0 ** rng.uniform(-1, 3, (6, 4096)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(6, 4096)) / 10.0)
+        count, rate, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
+        assert count.max() <= 8
+        for i, n in enumerate(count):
+            ref_shares, ref_sinrs, ref_rate = sequential_reference(gains[i], thresholds[i])
+            assert n == len(ref_shares) and rate[i] == ref_rate  # bit for bit
+            np.testing.assert_array_equal(shares[i], scattered(ref_shares, range(n), 4096))
+            np.testing.assert_array_equal(sinrs[i], scattered(ref_sinrs, range(n), 4096))
+
     def test_broadcast_batch_axes(self):
         # trials x powers x targets, targets broadcast from a column
         rng = np.random.default_rng(22)
@@ -653,9 +666,9 @@ class TestOptimalBatch:
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(t, cost, level, values, dims):
+        def spy(t, cost, level, dims):
             passes.append((len(cost), dims))
-            return run_pass(t, cost, level, values, dims)
+            return run_pass(t, cost, level, dims)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(24)
@@ -667,13 +680,13 @@ class TestOptimalBatch:
             assert dims == (2,) * 8
             assert batch * math.prod(dims) <= admission._PASS_STATES
 
-    def test_each_pass_holds_one_exact_shape(self, monkeypatch):
+    def test_each_pass_holds_one_canonical_shape(self, monkeypatch):
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(t, cost, level, values, dims):
+        def spy(t, cost, level, dims):
             passes.append((cost, level, dims))
-            return run_pass(t, cost, level, values, dims)
+            return run_pass(t, cost, level, dims)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(30)
@@ -681,13 +694,43 @@ class TestOptimalBatch:
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(600, 12)) / 10.0)
         count, _ = self.assert_matches_enumeration(gains, thresholds)
         assert 0 < count.min() and count.max() < 12
+        # each instance's counts per distinct target, in ascending target order
+        ordered = [np.unique(row, return_counts=True)[1] for row in thresholds]
+        instance = {row.tobytes(): i for i, row in enumerate(thresholds / gains)}  # a cost row names its instance
+        seen = []
         for cost, level, dims in passes:
-            own = (level[:, :, None] == np.arange(len(dims))).sum(axis=1) + 1  # each instance's counts
-            assert np.all(own == dims)
+            assert np.all((level[:, :, None] == np.arange(len(dims))).sum(axis=1) + 1 == dims)  # relabelled levels
             assert len(cost) == 1 or len(cost) * math.prod(dims) <= admission._PASS_STATES
-        seen = np.concatenate([cost for cost, _, _ in passes])  # a cost row names its instance
-        assert len(seen) == len(gains) == len(np.unique(seen, axis=0))
-        np.testing.assert_array_equal(np.unique(seen, axis=0), np.unique(thresholds / gains, axis=0))
+            for row in cost:
+                seen.append(instance[row.tobytes()])
+                own = np.sort(ordered[seen[-1]])[::-1] + 1  # sorted counts, plus one
+                assert tuple(own.tolist()) + (1,) * (len(dims) - len(own)) == dims
+        assert sorted(seen) == list(range(len(gains)))  # every instance exactly once
+        assert len(passes) < len({tuple(c.tolist()) for c in ordered})  # fewer than the ordered shapes
+
+    def test_rates_add_up_in_ascending_target_order(self):
+        # the DP's rate is 0.0 + sum_l c_l * log2(1 + v_l) over the winner's
+        # composition, targets ascending, whatever order its pass gives the levels
+        rng = np.random.default_rng(31)
+        levels = 10.0 ** (np.array([5.0, 10.0, 15.0]) / 10.0)
+        for users in (8, 10, 12):
+            picks = rng.integers(0, 3, (90, users))
+            picks[:20] = rng.permuted(np.tile(np.arange(users) % 3, (20, 1)), axis=1)  # 4/4/4 at 12 users
+            picks[20:40] = rng.choice([0, 2], size=(20, users))  # lacks the middle level
+            picks[40:60] = rng.integers(1, 3, (20, users))  # lacks the lowest level
+            picks[60:70] = rng.integers(0, 3, (10, 1))  # one target for everyone
+            thresholds = levels[picks]
+            gains = np.sort(10.0 ** rng.uniform(1, 4, (90, users)), axis=-1)[:, ::-1]
+            count, rate = self.assert_matches_enumeration(gains, thresholds)
+            _, _, members = _exhaustive_admit_batch(gains, thresholds)
+            for i, (g, t) in enumerate(zip(gains, thresholds)):
+                expected = 0.0
+                for v in np.unique(t):
+                    expected += int(np.sum(members[i] & (t == v))) * math.log2(1.0 + v)
+                assert rate[i] == expected  # bit for bit
+                alone = _optimal_admit_batch(g, t)
+                assert (alone[0], alone[1]) == (count[i], rate[i])
+            assert 2 < np.median(count) and count.max() < users  # most winners add three or more terms
 
     @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
     def test_rejects_malformed_input(self, gains, thresholds):
