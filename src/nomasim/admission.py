@@ -49,18 +49,20 @@ _DP_STATE_BOUND = 1 << 16
 
 
 def _stacked(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Admission instances stacked on leading axes, users in admission order
-    on the last, broadcast to one float shape and validated as a whole."""
-    g, t = np.broadcast_arrays(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
-    if g.ndim == 0 or g.shape[-1] == 0:
+    """Admission instances stacked on leading axes, users in admission order on the last, broadcast to one
+    float shape; each input is validated as given, not repeated, and an empty stack holds nothing to check."""
+    g, t = np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float)
+    g_stack, t_stack = np.broadcast_arrays(g, t)
+    if g_stack.ndim == 0 or g_stack.shape[-1] == 0:
         raise ValueError("gains and sinr_thresholds must be non-empty along the last axis")
-    if not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise ValueError("gains must be finite and non-negative")
-    if np.any(np.diff(g, axis=-1) > 0):
-        raise ValueError("gains must be sorted in non-increasing order")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0):
-        raise ValueError("sinr_thresholds must be finite and positive")
-    return g, t
+    if g_stack.size:  # min and max keep NaN, so each bound check is one pass
+        if not (g.min() >= 0 and g.max() < math.inf):
+            raise ValueError("gains must be finite and non-negative")
+        if g.ndim and (g[..., 1:] > g[..., :-1]).any():
+            raise ValueError("gains must be sorted in non-increasing order")
+        if not (t.min() > 0 and t.max() < math.inf):
+            raise ValueError("sinr_thresholds must be finite and positive")
+    return g_stack, t_stack
 
 
 def _counts(count, users: int) -> np.ndarray:

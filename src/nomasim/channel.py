@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -168,12 +168,15 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
     return np.moveaxis(q, 0, -1)
 
 
+@cache
 def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:
     """The constants SeedSequence's hash steps through: call k xors entry k, then multiplies by entry k + 1."""
     consts = [const]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.setflags(write=False)
+    return consts
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -199,17 +202,21 @@ def _pcg64_seeds(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _Seeded:
-    """One key's row of :func:`_pcg64_seeds`, the words PCG64 seeds itself from. It becomes an
-    ``ISeedSequence`` when :func:`_trial_streams` runs, so importing nomasim leaves numpy.random unloaded."""
+@cache
+def _seeded_type() -> type:
+    """The ``ISeedSequence`` of one key's row of :func:`_pcg64_seeds`, defined on first use so that importing
+    nomasim leaves numpy.random unloaded. Unlike a registered class, a subclass enters the ABC cache."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _Seeded(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds the 4 uint64 words PCG64 seeds from, not {n_words} of {np.dtype(dtype)}")
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds the 4 uint64 words PCG64 seeds from, not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return _Seeded
 
 
 def _trial_streams(head: tuple, trials, tail: tuple = ()):
@@ -234,8 +241,8 @@ def _trial_streams(head: tuple, trials, tail: tuple = ()):
         words[np.arange(len(keys))[:, None], at] = keys & _MASK32
         lengths = at[:, -1] + wide[:, -1] + 1
     seeds = _pcg64_seeds(words, np.maximum(lengths, _SEED_POOL))  # shorter keys hash zero-padded
-    np.random.bit_generator.ISeedSequence.register(_Seeded)  # returns at once after the first call
-    return (np.random.Generator(np.random.PCG64(_Seeded(row))) for row in seeds)
+    seeded = _seeded_type()
+    return (np.random.Generator(np.random.PCG64(seeded(row))) for row in seeds)
 
 
 def draw_cluster(

@@ -4,6 +4,8 @@ Every sweep evaluates all of its schemes on the same channel draws (trial t of
 a sweep always uses the realization keyed by ``(rng_seed, cluster 0, t)``), so
 scheme comparisons are paired and per-trial inequalities survive averaging.
 Trials are evaluated a chunk at a time, on arrays with a leading trial axis.
+Rate sweeps reduce per-user rate columns (summed in user order, or stacked for
+the Jain index) and never stack rates only to sum them.
 Each trial's values are a pure function of ``(spec, trial)``, whatever chunk
 it falls in, and results are reduced in trial order, which keeps output
 byte-identical for any chunking and any worker count. With several workers the
@@ -32,7 +34,7 @@ import numpy as np
 from . import __version__
 from .admission import _optimal_admit_batch, _require_dp_states, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
-from .rates import extend_split, jain_index, noma_user_rates, oma_user_rates, optimal_dof_fractions
+from .rates import _columns, _noma_columns, _optimal_oma_columns, _sum_users, extend_split, jain_index
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
 # Decorrelates the threshold draws of the mixed-target benchmark from the
@@ -192,22 +194,19 @@ def _num_label(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
-def _sum_rate(rates: np.ndarray) -> np.ndarray:
-    return rates.sum(axis=-1)
-
-
 def _scheme_rows(pairs, reduce) -> np.ndarray:
-    """Superposed, then orthogonal ``reduce(rates)`` of each ``(gains, splits)``
-    pair, on the series axis after the leading trial axis."""
+    """Superposed, then optimal-share orthogonal ``reduce(columns)`` of the per-user rate
+    columns of each ``(gains, splits)`` pair, on the series axis after the trial axis."""
     rows = []
-    for g, w in pairs:
-        rows.append(reduce(noma_user_rates(g, w)))
-        rows.append(reduce(oma_user_rates(g, w, optimal_dof_fractions(g, w))))
+    for gains, split in pairs:
+        g, w = _columns(gains, split)
+        rows += [reduce(_noma_columns(g, w)), reduce(_optimal_oma_columns(g, w))]
     return np.stack(rows, axis=1)
 
 
-def _fairness(rates: np.ndarray) -> np.ndarray:
+def _fairness(columns: list) -> np.ndarray:
     """Jain index of each rate vector; shares sum to 1, so all-zero rates mean gains too low for any rate."""
+    rates = np.stack(columns, axis=-1)
     if np.any(np.all(rates == 0.0, axis=-1)):
         keys = "tx_power_dbm, noise_density_dbm_hz, bandwidth_hz, pathloss_fixed_db, pathloss_slope and cell_radius_range_km"
         raise ValueError(f"every rate rounds to 0: the SNR that {keys} give is too low")
@@ -253,7 +252,7 @@ def _power_values(spec: SweepSpec, realization: ClusterRealization, trials: np.n
     g3 = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :3]
     w2 = np.asarray(spec.base_split, dtype=float)
     w3 = extend_split(w2, spec.extension_fraction)
-    return _scheme_rows([(g3[..., :2], w2), (g3, w3)], _sum_rate)
+    return _scheme_rows([(g3[..., :2], w2), (g3, w3)], _sum_users)
 
 
 def _admission_series(schemes, blocks):
@@ -359,9 +358,9 @@ _RATE_KEYS = ("base_split", "extension_fraction")
 # The split and power sweeps draw three users and carry the 2- and 3-user
 # schemes on the same draw.
 _KINDS = {
-    "split_sweep_2user": _Kind(3, 1, _SHARE_GRID, "share", _SUM_RATES, _share_values((2, 3), _sum_rate)),
+    "split_sweep_2user": _Kind(3, 1, _SHARE_GRID, "share", _SUM_RATES, _share_values((2, 3), _sum_users)),
     "split_sweep_3user": _Kind(
-        3, 1, _SURFACE_GRID, "share pair", _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_rate)
+        3, 1, _SURFACE_GRID, "share pair", _rate_series((3,), "sum_rate_bps_hz"), _share_values((3,), _sum_users)
     ),
     "power_sweep": _Kind(3, 1, _POWER_GRID, "dBm", _SUM_RATES, _power_values, reads=_RATE_KEYS),
     "ergodic_power_sweep": _Kind(3, 1000, _POWER_GRID, "dBm", _SUM_RATES, _power_values, reads=_RATE_KEYS),

@@ -15,7 +15,9 @@ and plain sums over users add the columns in order, the IEEE operations of
 whole-array expressions bit for bit. The interference power a user sees from
 the users decoded before it is an exclusive running sum, the shares before it
 added in order, not a running total minus its own share: that difference
-cancels to a few ulps of the total when an earlier share is tiny.
+cancels to a few ulps of the total when an earlier share is tiny. The sweeps
+and ``verify`` reduce per-user columns, never stacking rates only to sum them;
+:func:`_optimal_shares` is the one implementation of the optimal split.
 """
 
 from __future__ import annotations
@@ -80,18 +82,19 @@ def noma_sum_rate(gains, split):
     return _sum_users(_noma_columns(*_columns(gains, split)))
 
 
+def _oma_term(lk, pk):
+    """Orthogonal rate of share ``lk`` at received power ``pk``; zero at a zero share (the share -> 0 limit)."""
+    share = lk > 0
+    return np.where(share, lk * np.log2(1.0 + pk / np.where(share, lk, 1.0)), 0.0)
+
+
 def _oma_columns(gains, split, dof) -> list:
-    """Orthogonal per-user rates, one column per user; a zero share
-    contributes a zero rate regardless of its power (the share -> 0 limit)."""
+    """Orthogonal per-user rates, one column per user."""
     g, w = _columns(gains, split)
     lam = np.asarray(dof, dtype=float)
     if lam.shape[-1:] != (len(w),):
         raise ValueError("dof fractions must have one entry per user")
-    rates = []
-    for gk, wk, lk in zip(g, w, _users(lam)):
-        safe = np.where(lk > 0, lk, 1.0)
-        rates.append(np.where(lk > 0, lk * np.log2(1.0 + wk * gk / safe), 0.0))
-    return rates
+    return list(map(_oma_term, _users(lam), _received(g, w)))
 
 
 def oma_user_rates(gains, split, dof) -> np.ndarray:
@@ -107,6 +110,21 @@ def _received(g: list, w: list) -> list:
     return [wk * gk for gk, wk in zip(g, w)]
 
 
+def _optimal_shares(g: list, w: list) -> tuple[list, list]:
+    """Optimal orthogonal shares, in proportion to received power, and those powers, one column per user each."""
+    p = _received(g, w)
+    total = _sum_users(p)
+    positive = total > 0
+    safe = np.where(positive, total, 1.0)
+    with np.errstate(invalid="ignore"):  # an infinite power over an infinite total
+        return [np.where(positive, pk / safe, 1.0 / len(p)) for pk in p], p
+
+
+def _optimal_oma_columns(g: list, w: list) -> list:
+    """Orthogonal per-user rates under the optimal shares, one column per user."""
+    return list(map(_oma_term, *_optimal_shares(g, w)))
+
+
 def optimal_dof_fractions(gains, split) -> np.ndarray:
     """Resource shares proportional to each user's received power.
 
@@ -114,13 +132,7 @@ def optimal_dof_fractions(gains, split) -> np.ndarray:
     :func:`oma_sum_upper_bound`. If no user receives any power the split is
     uniform (every share then yields zero rate anyway).
     """
-    g, w = _columns(gains, split)
-    total = _sum_users(_received(g, w))
-    positive = total > 0
-    with np.errstate(invalid="ignore"):  # the products _received forms, as one array
-        lam = np.multiply(split, gains, dtype=float) / np.where(positive, total, 1.0)[..., None]
-    lam[~positive] = 1.0 / len(g)
-    return lam
+    return np.stack(_optimal_shares(*_columns(gains, split))[0], axis=-1)
 
 
 def oma_sum_upper_bound(gains, split):

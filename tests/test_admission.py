@@ -287,6 +287,31 @@ class TestSequentialBatch:
         with pytest.raises(ValueError):
             _sequential_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
 
+    def test_a_threshold_row_broadcasts_over_the_gains(self):
+        gains = np.array([[4.0, 2.0, 1.0], [3.0, 3.0, 0.0], [9.0, 0.5, 0.5]])
+        count = self.assert_matches_reference(gains, np.array([1.0, 0.5, 2.0]))
+        assert count.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "gains,thresholds,message",
+        [
+            ([2.0, np.nan], np.ones((3, 2)), "gains must be finite and non-negative"),  # a gain row over a stack
+            ([2.0, -1.0], np.ones((3, 2)), "gains must be finite and non-negative"),
+            ([1.0, 2.0], np.ones((3, 2)), "gains must be sorted"),
+            ([[2.0], [np.inf]], np.ones(3), "gains must be finite and non-negative"),  # a gain column over a row
+            (np.ones((3, 2)), [1.0, 0.0], "sinr_thresholds must be finite and positive"),  # a threshold row
+            ([2.0, np.nan], [[np.nan, 1.0]], "gains must be finite"),  # both at fault: gains are checked first
+            ([2.0, 1.0], np.ones((2, 3)), "shape mismatch"),  # broadcasting comes before any check
+        ],
+    )
+    def test_broadcast_inputs_are_validated_as_given(self, gains, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            _sequential_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+
+    def test_an_empty_stack_holds_nothing_to_validate(self):
+        count, rate = _sequential_admit_batch(np.array([np.nan, 1.0]), np.ones((0, 2)))
+        assert count.shape == rate.shape == (0,)
+
 
 class TestClosedForm:
     def test_hand_value(self):

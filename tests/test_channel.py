@@ -11,7 +11,7 @@ from nomasim import (
     SystemConfig,
     draw_cluster,
 )
-from nomasim.channel import _combiners, _Seeded, _trial_streams
+from nomasim.channel import _combiners, _seeded_type, _trial_streams
 from nomasim.experiments import _THRESHOLD_STREAM
 
 
@@ -409,11 +409,15 @@ class TestTrialStreams:
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64)])
     def test_seeded_words_serve_only_pcg64s_request(self, n_words, dtype):
         words = np.arange(4, dtype=np.uint64)
-        seeded = _Seeded(words)
+        seeded = _seeded_type()(words)
         assert seeded.generate_state(4, np.uint64) is words
         assert seeded.generate_state(4, np.dtype(np.uint64)) is words
         with pytest.raises(ValueError, match="4 uint64 words"):
             seeded.generate_state(n_words, dtype)
+
+    def test_seeded_words_are_a_real_seed_sequence_subclass(self):
+        # a registered virtual subclass misses the ABC cache in each generator's isinstance check
+        assert np.random.bit_generator.ISeedSequence in _seeded_type().__mro__
 
     @pytest.mark.parametrize("users", [2, 3, 8])
     def test_draw_equals_a_per_trial_generator_loop(self, users):

@@ -23,6 +23,8 @@ from nomasim import (
     two_user_gap,
     two_user_gap_maximizer,
 )
+from nomasim.experiments import _fairness, _scheme_rows
+from nomasim.rates import _columns, _optimal_oma_columns, _sum_users
 
 
 def random_instance(rng, size):
@@ -52,6 +54,23 @@ def stacked_instances(draw, max_users=6, max_gain=1e6):
     # tiny raw shares make tiny earlier shares, where a running total cancels
     raw = draw(hnp.arrays(float, (batch, users), elements=st.one_of(st.just(1e-12), st.floats(1e-3, 1.0))))
     return np.sort(gains, axis=-1)[:, ::-1], raw / raw.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def instances_with_zeros(draw):
+    """:func:`stacked_instances` of 2-7 users with some gains and shares set to zero."""
+    g, w = draw(stacked_instances(max_users=7))
+    zero_gains, zero_shares = draw(hnp.arrays(bool, g.shape)), draw(hnp.arrays(bool, w.shape))
+    return np.sort(np.where(zero_gains, 0.0, g), axis=-1)[:, ::-1], np.where(zero_shares, 0.0, w)
+
+
+def stacked_dof_fractions(g, w):
+    """The optimal shares as one stacked array, the form the sweeps built before the per-user kernel."""
+    p = np.multiply(w, g)
+    total = p.sum(axis=-1)
+    lam = p / np.where(total > 0, total, 1.0)[..., None]
+    lam[~(total > 0)] = 1.0 / g.shape[-1]
+    return lam
 
 
 class TestSplitTypes:
@@ -337,6 +356,29 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(oma_sum_rate(g, w, lam), oma.sum(axis=-1))
         for fn in (noma_sum_rate, noma_user_rates, optimal_dof_fractions, oma_sum_upper_bound):
             np.testing.assert_array_equal(fn(g, w), [fn(gi, wi) for gi, wi in zip(g, w)])
+
+    @given(instances_with_zeros())
+    @example((np.array([[4.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.5, 0.5]])))  # all-zero totals
+    @settings(max_examples=80, deadline=None)
+    def test_optimal_share_kernel_equals_the_stacked_path(self, instance):
+        g, w = instance
+        lam = optimal_dof_fractions(g, w)
+        np.testing.assert_array_equal(lam, stacked_dof_fractions(g, w))
+        columns = _optimal_oma_columns(*_columns(g, w))
+        np.testing.assert_array_equal(np.stack(columns, axis=-1), oma_user_rates(g, w, lam))
+        np.testing.assert_array_equal(_sum_users(columns), oma_sum_rate(g, w, lam))
+        pairs = [(g, w), (g[..., :2], w[..., :2])]
+        rates = []
+        for gk, wk in pairs:
+            rates += [noma_user_rates(gk, wk), oma_user_rates(gk, wk, optimal_dof_fractions(gk, wk))]
+        sums = np.stack([r.sum(axis=-1) for r in rates], axis=1)
+        np.testing.assert_array_equal(_scheme_rows(pairs, _sum_users), sums)
+        if all(np.any(r > 0, axis=-1).all() for r in rates):
+            jain = np.stack([jain_index(r) for r in rates], axis=1)
+            np.testing.assert_array_equal(_scheme_rows(pairs, _fairness), jain)
+        else:
+            with pytest.raises(ValueError, match="every rate rounds to 0"):
+                _scheme_rows(pairs, _fairness)
 
 
 class TestMalformedInput:
