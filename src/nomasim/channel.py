@@ -112,27 +112,21 @@ class ClusterRealization:
 
     ``channels[l]`` is the (rx_antennas, tx_antennas) matrix of user l,
     ``detection_vectors[l]`` its unit-norm combiner, and ``effective_gains[l]``
-    the scalar ``|v^H H p|**2`` (path loss included, noise not). ``rho`` is the
-    transmit-to-noise power ratio of the config the draw came from, so
-    ``rho * effective_gains`` are the SNR-scale gains the rate and admission
-    code expects. ``sort_order[l]`` is the draw-order index of sorted user l.
+    the scalar ``|v^H H p|**2`` with ``p`` the cluster's column of the identity
+    precoder, so ``H p`` is the user's own column of ``H`` (path loss included,
+    noise not). ``sort_order[l]`` is the draw-order index of sorted user l. A
+    draw is power-free: the SNR-scale gains the rate and admission code expects
+    at ``dbm`` are ``config.rho_at(dbm) * effective_gains``.
 
-    A batched draw stacks trials on a leading axis of every per-user array
-    (``channels[t, l]``, ``effective_gains[t, l]``, ...); ``precoder`` and
-    ``rho`` are shared by all trials.
+    A batched draw stacks trials on a leading axis of every array
+    (``channels[t, l]``, ``effective_gains[t, l]``, ...).
     """
 
     channels: np.ndarray
-    precoder: np.ndarray
     detection_vectors: np.ndarray
     effective_gains: np.ndarray
-    rho: float
     distances_km: np.ndarray
     sort_order: np.ndarray
-
-    @property
-    def snr_gains(self) -> np.ndarray:
-        return self.rho * self.effective_gains
 
 
 def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
@@ -252,11 +246,13 @@ def draw_cluster(
 
     Fading entries are i.i.d. circularly-symmetric complex Gaussian with unit
     variance; user distances are uniform over ``cell_radius_range_km`` and the
-    resulting path loss scales each channel matrix. Trial ``t`` draws from the
-    stream ``default_rng(SeedSequence([rng_seed, cluster_index, t]))``: the
-    distances, then the real and then the imaginary parts of the fading. So a
-    given triple always reproduces the same realization, independent of call
-    order.
+    resulting path loss scales each channel matrix. Each user's effective gain
+    is seen through its own column ``cluster_index`` of the channel, the one the
+    identity precoder's column sends through; the transmit power is not read.
+    Trial ``t`` draws from the stream
+    ``default_rng(SeedSequence([rng_seed, cluster_index, t]))``: the distances,
+    then the real and then the imaginary parts of the fading. So a given triple
+    always reproduces the same realization, independent of call order.
 
     ``trial_seed`` may also be a 1-D sequence of trial seeds, seeded as one
     batch. The result stacks the trials on a leading axis; trial ``i`` of it
@@ -305,7 +301,6 @@ def draw_cluster(
     )
     if ndim == 0:
         arrays = {k: a[0] for k, a in arrays.items()}
-    arrays["precoder"] = np.eye(n_tx, dtype=complex)
     for a in arrays.values():
         a.setflags(write=False)
-    return ClusterRealization(rho=config.rho, **arrays)
+    return ClusterRealization(**arrays)

@@ -55,19 +55,14 @@ def _parse_pair(text: str, where: str) -> tuple[str, object]:
     return key, value
 
 
-def parse_config(path, overrides=(), base: SystemConfig | None = None) -> tuple[SystemConfig, dict]:
+def parse_config(path, overrides=(), base: SystemConfig = SystemConfig()) -> tuple[SystemConfig, dict, tuple[str, ...]]:
     """Read flat ``key = value`` settings and apply ``overrides`` last.
 
     Lines starting with '#' (or the part after an inline '#') are comments.
-    Returns the cell configuration plus the sweep-level settings found, which
-    feed :func:`nomasim.experiments.make_sweep`. Unknown keys and malformed
-    lines are rejected with the offending line number.
+    Returns ``base`` with the cell settings found, the sweep settings found
+    (which feed :func:`nomasim.experiments.make_sweep`) and the cell keys set.
+    Unknown keys and malformed lines are rejected with the offending line number.
     """
-    return _parse_settings(path, overrides, base)[:2]
-
-
-def _parse_settings(path, overrides, base) -> tuple[SystemConfig, dict, tuple[str, ...]]:
-    """:func:`parse_config`'s results, then the cell keys that were set."""
     pairs: list[tuple[str, object]] = []
     if path is not None:
         try:
@@ -84,7 +79,7 @@ def _parse_settings(path, overrides, base) -> tuple[SystemConfig, dict, tuple[st
     system_kwargs = {key: value for key, value in pairs if key not in _SWEEP_KEYS}
     sweep_kwargs = {key: value for key, value in pairs if key in _SWEEP_KEYS}
     try:
-        config = replace(base, **system_kwargs) if base is not None else SystemConfig(**system_kwargs)
+        config = replace(base, **system_kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return config, sweep_kwargs, tuple(system_kwargs)
@@ -98,7 +93,7 @@ def _metadata_path(csv_path: str) -> str:
 def _resolve_config(args, reads: tuple[str, ...] | None = None) -> tuple[SystemConfig, dict, tuple[str, ...]]:
     """Cell config, sweep settings and the cell keys set of parsed arguments; ``reads``
     lists the sweep keys a non-sweep subcommand accepts (make_sweep checks a sweep's)."""
-    config, sweep_kwargs, cell_keys = _parse_settings(args.config, args.overrides, args.base)
+    config, sweep_kwargs, cell_keys = parse_config(args.config, args.overrides, args.base)
     if args.seed is not None:
         config = config.with_(rng_seed=args.seed)
     if reads is not None:
@@ -138,7 +133,7 @@ def _run_gap_command(args) -> int:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     config, _, _ = _resolve_config(args, reads=())
     realization = draw_cluster(config, 0, args.trial_index)
-    pair = realization.snr_gains[:2]
+    pair = config.rho * realization.effective_gains[:2]
     star = two_user_gap_maximizer(pair[0])
     grid = np.linspace(0.0, 1.0, args.grid_points)
     gaps = two_user_gap(pair, grid)

@@ -238,7 +238,7 @@ def _share_values(sizes, reduce):
     """Evaluator of a power-share grid over the strongest k users, k in ``sizes``."""
 
     def evaluate(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
-        g = realization.snr_gains[:, None, :]
+        g = spec.config.rho * realization.effective_gains[:, None, :]
         return _scheme_rows([(g[..., :k], _splits(spec.grid, k)) for k in sizes], reduce)
 
     return evaluate
@@ -457,44 +457,40 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if not is_whole(workers, 1):
         raise ValueError("workers must be a positive integer")
     workers = min(workers, math.ceil(spec.trials / _CHUNK_TRIALS))
-    if workers == 1:
-        stacked = _evaluate_trials(spec, 0, spec.trials)
-    else:
-        import multiprocessing  # only a sweep that starts children pays for the import
+    share = math.ceil(spec.trials / workers)
+    shares = [(start, min(start + share, spec.trials)) for start in range(0, spec.trials, share)]
+    children, readers = [], []
+    try:
+        for start, stop in shares[1:]:
+            import multiprocessing  # only a sweep that starts children pays for the import
 
-        share = math.ceil(spec.trials / workers)
-        shares = [(start, min(start + share, spec.trials)) for start in range(0, spec.trials, share)]
-        context = multiprocessing.get_context()
-        children, readers = [], []
-        try:
-            for start, stop in shares[1:]:
-                reader, writer = context.Pipe(duplex=False)
-                readers.append(reader)
-                # Closing this process's write end at once makes a dead child read as EOF.
-                with writer:
-                    child = context.Process(target=_send_share, args=(writer, spec, start, stop))
-                    child.start()
-                children.append(child)
-            parts = [_evaluate_trials(spec, *shares[0])]
-            for child, reader, (start, stop) in zip(children, readers, shares[1:]):
-                try:
-                    parts.append(reader.recv())
-                except EOFError:  # every write end closed with nothing sent: the child died
-                    child.join()
-                    raise RuntimeError(
-                        f"the worker for trials {start} to {stop - 1} exited with code {child.exitcode} before sending"
-                    ) from None
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            readers.append(reader)
+            # Closing this process's write end at once makes a dead child read as EOF.
+            with writer:
+                child = multiprocessing.Process(target=_send_share, args=(writer, spec, start, stop))
+                child.start()
+            children.append(child)
+        parts = [_evaluate_trials(spec, *shares[0])]
+        for child, reader, (start, stop) in zip(children, readers, shares[1:]):
+            try:
+                parts.append(reader.recv())
+            except EOFError:  # every write end closed with nothing sent: the child died
                 child.join()
-                if isinstance(parts[-1], tuple):
-                    exc, trace = parts[-1]
-                    raise exc from RuntimeError(f"in the worker for trials {start} to {stop - 1}:\n{trace}")
-        finally:
-            for child in children:
-                child.terminate()  # a no-op once joined; stops a child still running after a failure
-                child.join()
-            for reader in readers:
-                reader.close()
-        stacked = np.concatenate(parts)
+                raise RuntimeError(
+                    f"the worker for trials {start} to {stop - 1} exited with code {child.exitcode} before sending"
+                ) from None
+            child.join()
+            if isinstance(parts[-1], tuple):
+                exc, trace = parts[-1]
+                raise exc from RuntimeError(f"in the worker for trials {start} to {stop - 1}:\n{trace}")
+    finally:
+        for child in children:
+            child.terminate()  # a no-op once joined; stops a child still running after a failure
+            child.join()
+        for reader in readers:
+            reader.close()
+    stacked = np.concatenate(parts)
     mean = stacked.mean(axis=0)
     if spec.trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)

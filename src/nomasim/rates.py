@@ -1,10 +1,10 @@
 """Achievable-rate formulas for one cluster.
 
 All functions take effective scalar gains on SNR scale (path loss and the
-transmit-to-noise ratio already folded in, see ``ClusterRealization.snr_gains``)
-sorted in decreasing order, which is also the decoding order: user l decodes
-the signals of users 1..l-1 before its own and treats the rest as noise.
-Rates are in bps/Hz.
+transmit-to-noise ratio already folded in: ``config.rho_at(p) *
+effective_gains`` of a draw at ``p`` dBm) sorted in decreasing order, which is
+also the decoding order: user l decodes the signals of users 1..l-1 before its
+own and treats the rest as noise. Rates are in bps/Hz.
 
 Gain and coefficient arguments broadcast over leading axes, so a whole grid of
 power splits or a stack of instances is evaluated in one call. The users axis

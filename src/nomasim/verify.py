@@ -121,7 +121,7 @@ def zero_forcing_excess(realization, cluster_index: int) -> np.ndarray:
     leakage (1e-10) tolerances; 1.0 where effective gains are unsorted."""
     r = realization
     norms = np.linalg.norm(r.detection_vectors, axis=-1)
-    prods = np.einsum("tln,tlnm->tlm", r.detection_vectors.conj(), r.channels @ r.precoder)
+    prods = np.einsum("tln,tlnm->tlm", r.detection_vectors.conj(), r.channels)
     leak = np.abs(np.delete(prods, cluster_index, axis=-1)).max(axis=(1, 2), initial=0.0)  # one beam leaks nowhere
     bad = np.abs(norms - 1.0).max(axis=-1)
     unsorted = np.any(np.diff(r.effective_gains, axis=-1) > 0, axis=-1).astype(float)
@@ -287,7 +287,8 @@ def _gains_and_splits(rng, trials: int, dof_samples: int = 0) -> list:
 def _cluster_splits(config: SystemConfig, rng_seed: int, rng, trials: int) -> list:
     gains: dict[int, np.ndarray] = {}
     for size, ts in _grouped_trials(trials, lambda t: 2 + t % 5).items():
-        gains.update(zip(ts, draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts).snr_gains))
+        draw = draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts)
+        gains.update(zip(ts, config.rho * draw.effective_gains))
     return [(gains[t], rng.dirichlet(np.ones(gains[t].size))) for t in range(trials)]
 
 

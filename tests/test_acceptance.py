@@ -95,7 +95,7 @@ def test_c01_superposed_rate_never_below_best_orthogonal_rate():
     rng = np.random.default_rng(101)
     slack = []
     for size in (2, 3, 4, 5, 6):
-        gains = draw_cluster(DEFAULT.with_(users_per_cluster=size), 0, range(2000)).snr_gains
+        gains = DEFAULT.rho * draw_cluster(DEFAULT.with_(users_per_cluster=size), 0, range(2000)).effective_gains
         splits = np.empty((2000, 10, size))
         for t in range(2000):
             splits[t] = rng.dirichlet(np.ones(size), size=10)
@@ -111,7 +111,7 @@ def test_c02_orthogonal_bound_holds_and_optimal_split_attains_it():
     excess = []
     for i in range(100):
         size = 2 + i % 5
-        g = draw_cluster(DEFAULT.with_(users_per_cluster=size), 0, 5000 + i).snr_gains
+        g = DEFAULT.rho * draw_cluster(DEFAULT.with_(users_per_cluster=size), 0, 5000 + i).effective_gains
         w = rng.dirichlet(np.ones(size))
         excess.append(oma_bound_excess(g, w, rng.dirichlet(np.ones(size), size=10_000)))
     result = OMA_BOUND.tally(excess)
@@ -120,7 +120,7 @@ def test_c02_orthogonal_bound_holds_and_optimal_split_attains_it():
 
 def test_c03_gap_maximizer_matches_dense_grid_and_reference_value():
     assert abs(two_user_gap_maximizer(321.0) - 0.053) <= 1e-3
-    pairs = draw_cluster(DEFAULT.with_(users_per_cluster=2), 0, range(1000)).snr_gains
+    pairs = DEFAULT.rho * draw_cluster(DEFAULT.with_(users_per_cluster=2), 0, range(1000)).effective_gains
     result = GAP_MAXIMIZER.tally(gap_maximizer_excess(pairs, np.linspace(0.0, 1.0, 10_000)))
     assert result.passed, result
 

@@ -1,5 +1,6 @@
 """Channel draws, detection vectors, and the cell configuration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -211,17 +212,22 @@ class TestDrawCluster:
         assert isinstance(r, ClusterRealization)
         L, N, M = cfg.users_per_cluster, cfg.rx_antennas, cfg.tx_antennas
         assert r.channels.shape == (L, N, M)
-        assert r.precoder.shape == (M, M)
-        np.testing.assert_array_equal(r.precoder, np.eye(M))
         assert r.detection_vectors.shape == (L, N)
         np.testing.assert_allclose(np.linalg.norm(r.detection_vectors, axis=1), 1.0, atol=1e-12)
         assert np.all(np.diff(r.effective_gains) <= 0)
         assert np.all(r.effective_gains >= 0)
-        np.testing.assert_allclose(r.snr_gains, r.rho * r.effective_gains, rtol=0)
+
+    def test_a_draw_holds_only_its_power_free_arrays(self, cfg):
+        # the transmit power scales SNR-scale gains, config.rho_at(p) * effective_gains, never the draw
+        names = [f.name for f in dataclasses.fields(ClusterRealization)]
+        assert names == ["channels", "detection_vectors", "effective_gains", "distances_km", "sort_order"]
+        low, high = (draw_cluster(cfg.with_(tx_power_dbm=p), 1, [0, 6, 2]) for p in (-30.0, 46.0))
+        for name in names:
+            np.testing.assert_array_equal(getattr(low, name), getattr(high, name), err_msg=name)
 
     def test_other_cluster_columns_are_nulled(self, cfg):
         r = draw_cluster(cfg, cluster_index=2, trial_seed=9)
-        prods = np.einsum("ln,lnm->lm", r.detection_vectors.conj(), r.channels @ r.precoder)
+        prods = np.einsum("ln,lnm->lm", r.detection_vectors.conj(), r.channels)
         off = np.abs(np.delete(prods, 2, axis=1))
         assert off.max() < 1e-10
 
@@ -306,7 +312,6 @@ class TestBatchedDraw:
         trials = [0, 5, 1, 17, 2, 40]
         batch = draw_cluster(cfg, cluster_index, trials)
         assert batch.effective_gains.shape == (len(trials), users)
-        np.testing.assert_array_equal(batch.precoder, np.eye(cfg.tx_antennas))
         for i, t in enumerate(trials):
             one = draw_cluster(cfg, cluster_index, t)
             for name in ("channels", "detection_vectors", "effective_gains", "distances_km", "sort_order"):

@@ -19,7 +19,7 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 class TestParseConfig:
     def test_no_file_gives_defaults(self):
-        config, sweep = parse_config(None)
+        config, sweep, _ = parse_config(None)
         assert config == SystemConfig()
         assert sweep == {}
 
@@ -36,7 +36,8 @@ class TestParseConfig:
             target_sinr_db_values = 5, 10
             """,
         )
-        config, sweep = parse_config(path)
+        config, sweep, cell_keys = parse_config(path)
+        assert cell_keys == ("tx_power_dbm", "users_per_cluster", "cell_radius_range_km")
         assert config.tx_power_dbm == 41.0
         assert config.users_per_cluster == 3
         assert config.cell_radius_range_km == (0.1, 1.0)
@@ -44,7 +45,7 @@ class TestParseConfig:
 
     def test_overrides_apply_after_the_file(self, tmp_path):
         path = write_config(tmp_path, "tx_power_dbm = 41.0\n")
-        config, _ = parse_config(path, overrides=("tx_power_dbm=47",))
+        config, _, _ = parse_config(path, overrides=("tx_power_dbm=47",))
         assert config.tx_power_dbm == 47.0
 
     def test_malformed_line_cites_position(self, tmp_path):
@@ -79,7 +80,7 @@ class TestParseConfig:
 
     def test_base_config_is_replaced_not_rebuilt(self):
         base = SystemConfig(cell_radius_range_km=(0.01, 0.15))
-        config, _ = parse_config(None, overrides=("tx_power_dbm=30",), base=base)
+        config, _, _ = parse_config(None, overrides=("tx_power_dbm=30",), base=base)
         assert config.cell_radius_range_km == (0.01, 0.15)
         assert config.tx_power_dbm == 30.0
 
@@ -89,11 +90,11 @@ class TestParseConfig:
 
         cell = SystemConfig(users_per_cluster=3, tx_power_dbm=40.0, rng_seed=7)
         cell_keys = [f.name for f in fields(SystemConfig)]
-        assert parse_config(None, [f"{k}={text(getattr(cell, k))}" for k in cell_keys]) == (cell, {})
+        assert parse_config(None, [f"{k}={text(getattr(cell, k))}" for k in cell_keys])[:2] == (cell, {})
 
         spec = make_sweep("oracle_compare_mixed", cell, requesting_users=6)
         sweep_keys = [f.name for f in fields(SweepSpec) if f.name not in ("kind", "config")]
-        config, sweep = parse_config(None, [f"{k}={text(getattr(spec, k))}" for k in sweep_keys])
+        config, sweep, _ = parse_config(None, [f"{k}={text(getattr(spec, k))}" for k in sweep_keys])
         assert config == SystemConfig()
         assert sweep == {k: getattr(spec, k) for k in sweep_keys}
 

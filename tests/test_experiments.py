@@ -9,9 +9,13 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nomasim import (
     ORACLE_BENCHMARK_RADIUS_KM,
@@ -450,6 +454,79 @@ THREE_SHARES = make_sweep("ergodic_power_sweep", CFG, trials=3 * experiments._CH
 forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs the fork start method")
 
 
+def _floats(lo: float, hi: float):
+    """A working range, or anywhere in float64 with infinities and NaN."""
+    return st.floats(lo, hi) | st.floats()
+
+
+def _values(lo: float, hi: float):
+    return st.lists(_floats(lo, hi), min_size=1, max_size=3).map(tuple)
+
+
+# Pools of at most 12 users keep an oracle example in milliseconds; 118 is the
+# smallest pool the oracle kinds refuse.
+_POOL = st.integers(-1, 12) | st.just(118)
+_CELL_SETTINGS = {
+    "tx_antennas": st.integers(-1, 4),
+    "rx_antennas": st.integers(-1, 6),
+    "users_per_cluster": st.integers(-1, 8),
+    "bandwidth_hz": _floats(1.0, 1e9),
+    "noise_density_dbm_hz": _floats(-200.0, 0.0),
+    "pathloss_fixed_db": _floats(0.0, 400.0),
+    "pathloss_slope": _floats(-50.0, 100.0),
+    "tx_power_dbm": _floats(-100.0, 100.0),
+    "cell_radius_range_km": st.tuples(_floats(0.0, 3.0), _floats(0.0, 3.0)),
+    "rng_seed": st.integers(-1, 2**70),
+}
+_SWEEP_SETTINGS = {
+    "power_dbm_values": _values(-50.0, 100.0),
+    "target_sinr_db_values": _values(-20.0, 40.0),
+    "threshold_choices_db": _values(-20.0, 40.0),
+    "requesting_users": _POOL,
+    "base_split": _floats(0.0, 1.0).map(lambda a: (a, 1.0 - a)) | st.tuples(st.floats(), st.floats()),
+    "extension_fraction": _floats(0.0, 1.0),
+}
+_GRID_SETTINGS = {
+    "share": st.lists(_floats(0.0, 1.0), min_size=1, max_size=3),
+    "share pair": st.lists(st.tuples(_floats(0.0, 1.0), _floats(0.0, 1.0)), min_size=1, max_size=3),
+    "dBm": st.lists(_floats(-50.0, 100.0), min_size=1, max_size=3),
+    "dB": st.lists(_floats(-20.0, 40.0), min_size=1, max_size=3),
+    "users": st.lists(_POOL.map(float), min_size=1, max_size=3),
+}
+_SETTING_KEYS = [f.name for f in fields(SystemConfig) + fields(SweepSpec) if f.name not in ("kind", "config")]
+
+
+@st.composite
+def sweep_settings(draw):
+    """A kind, then any of the cell keys and of the sweep keys it reads; an absent key keeps its default."""
+    kind = draw(st.sampled_from(SWEEP_KINDS))
+    entry = experiments._KINDS[kind]
+    cell = draw(st.fixed_dictionaries({}, optional=_CELL_SETTINGS))
+    read = {"grid": _GRID_SETTINGS[entry.unit], **{key: _SWEEP_SETTINGS[key] for key in entry.reads}}
+    return kind, cell, draw(st.fixed_dictionaries({}, optional=read))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sweep_settings())
+# subnormal SNR-scale gains
+@example(
+    ("admission_vs_sinr", dict(bandwidth_hz=1.0, noise_density_dbm_hz=3000.0, pathloss_fixed_db=0.0, pathloss_slope=-300.0), {})
+)
+# rates that all round to 0, refused by the power and path-loss keys
+@example(("fairness_2user", dict(noise_density_dbm_hz=3000.0, pathloss_fixed_db=3000.0, tx_power_dbm=3000.0), {}))
+def test_any_setting_runs_finite_or_is_refused_by_key(case):
+    # the input contract: a setting either gives finite rows with no warning, or a ValueError naming a key
+    kind, cell, sweep = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = run_sweep(make_sweep(kind, SystemConfig(**cell), trials=2, **sweep), workers=1)
+        except ValueError as e:
+            assert any(key in str(e) for key in _SETTING_KEYS), e
+            return
+    assert all(math.isfinite(r.mean) and math.isfinite(r.stderr) for r in result.rows)
+
+
 def hook_shares(monkeypatch, parent, child):
     """Run ``parent()`` before the parent's share and ``child()`` before each child's."""
     evaluate = experiments._evaluate_trials
@@ -478,9 +555,12 @@ def deadline():
 
 def test_import_loads_neither_a_pool_nor_numpy_random():
     deferred = ("concurrent.futures", "multiprocessing", "numpy.random")
-    code = f"import sys, nomasim; print([m for m in {deferred!r} if m in sys.modules])"
+    loaded = f"print([m for m in {deferred!r} if m in sys.modules])"
+    # then a one-worker sweep, which draws channels but starts no child
+    sweep = "nomasim.run_sweep(nomasim.make_sweep('ergodic_power_sweep', nomasim.SystemConfig(), trials=2))"
+    code = f"import sys, nomasim; {loaded}; {sweep}; {loaded}"
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "['numpy.random']"]
 
 
 class TestExecution:
