@@ -14,12 +14,13 @@ thresholds[, count])`` arrays, instances stacked on leading axes, except the
 batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
 an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
 :func:`_sequential_admit_batch` is the one implementation of the sequential
-rule and :func:`_exhaustive_admit_batch` the subset search. Sweeps take the
-optimum from :func:`_optimal_admit_batch`, a composition DP whose counts equal
-the enumeration's exactly (sum rates within rounding); both exact searches
-allocate through :func:`_append`, the rule's append step. The kernels match a
-scalar reference of the rule in the tests bit for bit; the enumeration stays
-the reference that ``verify`` and the tests check the other rules against.
+rule, and rates :func:`_exhaustive_admit_batch`'s candidate subsets too. Sweeps
+take the optimum from :func:`_optimal_admit_batch`, a composition DP whose
+counts equal the enumeration's exactly (sum rates within rounding); both exact
+searches find fitting sets through :func:`_append`, the rule's append step. The
+kernels match a scalar reference of the rule in the tests bit for bit; the
+enumeration stays the reference that ``verify`` and the tests check the other
+rules against.
 """
 
 from __future__ import annotations
@@ -116,11 +117,16 @@ class AdmissionResult:
     achieved_sinrs: np.ndarray
 
 
+def _members_first(g, t, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the sequential rule over the users the masks ``members`` mark (users on the last axis), and their
+    order: members in gain order, then zero gains, which end admission."""
+    order = np.argsort(~members, axis=-1, kind="stable")
+    return np.take_along_axis(np.where(members, g, 0.0), order, -1), np.take_along_axis(t, order, -1), order
+
+
 def _batch_of_one(instance: AdmissionInstance, members) -> AdmissionResult:
-    """The sequential rule over the users the mask ``members`` marks, as a batch
-    of one: members in gain order, then zero gains, which end admission."""
-    order = np.argsort(~members, kind="stable")
-    gains, thresholds = np.where(members, instance.gains, 0.0)[order], instance.sinr_thresholds[order]
+    """The sequential rule over the users the mask ``members`` marks, as a batch of one."""
+    gains, thresholds, order = _members_first(instance.gains, instance.sinr_thresholds, members)
     count, rate, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
     power, achieved = np.zeros(len(instance)), np.zeros(len(instance))
     power[order], achieved[order] = shares, sinrs
@@ -249,11 +255,10 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     through :func:`_append`, on (instances, subsets) arrays indexed by code:
     the subsets holding user k as their last member are those of users
     ``0..k-1`` with k added, so each step extends the ``2**k`` subsets built
-    so far; a subset that does not fit holds inf. Rates of the fitting
-    subsets of the best size follow in :func:`_sequential_admit_batch`'s
-    operations, each member's prior total read from the walk. The winner is
-    the first of them in enumeration order whose rate is within
-    ``_RATE_TIE_TOL`` of their highest.
+    so far; a subset that does not fit holds inf. :func:`_sequential_admit_batch`
+    rates the fitting subsets of the best size on :func:`_members_first` rows (its
+    totals ``P + need`` are the walk's ``need + P``); the first in enumeration
+    order whose rate is within ``_RATE_TIE_TOL`` of their highest wins.
     """
     batch, users = g.shape
     cost = t / g  # a zero gain costs inf, more than is ever left
@@ -265,11 +270,7 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     inst, subset = np.nonzero(feasible & (sizes == best[:, None]))
 
     members = _members(code[subset], users)
-    prior = total[inst[:, None], code[subset, None] & ((1 << np.arange(users)) - 1)]
-    need = t[inst] * prior + cost[inst]
-    sinr = np.where(members, need * g[inst] / (1.0 + g[inst] * prior), 0.0)  # a non-member's term is log2(1) = 0
-    terms = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), dtype=float, count=sinr.size)
-    rate = np.add.accumulate(terms.reshape(sinr.shape), axis=-1)[:, -1]  # added in user order
+    rate = _sequential_admit_batch(*_members_first(g[inst], t[inst], members)[:2])[1]
 
     # Candidates are grouped by instance, each group in enumeration order.
     first = np.searchsorted(inst, np.arange(batch))

@@ -213,28 +213,26 @@ def _seeded_type() -> type:
     return _Seeded
 
 
+def _words(n: int) -> list[int]:
+    """SeedSequence's split of a non-negative int into uint32 words: least significant first, at least one."""
+    return [n >> s & _MASK32 for s in range(0, n.bit_length() or 1, 32)]
+
+
 def _trial_streams(head: tuple, trials, tail: tuple = ()):
     """Iterate over ``np.random.default_rng(np.random.SeedSequence([*head, t, *tail]))`` for each ``t`` of
-    ``trials``, each a generator of its own; every entry is a non-negative int. The keys' uint32 words are hashed
-    together, on arrays, and PCG64 seeds itself from each key's hashed words. Keys that fit uint64 rows are split
-    into words as a whole; if an entry is 2**64 or more, they are split int by int."""
-    try:
-        keys = np.tile(np.array((*head, 0, *tail), dtype=np.uint64), (len(trials), 1))
-        keys[:, len(head)] = trials
-    except OverflowError:
-        keys = [(*head, int(t), *tail) for t in trials]
-        split = [[n >> s & _MASK32 for n in key for s in range(0, n.bit_length() or 1, 32)] for key in keys]
-        lengths = np.array([len(w) for w in split])
-        width = max(lengths.max(), _SEED_POOL)
-        words = np.array([w + [0] * (width - len(w)) for w in split], dtype=np.uint32)
-    else:
-        wide = keys > _MASK32
-        at = np.arange(keys.shape[1]) + np.cumsum(wide, axis=1) - wide  # each entry's low word
-        words = np.zeros((len(keys), max(2 * keys.shape[1], _SEED_POOL)), dtype=np.uint32)
-        words[np.arange(len(keys))[:, None], at + 1] = keys >> 32  # a narrow entry's 0 is overwritten or padding
-        words[np.arange(len(keys))[:, None], at] = keys & _MASK32
-        lengths = at[:, -1] + wide[:, -1] + 1
-    seeds = _pcg64_seeds(words, np.maximum(lengths, _SEED_POOL))  # shorter keys hash zero-padded
+    ``trials`` (an int array or a list of whole numbers), each a generator of its own; every entry is non-negative.
+    ``head`` and ``tail`` are split into uint32 words once, the trials on one array (uint64, or Python ints from a
+    list) with each key's tail after its own words; all keys hash together, and PCG64 seeds itself from its hash."""
+    lead, trail = sum(map(_words, head), []), sum(map(_words, tail), [])
+    trials = trials.astype(np.uint64) if isinstance(trials, np.ndarray) else np.array([*map(int, trials)], dtype=object)
+    width = len(_words(int(trials.max())))
+    words = np.zeros((len(trials), max(len(lead) + width + len(trail), _SEED_POOL)), dtype=np.uint32)
+    words[:, : len(lead)] = lead
+    for j in range(width):  # a short trial's high words stay zero, or its tail overwrites them
+        words[:, len(lead) + j] = trials >> 32 * j & _MASK32
+    count = sum((trials >> 32 * j > 0 for j in range(1, width)), np.ones(len(trials), dtype=int))  # each trial's words
+    words[np.arange(len(trials))[:, None], len(lead) + count[:, None] + np.arange(len(trail))] = trail
+    seeds = _pcg64_seeds(words, np.maximum(len(lead) + count + len(trail), _SEED_POOL))  # shorter keys hash zero-padded
     seeded = _seeded_type()
     return (np.random.Generator(np.random.PCG64(seeded(row))) for row in seeds)
 
@@ -268,7 +266,6 @@ def draw_cluster(
         raise ValueError("trial_seed must be an integer or a non-empty 1-D sequence of them")
     if (trial_seed < 0).any() if int_array else not all(is_whole(t, 0) for t in trials):
         raise ValueError("trial_seed must be a non-negative integer")
-    trials = trials if int_array else [int(t) for t in trials]
     n_users = config.users_per_cluster
     n_rx, n_tx = config.rx_antennas, config.tx_antennas
 

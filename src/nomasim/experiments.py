@@ -491,6 +491,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         for reader in readers:
             reader.close()
     stacked = np.concatenate(parts)
+    del parts  # copied into ``stacked``; the reduction's temporaries need the room
     mean = stacked.mean(axis=0)
     if spec.trials > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)

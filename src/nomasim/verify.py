@@ -244,12 +244,11 @@ def _grouped_trials(trials: int, key) -> dict:
 
 
 def evaluate_by_size(measure, instances) -> np.ndarray:
-    """``measure`` of instances (tuples of arrays) stacked per size of their
-    first array: one call per size group, results concatenated."""
-    groups: dict = {}
-    for inst in instances:
-        groups.setdefault(np.shape(inst[0]), []).append(inst)
-    return np.concatenate([np.empty(0)] + [measure(*map(np.stack, zip(*g))).ravel() for g in groups.values()])
+    """``measure`` of a sequence of instances (tuples of arrays) stacked per
+    size of their first array: one call per size group, results concatenated."""
+    groups = _grouped_trials(len(instances), lambda i: np.shape(instances[i][0])).values()
+    stacks = (map(np.stack, zip(*(instances[i] for i in g))) for g in groups)
+    return np.concatenate([np.empty(0)] + [measure(*s).ravel() for s in stacks])
 
 
 def _zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> np.ndarray:
@@ -325,6 +324,7 @@ def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | N
         raise ValueError("trials must be a positive integer")
     if not is_whole(seed, 0):
         raise ValueError("seed must be a non-negative integer")
+    trials, seed = int(trials), int(seed)
     config = config if config is not None else SystemConfig()
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(9)]
     return [

@@ -380,6 +380,8 @@ class TestTrialStreams:
         "5 and 6 words": ((2**40, 2**33), np.array([5, 2**32, 2**64 - 1], dtype=np.uint64), ()),
         "rng_seed 2**64 and more": ((2**64 + 5, 0), [0, 2**32, 2**64 + 5], ()),
         "trial 2**64 and more": ((190, 1), [0, 2**64 + 5, 2**32 - 1, 2**96], (_THRESHOLD_STREAM,)),
+        "multi-word tail after trials of 1 to 4 words": ((2**64 + 5, 2**33), [0, 2**96 + 1, 2**32, 7], (2**40,)),
+        "multi-word tail after int64 trials": ((190, 1), np.array([2**32 - 1, 2**32, 5]), (2**40 + 3,)),
     }
 
     @pytest.mark.parametrize("key", KEYS)

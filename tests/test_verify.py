@@ -26,6 +26,10 @@ def test_results_are_reproducible():
     ]
 
 
+def test_whole_float_arguments_run_as_their_ints():
+    assert run_verification(trials=3.0, seed=5.0) == run_verification(trials=3, seed=5)
+
+
 def test_passed_reflects_violations():
     ok = CheckResult(name="x", trials=10, violations=0, worst=0.0, note="")
     bad = CheckResult(name="x", trials=10, violations=1, worst=2.0, note="")
