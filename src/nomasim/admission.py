@@ -14,13 +14,16 @@ thresholds[, count])`` arrays, instances stacked on leading axes, except the
 batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
 an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
 :func:`_sequential_admit_batch` is the one implementation of the sequential
-rule, and rates :func:`_exhaustive_admit_batch`'s candidate subsets too. Sweeps
-take the optimum from :func:`_optimal_admit_batch`, a composition DP whose
-counts equal the enumeration's exactly (sum rates within rounding); both exact
-searches find fitting sets through :func:`_append`, the rule's append step. The
-kernels match a scalar reference of the rule in the tests bit for bit; the
-enumeration stays the reference that ``verify`` and the tests check the other
-rules against.
+rule, and rates :func:`_exhaustive_admit_batch`'s candidate subsets too.
+:func:`_optimal_admit_batch` is a composition DP whose counts equal the
+enumeration's exactly (sum rates within rounding); both exact searches find
+fitting sets through :func:`_append`, the rule's append step. The oracle sweeps
+take the optimum at all their powers from :func:`_optimal_admit_powers`: one
+DP per instance on power-free gains, with no budget check, read at each power
+through a proven rounding margin, and the DP at that power wherever the margin
+cannot decide, so the results are the DP's bit for bit. The kernels match a
+scalar reference of the rule in the tests bit for bit; the enumeration stays
+the reference that ``verify`` and the tests check the other rules against.
 """
 
 from __future__ import annotations
@@ -117,11 +120,13 @@ class AdmissionResult:
     achieved_sinrs: np.ndarray
 
 
-def _members_first(g, t, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _members_first(g, t, members, rows=...) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the sequential rule over the users the masks ``members`` mark (users on the last axis), and their
-    order: members in gain order, then zero gains, which end admission."""
+    order: members in gain order, then zero gains, which end admission. Row i reads the users of ``g[rows][i]``
+    and ``t[rows][i]``, with one gather per array."""
     order = np.argsort(~members, axis=-1, kind="stable")
-    return np.take_along_axis(np.where(members, g, 0.0), order, -1), np.take_along_axis(t, order, -1), order
+    first = np.arange(members.shape[-1]) < members.sum(axis=-1, keepdims=True)
+    return np.where(first, g[rows, order], 0.0), t[rows, order], order
 
 
 def _batch_of_one(instance: AdmissionInstance, members) -> AdmissionResult:
@@ -227,10 +232,11 @@ def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
     return code, sizes
 
 
-def _append(power, t, cost) -> np.ndarray:
+def _append(power, t, cost, budget: bool = True) -> np.ndarray:
     """Totals once a user of target ``t`` and cost ``t/g`` joins subsets of
     total ``power`` last, as the sequential rule appends it: ``need = t*P +
-    t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``.
+    t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``. Without
+    ``budget`` nobody is rejected: the walk ``T <- T + (t*T + c)``.
 
     Both exact searches rest on this step being monotone. With ``t > 0``,
     each of its IEEE operations is monotone in ``P`` (rounding is), so ``P <=
@@ -242,9 +248,9 @@ def _append(power, t, cost) -> np.ndarray:
     """
     total = t * power
     total += cost
-    rejected = total > 1.0 - power
+    if budget:
+        np.putmask(total, total > 1.0 - power, np.inf)  # inf + P is inf
     total += power
-    np.putmask(total, rejected, np.inf)
     return total
 
 
@@ -270,7 +276,7 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     inst, subset = np.nonzero(feasible & (sizes == best[:, None]))
 
     members = _members(code[subset], users)
-    rate = _sequential_admit_batch(*_members_first(g[inst], t[inst], members)[:2])[1]
+    rate = _sequential_admit_batch(*_members_first(g, t, members, inst[:, None])[:2])[1]
 
     # Candidates are grouped by instance, each group in enumeration order.
     first = np.searchsorted(inst, np.arange(batch))
@@ -330,8 +336,8 @@ def _composition_table(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, t
     return counts, total, tuple(math.prod(dims[l + 1 :]) for l in range(len(dims)))
 
 
-def _composition_pass(t, cost, level, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best counts of one pass of instances, and their fitting compositions.
+def _composition_pass(t, cost, level, dims, budget: bool = True) -> np.ndarray:
+    """Least totals of one pass of instances, per composition.
 
     ``t`` and ``cost`` (target over gain) hold one instance per row, ``level``
     each user's target level; ``dims`` is each instance's own count per level
@@ -341,9 +347,9 @@ def _composition_pass(t, cost, level, dims) -> tuple[np.ndarray, np.ndarray, np.
     users at level ``l`` (inf if none fits). Walking strongest first, user k
     joins each subset last through :func:`_append`, whose monotonicity keeps
     a composition's least total least; by induction a state is finite
-    exactly when a subset of its composition fits, the enumeration's test, so
-    the counts equal the enumeration's. Gives each instance's best count, then
-    the row and per-level counts (levels last) of its fitting compositions.
+    exactly when a subset of its composition fits, the enumeration's test.
+    Without ``budget`` the walk has no check, and a state holds the least
+    rounded walk ``T <- T + (t*T + c)`` over all subsets of its composition.
 
     States are flattened in C order, so adding a user at level ``l`` is a
     shift by that level's stride. A shift off the top of level ``l`` wraps
@@ -351,44 +357,39 @@ def _composition_pass(t, cost, level, dims) -> tuple[np.ndarray, np.ndarray, np.
     level-``l`` users as the instance has is unreachable while one of them is
     still to come.
     """
-    counts, total, strides = _composition_table(dims)
+    _, total, strides = _composition_table(dims)
     at = level[:, :, None] == np.arange(len(dims))  # (batch, users, levels)
     present = at.any(axis=0).tolist()
     power = np.full((len(cost), len(total)), np.inf)
     power[:, 0] = 0.0
     for k in range(cost.shape[1]):
-        joined = _append(power, t[:, k, None], cost[:, k, None])
+        joined = _append(power, t[:, k, None], cost[:, k, None], budget)
         for l, stride in enumerate(strides):
             if present[k][l]:
                 grown = power[:, stride:]
                 np.minimum(grown, joined[:, :-stride], out=grown, where=at[:, k, l, None])
-
-    feasible = power < np.inf
-    best = (feasible * total).max(axis=-1)
-    inst, state = np.nonzero(feasible & (total == best[:, None]))
-    return best, inst, counts[:, state].T
+    return power
 
 
-def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal admission of a whole batch of instances: counts and sum rates.
+def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and sum rates of the optimum of each instance row of ``t`` and
+    ``cost`` in each of ``settings`` settings, shaped (rows, settings).
 
-    Same contract as :func:`_sequential_admit_batch`, with the objective of
-    :func:`exhaustive_admit`: most users, then the highest sum rate. Every
-    admitted user sits at its target, so the objective depends only on the
-    composition (how many users are admitted at each distinct target), and
-    :func:`_composition_pass` finds each composition's least power. Counts
-    equal :func:`exhaustive_admit`'s exactly and rates agree within rounding;
-    nobody admitted gives rate 0.0. An instance with ``s_l`` users at level
-    ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a
-    fixed number of levels. The walk never reads which target a level holds,
-    so instances are grouped by canonical shape (levels by count, descending,
-    ties by target), each group in passes of at most ``_PASS_STATES`` states
-    (or one instance, if it alone has more). Rates ``sum_l c[l] * log2(1 +
-    target_l)`` add up from 0.0 in ascending target order, whatever the pass.
+    Every admitted user sits at its target, so the objective (most users,
+    then the highest sum rate) depends only on the composition: how many
+    users are admitted at each distinct target. :func:`_composition_pass`
+    walks each row once, and ``fits(power, part)`` reads the least totals of
+    the rows ``part`` (rows, states) as whether each composition fits in each
+    setting (settings, rows, states). An instance with ``s_l`` users at level
+    ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a fixed
+    number of levels. The walk never reads which target a level holds, so
+    rows are grouped by canonical shape (levels by count, descending, ties by
+    target), each group in passes of at most ``_PASS_STATES`` states (or one
+    row, if it alone has more). Rates ``sum_l c[l] * log2(1 + target_l)`` of
+    the fitting compositions of the best count add up from 0.0 in ascending
+    target order, whatever the pass, and the highest wins; nobody admitted
+    gives 0.0.
     """
-    g, t = _stacked(gains, thresholds)
-    shape, users = g.shape[:-1], g.shape[-1]
-    g, t = g.reshape(-1, users), t.reshape(-1, users)
     # Levels of an instance: its distinct targets, ascending.
     ordered = np.sort(t, axis=-1)
     distinct = np.ones(ordered.shape, dtype=bool)
@@ -399,26 +400,142 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     values = np.zeros((len(t), n_levels))  # 0 for a level an instance lacks: log2(1) = 0
     np.put_along_axis(values, level, t, axis=-1)
     log_base = np.fromiter(map(math.log2, (1.0 + values).ravel().tolist()), dtype=float, count=values.size)
-    with np.errstate(divide="ignore", over="ignore"):
-        cost = t / g  # a zero gain costs inf
     rank = np.argsort(np.argsort(-sizes, axis=-1, kind="stable"), axis=-1)  # each level's canonical place
 
-    count, found = np.empty(len(t), dtype=int), []
+    count, found = np.empty((len(t), settings), dtype=int), []
     shapes, group = np.unique(np.sort(sizes, axis=-1)[:, ::-1] + 1, axis=0, return_inverse=True)
     group = group.ravel()  # numpy 2.0 gives the inverse the input's shape
     for i, dims in enumerate(map(tuple, shapes.tolist())):
+        counts, total, _ = _composition_table(dims)
         same = np.flatnonzero(group == i)
-        step = max(1, _PASS_STATES // math.prod(dims))
+        step = max(1, _PASS_STATES // len(total))
         for lo in range(0, len(same), step):
             part = same[lo : lo + step]
             canonical = np.take_along_axis(rank[part], level[part], axis=-1)
-            count[part], inst, held = _composition_pass(t[part], cost[part], canonical, dims)
-            found.append((part[inst], held))
-    inst, held = map(np.concatenate, zip(*found))
-    terms = np.take_along_axis(held, rank[inst], axis=-1) * log_base.reshape(values.shape)[inst]
-    rate = np.full(len(t), -np.inf)
-    np.maximum.at(rate, inst, np.add.accumulate(terms, axis=-1)[:, -1])  # added in target order
+            fit = fits(_composition_pass(t[part], cost[part], canonical, dims, budget), part)
+            best = (fit * total).max(axis=-1)
+            count[part] = best.T
+            setting, inst, state = np.nonzero(fit & (total == best[..., None]))
+            found.append((part[inst], setting, counts[:, state].T))
+    inst, setting, held = map(np.concatenate, zip(*found))
+    terms = np.take_along_axis(held, rank[inst], axis=-1) * log_base.reshape(values.shape)[inst]  # target order
+    rate = np.full(count.shape, -np.inf)  # ufunc.at takes a flat index several times faster than a tuple
+    np.maximum.at(rate.reshape(-1), inst * settings + setting, np.add.accumulate(terms, axis=-1)[:, -1])
+    return count, rate
+
+
+def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal admission of a whole batch of instances: counts and sum rates.
+
+    Same contract as :func:`_sequential_admit_batch`, with the objective of
+    :func:`exhaustive_admit`: most users, then the highest sum rate, found by
+    :func:`_best_compositions` from each composition's least power. Counts
+    equal :func:`exhaustive_admit`'s exactly and rates agree within rounding;
+    nobody admitted gives rate 0.0.
+    """
+    g, t = _stacked(gains, thresholds)
+    shape, users = g.shape[:-1], g.shape[-1]
+    g, t = g.reshape(-1, users), t.reshape(-1, users)
+    with np.errstate(divide="ignore", over="ignore"):
+        cost = t / g  # a zero gain costs inf
+    count, rate = _best_compositions(t, cost, lambda power, part: (power < np.inf)[None], 1)
     return count.reshape(shape), rate.reshape(shape)
+
+
+def _optimal_admit_powers(gains, thresholds, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal admission at each power scale in ``rho``, from one walk per instance.
+
+    ``gains`` and ``thresholds`` are as in :func:`_optimal_admit_batch`, with
+    power-free gains: at scale ``r`` the gains are ``r * gains``. Counts and
+    rates equal ``_optimal_admit_batch(rho[k] * gains, thresholds)`` bit for
+    bit, with the scales on an axis after the batch axes.
+
+    In exact arithmetic the sequential rule is linear in the costs: with
+    costs ``c = t/g`` and no budget check, a subset's walk ``T <- T + (t*T +
+    c)`` ends at ``T``, its total at scale ``r`` is ``T/r``, and it fits when
+    that is at most 1. :func:`_best_compositions` walks without the budget,
+    so each composition holds ``m``, the least rounded ``T`` of its subsets
+    (the step is monotone, as :func:`_append` shows). With ``n`` users, ``u =
+    2**-53`` and ``kappa = (6n + 9) u``, a composition fits at ``r`` when ``m <
+    fl(r fl(1 - kappa))`` and at no subset when ``m > fl(r fl(1 + kappa))``.
+    Every other case (``m`` inside the margin, NaN, or an instance whose walks
+    could leave the normal range at that scale) runs
+    :func:`_optimal_admit_batch` on exactly those (instance, scale) pairs.
+
+    Proof. The range check makes every operation below round a normal float
+    (or give an exact 0), so with a relative error of at most u. All terms
+    are non-negative, so by induction over its steps a walk of ``j <= n``
+    steps ``X <- fl(fl(fl(t X) + c) + X)`` with costs ``c`` within ``[f_lo,
+    f_hi]`` times costs ``a`` lies within ``[f_lo (1-u)^(3j), f_hi
+    (1+u)^(3j)]`` times the exact walk on ``a``. Take ``a = t/g`` exact: the
+    costs ``fl(t/g)`` give the rounded ``T`` within ``(1 -+ u)^(3n+1)`` of
+    ``T``; the costs ``fl(t/fl(r g))`` at scale ``r`` have ``f`` within
+    ``(1-u)/(1+u)`` and ``(1+u)/(1-u)``, so the rounded walk ``P`` without
+    checks lies within ``(1-u)^(3n+1)/(1+u)`` and ``(1+u)^(3n+1)/(1-u)`` of
+    ``T/r``. The thresholds lie within ``(1 -+ u)^2`` of ``r (1 -+ kappa)``.
+    Fits: the subset S with ``m`` as its rounded ``T`` has ``P < (1-kappa)
+    (1+u)^(3n+3) / (1-u)^(3n+2) <= 1 - u`` (condition A). ``P`` only rises,
+    so each step's exact ``P + need`` is at most ``P/(1-u) <= 1``, hence
+    ``need <= 1 - P`` and ``need <= fl(1 - P)``: no check rejects S, and the
+    walk with checks is the one without.
+    No fit: every subset S has a rounded ``T >= m``. An infinite one holds a
+    zero gain (the range check rules out overflow), which no scale admits.
+    Otherwise ``P > (1+kappa) (1-u)^(3n+3) / (1+u)^(3n+2) >= (1+u)^2``
+    (condition B). But a walk that passes every check has ``P < 1`` before
+    its last step and ``need <= fl(1 - P) <= (1-P)(1+u)``, so it ends at
+    ``fl(P + need) <= (1+u)^2``. So S is rejected.
+    Conditions: with ``q = (1+u)/(1-u)`` and ``N = 3n + 4``, A asks ``1 -
+    kappa <= q^-(N-1)`` and B ``1 + kappa >= (1-u) q^N``. Bernoulli's
+    inequality gives ``q^-(N-1) >= 1 - 2(N-1)u`` and ``q^N <= 1/(1 -
+    N(q-1))``, and ``q - 1 = 2u/(1-u)``, so ``kappa = (2N+1)u`` meets both
+    while ``(2N+1)^2 u <= 1``: pools of up to about 15 million users, far
+    beyond what ``_DP_STATE_BOUND`` admits.
+    Range: an instance passes when each positive gain's cost ``fl(t/g)``,
+    and the least target times the least of them, is at least the smallest
+    normal float (a walk's products are no smaller), and ``max(1, sum c)
+    prod(1 + t) < max/4``, which bounds every walk, unrolled, and every
+    target. A scale passes when each ``fl(r g)`` and its costs pass the same
+    lower test, those costs are finite, ``fl(r fl(1 - kappa))`` is normal and
+    ``fl(r fl(1 + kappa))`` finite. A walk at ``r`` that passes its checks,
+    or whose exact total is below 1, stays below 2.
+    """
+    e, t = _stacked(gains, thresholds)
+    shape, users = e.shape[:-1], e.shape[-1]
+    e, t = e.reshape(-1, users), t.reshape(-1, users)
+    rho = np.asarray(rho, dtype=float)
+    kappa = (6 * users + 9) * 2.0**-53
+    tiny = np.finfo(float).tiny
+    positive, t_min = e > 0.0, t.min(axis=-1)
+
+    def least(x, where):
+        return np.min(x, axis=-1, where=where, initial=np.inf)
+
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi = rho * (1.0 - kappa), rho * (1.0 + kappa)
+        cost = t / e  # a zero gain costs inf
+        scaled = rho[:, None] * e[:, None, :]  # (rows, scales, users)
+        scaled_cost, at = t[:, None, :] / scaled, positive[:, None, :]
+        spread = np.maximum(1.0, np.sum(cost, axis=-1, where=positive)) * np.prod(1.0 + t, axis=-1)
+        c0, c = least(cost, positive), least(scaled_cost, at)
+        unsure = ~(
+            ((np.minimum(c0, c0 * t_min) > tiny) & (spread < np.finfo(float).max / 4))[:, None]
+            & (np.minimum(c, c * t_min[:, None]) > tiny)
+            & (np.max(scaled_cost, axis=-1, where=at, initial=0.0) < np.inf)
+            & (least(scaled, at) > tiny)
+            & (lo > tiny)
+            & (hi < np.inf)
+        )
+
+        def fits(m, part):
+            fit = m < lo[:, None, None]
+            unsure[part] |= ~(fit | (m > hi[:, None, None])).all(axis=-1).T
+            return fit
+
+        count, rate = _best_compositions(t, cost, fits, len(rho), budget=False)
+    inst, k = np.nonzero(unsure)
+    if len(inst):
+        count[inst, k], rate[inst, k] = _optimal_admit_batch(rho[k, None] * e[inst], t[inst])
+    return count.reshape(shape + rho.shape), rate.reshape(shape + rho.shape)
 
 
 def _require_dp_states(users: int, levels: int) -> None:

@@ -18,6 +18,8 @@ series it reports and how a chunk of trials is evaluated. The oracle kinds
 set sequential admission against the exact optimum, which the composition DP
 of :mod:`nomasim.admission` computes for a whole chunk at once, with counts
 equal to those of subset enumeration, the reference it is tested against.
+Their draws are power-free, so one DP walk per trial and target row serves
+every grid power (``_optimal_admit_powers``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .admission import _optimal_admit_batch, _require_dp_states, _sequential_admit_batch
+from .admission import _optimal_admit_powers, _require_dp_states, _sequential_admit_batch
 from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
 from .rates import _columns, _noma_columns, _optimal_oma_columns, _sum_users, extend_split, jain_index
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
@@ -265,19 +267,19 @@ def _admission_series(schemes, blocks):
     )
 
 
-def _admission_rows(gains, thresholds, optimum: bool = False) -> np.ndarray:
+def _admission_rows(gains, thresholds, optimum=None) -> np.ndarray:
     """Series rows of a batch of admission instances.
 
     ``gains`` and linear ``thresholds`` broadcast to ``(trials, blocks...,
     grid, users)``. The result, ``(trials, series, grid)``, holds per block
-    the admitted count and sum rate of sequential admission and, given
-    ``optimum``, of the exact optimum (the composition DP, whose counts equal
-    the enumeration reference's) and of its excess over sequential admission.
+    the admitted count and sum rate of sequential admission and, given the
+    ``optimum``'s counts and rates over ``(trials, blocks..., grid)``, those
+    and their excess over sequential admission.
     """
     count, rate = _sequential_admit_batch(gains, thresholds)
     rows = [count, rate]
-    if optimum:
-        best_count, best_rate = _optimal_admit_batch(gains, thresholds)
+    if optimum is not None:
+        best_count, best_rate = optimum
         rows += [best_count, best_rate, best_count - count, best_rate - rate]
     values = np.stack(rows, axis=-2)  # (trials, blocks..., series, grid)
     return values.reshape(len(values), -1, values.shape[-1])
@@ -305,9 +307,10 @@ def _requesting_values(spec: SweepSpec, realization: ClusterRealization, trials:
 
 
 def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
-    gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, None, :]
+    rho, eff = _rho(spec.config, spec.grid), realization.effective_gains
     targets = db_to_linear(spec.target_sinr_db_values)
-    rows = _admission_rows(gains, targets[:, None, None], optimum=True)
+    optimum = _optimal_admit_powers(eff[:, None, :], targets[:, None], rho)
+    rows = _admission_rows(rho[:, None] * eff[:, None, None, :], targets[:, None, None], optimum)
     diverged = (rows[:, 4::6] != 0) | (np.abs(rows[:, 5::6]) > _EQUAL_MODE_RATE_TOL)
     if diverged.any():
         t, i, j = np.argwhere(diverged)[0]
@@ -328,8 +331,9 @@ def _mixed_thresholds_db(spec: SweepSpec, trials) -> np.ndarray:
 
 def _oracle_mixed_values(spec: SweepSpec, realization: ClusterRealization, trials: np.ndarray) -> np.ndarray:
     thresholds = db_to_linear(_mixed_thresholds_db(spec, trials))
-    gains = _rho(spec.config, spec.grid)[:, None] * realization.effective_gains[:, None, :]
-    return _admission_rows(gains, thresholds[:, None, :], optimum=True)
+    rho, eff = _rho(spec.config, spec.grid), realization.effective_gains
+    optimum = _optimal_admit_powers(eff, thresholds, rho)
+    return _admission_rows(rho[:, None] * eff[:, None, :], thresholds[:, None, :], optimum)
 
 
 def _power_labels(spec: SweepSpec) -> list[str]:

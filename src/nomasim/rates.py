@@ -38,11 +38,12 @@ def _users(x: np.ndarray) -> list:
 
 
 def _columns(gains, split) -> tuple[list, list]:
-    """Per-user columns of gains and shares."""
+    """Per-user columns of gains and shares, checked finite."""
     g = np.asarray(gains, dtype=float)
     w = np.asarray(split, dtype=float)
     if g.shape[-1:] != w.shape[-1:]:
         raise ValueError("gains and split must have the same number of users")
+    _require_finite("gains and splits", g, w)
     return _users(g), _users(w)
 
 
@@ -94,6 +95,7 @@ def _oma_columns(gains, split, dof) -> list:
     lam = np.asarray(dof, dtype=float)
     if lam.shape[-1:] != (len(w),):
         raise ValueError("dof fractions must have one entry per user")
+    _require_finite("dof fractions", lam)
     return list(map(_oma_term, _users(lam), _received(g, w)))
 
 
@@ -155,9 +157,9 @@ class SicFeasibility:
     margins: np.ndarray
 
 
-def _require_finite(*arrays) -> None:
+def _require_finite(name: str, *arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("gains and splits must be finite")
+        raise ValueError(f"{name} must be finite")
 
 
 def sic_feasibility_check(gains, split) -> SicFeasibility:
@@ -169,7 +171,7 @@ def sic_feasibility_check(gains, split) -> SicFeasibility:
     w = np.asarray(split, dtype=float)
     if g.ndim == 0 or w.shape != g.shape:
         raise ValueError("gains and split must have equal shapes, users on the last axis")
-    _require_finite(g, w)
+    _require_finite("gains and splits", g, w)
     earlier = np.zeros_like(w)  # the exclusive running sum of _noma_columns
     earlier[..., 1:] = np.cumsum(w[..., :-1], axis=-1)
     rx = g[..., :, None]
@@ -187,9 +189,12 @@ def two_user_gap(gains, omega1):
     g = np.asarray(gains, dtype=float)
     if g.shape[-1] != 2:
         raise ValueError("two_user_gap needs exactly two gains")
+    # min and max keep NaN, so each check is one pass that also rejects it
+    if g.size and not (g.min() >= 0 and g.max() < np.inf):
+        raise ValueError("gains must be finite and non-negative")
     w1 = np.asarray(omega1, dtype=float)
-    if np.any(w1 < -_SUM_TOL) or np.any(w1 > 1 + _SUM_TOL):
-        raise ValueError("omega1 must lie in [0, 1]")
+    if w1.size and not (w1.min() >= -_SUM_TOL and w1.max() <= 1 + _SUM_TOL):
+        raise ValueError("omega1 must lie in [0, 1] and be finite")
     g1, g2, w2 = g[..., 0], g[..., 1], 1.0 - w1
     # The superposed sum rate minus the orthogonal bound is exactly log2(1 + x).
     # log1p keeps the gap's curvature, which the rounding of log2(1 + z) swamps
@@ -268,7 +273,7 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
     l = w.shape[-1]
     if g.shape[-1] != l + 1 or th.shape[-1] != l + 1:
         raise ValueError("need len(gains) == len(split_large) == len(split_small) + 1")
-    _require_finite(g, w, th)
+    _require_finite("gains and splits", g, w, th)
     if (g[..., 1:] > g[..., :-1]).any() or (g < 0).any():
         raise ValueError("gains must be non-negative and non-increasing")
     if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any() or (np.abs(th.sum(axis=-1) - 1.0) > 1e-9).any():
@@ -302,8 +307,8 @@ def jain_index(rates):
     r = np.asarray(rates, dtype=float)
     if r.ndim == 0 or r.shape[-1] == 0:
         raise ValueError("rates must be non-empty along the last axis")
-    if np.any(r < 0):
-        raise ValueError("rates must be non-negative")
+    if r.size and not (r.min() >= 0 and r.max() < np.inf):  # min and max keep NaN
+        raise ValueError("rates must be non-negative" if np.isfinite(r).all() else "rates must be finite")
     s = r.sum(axis=-1)
     denom = r.shape[-1] * (r * r).sum(axis=-1)
     if np.any(denom == 0):

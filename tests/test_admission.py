@@ -19,7 +19,12 @@ from nomasim import (
     greedy_optimality_condition,
 )
 from nomasim import admission
-from nomasim.admission import _exhaustive_admit_batch, _optimal_admit_batch, _sequential_admit_batch
+from nomasim.admission import (
+    _exhaustive_admit_batch,
+    _optimal_admit_batch,
+    _optimal_admit_powers,
+    _sequential_admit_batch,
+)
 
 
 def random_instance(rng, size=None):
@@ -691,9 +696,9 @@ class TestOptimalBatch:
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(t, cost, level, dims):
+        def spy(t, cost, level, dims, budget):
             passes.append((len(cost), dims))
-            return run_pass(t, cost, level, dims)
+            return run_pass(t, cost, level, dims, budget)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(24)
@@ -709,9 +714,9 @@ class TestOptimalBatch:
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(t, cost, level, dims):
+        def spy(t, cost, level, dims, budget):
             passes.append((cost, level, dims))
-            return run_pass(t, cost, level, dims)
+            return run_pass(t, cost, level, dims, budget)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(30)
@@ -761,6 +766,110 @@ class TestOptimalBatch:
     def test_rejects_malformed_input(self, gains, thresholds):
         with pytest.raises(ValueError):
             _optimal_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+
+
+def least_walks(gains, thresholds) -> dict:
+    """Each composition's least power-free walk ``T <- T + (t*T + t/g)`` over
+    the subsets of one instance's positive-gain users, by plain scan."""
+    least: dict = {}
+    users = [k for k in range(len(gains)) if gains[k] > 0]
+    for size in range(1, len(users) + 1):
+        for combo in itertools.combinations(users, size):
+            total = 0.0
+            for k in combo:
+                t = float(thresholds[k])
+                total = total + (t * total + t / float(gains[k]))
+            key = tuple(sorted(float(thresholds[k]) for k in combo))
+            least[key] = min(least.get(key, math.inf), total)
+    return least
+
+
+@st.composite
+def scaled_batches(draw):
+    """Batches of 1-8-user instances with 1-4 target levels, power-free gains
+    from 1e-3 to 1e4 (zero too), and 1-5 power scales, one of them within a
+    few ulps of some composition's least power-free walk."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    levels = np.array(draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4)))
+    pool = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e4), min_size=1, max_size=6)))
+    gains = np.sort(pool[draw(picks(shape, len(pool)))], axis=-1)[:, ::-1]
+    thresholds = levels[draw(picks(shape, len(levels)))]
+    rho = draw(st.lists(st.floats(1e-4, 1e6), min_size=1, max_size=4))
+    walks = sorted(least_walks(gains[0], thresholds[0]).values())
+    if walks:
+        edge = walks[draw(st.integers(0, len(walks) - 1))]
+        ulps = draw(st.integers(-8, 8))
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, math.copysign(math.inf, ulps))
+        rho.insert(draw(st.integers(0, len(rho))), float(edge))
+    return gains, thresholds, np.array(rho)
+
+
+class TestOptimalPowers:
+    """One power-free walk per instance against the composition DP at each power, bit for bit."""
+
+    @staticmethod
+    def assert_matches_each_power(gains, thresholds, rho):
+        count, rate = _optimal_admit_powers(gains, thresholds, rho)
+        batch = np.broadcast_shapes(np.shape(gains), np.shape(thresholds))[:-1]
+        assert count.shape == rate.shape == batch + (len(rho),)
+        for k, r in enumerate(rho):
+            ref_count, ref_rate = _optimal_admit_batch(r * np.asarray(gains), thresholds)
+            np.testing.assert_array_equal(count[..., k], ref_count)
+            assert rate[..., k].tobytes() == ref_rate.tobytes()
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Instances that `_optimal_admit_powers` hands to the one-power DP."""
+        calls = []
+
+        def spy(gains, thresholds):
+            calls.append(len(gains))
+            return _optimal_admit_batch(gains, thresholds)
+
+        monkeypatch.setattr(admission, "_optimal_admit_batch", spy)
+        return calls
+
+    @given(scaled_batches())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_dp_at_every_power(self, batch):
+        self.assert_matches_each_power(*batch)
+
+    def test_oracle_draws_need_no_fallback(self, fallbacks):
+        rng = np.random.default_rng(33)
+        gains = np.sort(10.0 ** rng.uniform(-15, -11, (100, 12)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(100, 12)) / 10.0)
+        rho = 10.0 ** np.arange(13.0, 15.1, 0.5)
+        self.assert_matches_each_power(gains, thresholds, rho)
+        assert fallbacks == []
+
+    def test_broadcast_batch_axes(self):
+        # trials x targets, one target per instance, as the equal-target oracle stacks them
+        rng = np.random.default_rng(34)
+        eff = np.sort(rng.exponential(size=(6, 5)), axis=-1)[:, ::-1]
+        self.assert_matches_each_power(eff[:, None, :], np.array([1.0, 3.0, 10.0])[:, None], np.array([1.0, 10.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edge_and_out_of_range_instances_fall_back(self, fallbacks):
+        one = np.array([[2.0, 1.0]])
+        # the first user needs exactly the budget at scale 1: inside the margin
+        self.assert_matches_each_power(one, np.array([2.0, 1e3]), np.array([1.0, 4.0]))
+        assert fallbacks == [1]
+        # a cost of 1e-310 is subnormal: the power-free walk leaves the normal range
+        self.assert_matches_each_power(np.array([[1e300, 1e299]]), np.array([1e-10, 1.0]), np.array([1e-300, 1e-298]))
+        assert fallbacks == [1, 2]
+        # 40 targets of 1e9 would overflow the power-free walk
+        gains = np.sort(10.0 ** np.linspace(8, 12, 40))[None, ::-1]
+        self.assert_matches_each_power(gains, np.full(40, 1e9), np.array([1.0, 1e3]))
+        assert fallbacks == [1, 2, 2]
+        # scaled gains below the normal range at the lower scale only
+        self.assert_matches_each_power(np.array([[1e-300, 1e-301]]), 1.0, np.array([1e-10, 1e305]))
+        assert fallbacks == [1, 2, 2, 1]
+
+    @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
+    def test_rejects_malformed_input(self, gains, thresholds):
+        with pytest.raises(ValueError):
+            _optimal_admit_powers(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float), [1.0])
 
 
 class TestOptimalityCondition:

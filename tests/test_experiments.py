@@ -437,8 +437,8 @@ class TestOracleCompare:
             np.testing.assert_allclose(rate_diff, 0.0, atol=1e-12)
 
     def test_equal_target_divergence_is_an_error(self, monkeypatch):
-        exact = experiments._optimal_admit_batch
-        monkeypatch.setattr(experiments, "_optimal_admit_batch", lambda g, t: (exact(g, t)[0] + 1, exact(g, t)[1]))
+        exact = experiments._optimal_admit_powers
+        monkeypatch.setattr(experiments, "_optimal_admit_powers", lambda *a: (exact(*a)[0] + 1, exact(*a)[1]))
         spec = make_sweep("oracle_compare_equal", CFG, trials=3, grid=(30.0, 50.0), requesting_users=4)
         with pytest.raises(RuntimeError, match=r"diverged from the optimum \(trial 0, power 30.0 dBm, target 5.0 dB\)"):
             run_sweep(spec)

@@ -395,6 +395,8 @@ class TestMalformedInput:
             (jain_index, ([],), "non-empty"),
             (jain_index, (3.0,), "non-empty"),
             (jain_index, ([1.0, -0.5],), "rates must be non-negative"),
+            (two_user_gap, ([-2.0, 1.0], 0.5), "gains must be finite and non-negative"),
+            (two_user_gap, ([[2.0, 1.0], [2.0, -1.0]], 0.5), "gains must be finite and non-negative"),
         ],
         ids=lambda value: getattr(value, "__name__", None),
     )
@@ -413,6 +415,17 @@ class TestNonFiniteInput:
             (cluster_size_rate_delta, [bad, 1.0], [1.0], [0.5, 0.5]),
             (cluster_size_rate_delta, [2.0, 1.0], [bad], [0.5, 0.5]),
             (cluster_size_rate_delta, [2.0, 1.0], [1.0], [0.5, bad]),
+            (noma_user_rates, [bad, 1.0], [0.5, 0.5]),
+            (noma_sum_rate, [2.0, 1.0], [[0.5, 0.5], [bad, 0.5]]),
+            (oma_user_rates, [bad, 1.0], [0.5, 0.5], [0.5, 0.5]),
+            (oma_sum_rate, [2.0, 1.0], [0.5, 0.5], [bad, 0.5]),
+            (optimal_dof_fractions, [bad, 1.0], [0.5, 0.5]),
+            (oma_sum_upper_bound, [2.0, 1.0], [0.5, bad]),
+            (two_user_gap, [2.0, 1.0], bad),
+            (two_user_gap, [2.0, 1.0], [0.2, bad, 0.4]),
+            (two_user_gap, [bad, 1.0], 0.5),
+            (jain_index, [bad, 1.0]),
+            (jain_index, [[1.0, 2.0], [1.0, bad]]),
         ]
         for fn, *args in calls:
             with pytest.raises(ValueError, match="finite"):
