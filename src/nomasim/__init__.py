@@ -2,7 +2,7 @@
 
 Compares power-domain superposed transmission against orthogonal sharing on
 zero-forcing effective channels, and provides SINR-target user admission with
-an exhaustive optimality reference plus Monte-Carlo sweep drivers.
+its exact optimum (a composition DP) plus Monte-Carlo sweep drivers.
 """
 
 __version__ = "0.1.0"

@@ -14,16 +14,18 @@ thresholds[, count])`` arrays, instances stacked on leading axes, except the
 batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
 an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
 :func:`_sequential_admit_batch` is the one implementation of the sequential
-rule, and rates :func:`_exhaustive_admit_batch`'s candidate subsets too.
-:func:`_optimal_admit_batch` is a composition DP whose counts equal the
-enumeration's exactly (sum rates within rounding); both exact searches find
-fitting sets through :func:`_append`, the rule's append step. The oracle sweeps
-take the optimum at all their powers from :func:`_optimal_admit_powers`: one
-DP per instance on power-free gains, with no budget check, read at each power
-through a proven rounding margin, and the DP at that power wherever the margin
-cannot decide, so the results are the DP's bit for bit. The kernels match a
-scalar reference of the rule in the tests bit for bit; the enumeration stays
-the reference that ``verify`` and the tests check the other rules against.
+rule, and rates :func:`_enumeration_pass`'s candidate subsets too.
+:func:`_optimal_admit_batch` is the one exact search that sweeps and
+``verify`` run: a composition DP whose counts equal the enumeration's exactly
+(sum rates within rounding); both find fitting sets through :func:`_append`,
+the rule's append step. The oracle sweeps take the optimum at all their
+powers from :func:`_optimal_admit_powers`: one DP per instance on power-free
+gains, with no budget check, read at each power through a proven rounding
+margin, and the DP at that power wherever the margin cannot decide, so the
+results are the DP's bit for bit. The kernels match a scalar reference of the
+rule in the tests bit for bit. No sweep or ``verify`` check enumerates:
+:func:`_enumeration_pass` serves :func:`exhaustive_admit`, and the tests
+batch it into the reference they check the DP against.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ _RATE_TIE_TOL = 1e-12
 
 _ENUMERATION_CAP = 12
 
-# States one pass of either search holds per array, (instance, subset) or
-# (instance, composition): 256 KiB of float64, enough instances to spread the
-# per-step overhead of the array operations.
+# (instance, composition) states one DP pass holds per array: 256 KiB of
+# float64, enough instances to spread the per-step overhead of the array
+# operations. The tests' batched enumeration sizes its (instance, subset)
+# passes by it too.
 _PASS_STATES = 1 << 15
 
 # Most composition-DP states an oracle instance may need (512 KiB per
@@ -220,8 +223,11 @@ def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
     A subset's code has bit k set when user k is a member. The order is size
     descending, then :func:`itertools.combinations` order within a size,
     which is descending order of the members read as a binary number with
-    user 0 as its most significant bit.
+    user 0 as its most significant bit. Refused above ``_ENUMERATION_CAP``
+    users: the table, and so the search, is exponential.
     """
+    if users > _ENUMERATION_CAP:
+        raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
     code = np.arange(1 << users)
     members = _members(code, users)
     sizes = members.sum(axis=-1)
@@ -238,7 +244,7 @@ def _append(power, t, cost, budget: bool = True) -> np.ndarray:
     t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``. Without
     ``budget`` nobody is rejected: the walk ``T <- T + (t*T + c)``.
 
-    Both exact searches rest on this step being monotone. With ``t > 0``,
+    The DP and the enumeration rest on this step being monotone. With ``t > 0``,
     each of its IEEE operations is monotone in ``P`` (rounding is), so ``P <=
     P'`` gives ``need <= need'`` and ``1 - P >= 1 - P'``: a rejection at ``P``
     is one at ``P'``, and ``P + need <= P' + need'``. An inf total or an inf
@@ -285,33 +291,6 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     return best, rate[pick], members[pick]
 
 
-def _exhaustive_admit_batch(gains, thresholds):
-    """Best admission subset of a whole batch of instances, by enumeration.
-
-    Same contract as :func:`_sequential_admit_batch`, with the objective of
-    :func:`exhaustive_admit`: most users, then the highest sum rate, with its
-    tie rule. Gives counts, sum rates and each winner's member mask (users on
-    the last axis), equal to :func:`exhaustive_admit`'s bit for bit. Instances
-    run in passes of at most ``_PASS_STATES`` (instance, subset) states, or
-    one instance if it alone has more; an instance's results do not depend
-    on the rest of its pass. Instances above ``_ENUMERATION_CAP`` users are
-    refused: the search is exponential.
-    """
-    g, t = _stacked(gains, thresholds)
-    shape, users = g.shape[:-1], g.shape[-1]
-    if users > _ENUMERATION_CAP:
-        raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
-    g, t = g.reshape(-1, users), t.reshape(-1, users)
-    code, sizes = _subset_table(users)
-    count, rate, members = np.empty(len(g), dtype=int), np.empty(len(g)), np.empty(g.shape, dtype=bool)
-    step = max(1, _PASS_STATES // len(code))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, len(g), step):
-            part = slice(lo, lo + step)
-            count[part], rate[part], members[part] = _enumeration_pass(g[part], t[part], code, sizes)
-    return count.reshape(shape), rate.reshape(shape), members.reshape(shape + (users,))
-
-
 def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
     """Best admission subset by enumeration: most users, then highest rate.
 
@@ -321,10 +300,13 @@ def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
     lexicographic order of their index sets; among the feasible subsets of
     the largest size, the first whose sum rate is within ``_RATE_TIE_TOL``
     (``1e-12``) of their highest wins. Refused above ``_ENUMERATION_CAP``
-    users since the search is exponential. A batch of one of
-    :func:`_exhaustive_admit_batch`, its winner allocated sequentially.
+    users since the search is exponential. One :func:`_enumeration_pass` over
+    the instance as its only row, its winner allocated sequentially.
     """
-    return _batch_of_one(instance, _exhaustive_admit_batch(instance.gains, instance.sinr_thresholds)[2])
+    table = _subset_table(len(instance))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        members = _enumeration_pass(instance.gains[None], instance.sinr_thresholds[None], *table)[2]
+    return _batch_of_one(instance, members[0])
 
 
 @cache
@@ -388,8 +370,10 @@ def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tup
     row, if it alone has more). Rates ``sum_l c[l] * log2(1 + target_l)`` of
     the fitting compositions of the best count add up from 0.0 in ascending
     target order, whatever the pass, and the highest wins; nobody admitted
-    gives 0.0.
+    gives 0.0. An empty stack gives empty (0, settings) arrays.
     """
+    if not len(t):
+        return np.zeros((0, settings), dtype=int), np.zeros((0, settings))
     # Levels of an instance: its distinct targets, ascending.
     ordered = np.sort(t, axis=-1)
     distinct = np.ones(ordered.shape, dtype=bool)

@@ -3,8 +3,9 @@
 Each check replays one guarantee (bound, dominance, feasibility, optimality
 condition) on random instances. Instances are drawn one at a time, by fixed
 RNG calls in a fixed order, then stacked per size and measured in one call
-per size group, the enumeration reference included; only the two-user gap
-grid (one draw per grid, which bounds peak memory) runs per instance. A
+per size group, the exact optimum included: the composition DP the oracle
+sweeps run, not an enumeration. Only the two-user gap grid (one draw per
+grid, which bounds peak memory) runs per instance. A
 :class:`Guarantee` holds a check's tolerance and direction: a ``max_excess``
 measure must not exceed the tolerance and ``worst`` is the largest one; a
 ``min_slack`` measure must not fall below it and ``worst`` is the smallest.
@@ -21,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .admission import (
-    _exhaustive_admit_batch,
+    _optimal_admit_batch,
     _sequential_admit_batch,
     aligned_thresholds,
     cumulative_power_closed_form,
@@ -101,10 +102,10 @@ GREEDY_INVARIANTS = Guarantee(
     "greedy_invariants", 0.0, MAX_EXCESS, "tight targets, budget, closed form, power-monotone"
 )
 EXHAUSTIVE_DOMINANCE = Guarantee(
-    "exhaustive_dominance", 0.0, MAX_EXCESS, "enumeration never below the sequential scheme"
+    "exhaustive_dominance", 0.0, MAX_EXCESS, "the optimum never below the sequential scheme"
 )
 ALIGNED_CONDITION = Guarantee(
-    "aligned_condition_optimality", 0.0, MAX_EXCESS, "aligned targets imply enumeration-equal counts"
+    "aligned_condition_optimality", 0.0, MAX_EXCESS, "aligned targets imply optimal counts"
 )
 
 
@@ -206,17 +207,17 @@ def greedy_invariant_excess(gains, thresholds) -> np.ndarray:
 
 def exhaustive_dominance_excess(gains, thresholds) -> np.ndarray:
     """Users, or else sum rate beyond 1e-12, by which the sequential scheme
-    beats enumeration; instances stacked on the first axis."""
+    beats the optimum; instances stacked on the first axis."""
     count, rate = _sequential_admit_batch(gains, thresholds)
-    best_count, best_rate, _ = _exhaustive_admit_batch(gains, thresholds)
+    best_count, best_rate = _optimal_admit_batch(gains, thresholds)
     short = np.maximum(count - best_count, 0)
     rate_short = np.where(best_count == count, np.maximum(rate - best_rate - 1e-12, 0.0), 0.0)
     return np.maximum(short, rate_short)
 
 
 def aligned_count_gap(gains, thresholds) -> np.ndarray:
-    """Users by which enumeration and the sequential scheme disagree."""
-    best_count = _exhaustive_admit_batch(gains, thresholds)[0]
+    """Users by which the optimum and the sequential scheme disagree."""
+    best_count = _optimal_admit_batch(gains, thresholds)[0]
     return np.abs(best_count - _sequential_admit_batch(gains, thresholds)[0]).astype(float)
 
 

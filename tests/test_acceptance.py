@@ -30,7 +30,7 @@ from nomasim import (
     run_sweep,
     two_user_gap_maximizer,
 )
-from nomasim.admission import _exhaustive_admit_batch, _optimal_admit_batch, _sequential_admit_batch
+from nomasim.admission import _optimal_admit_batch, _sequential_admit_batch
 from nomasim.experiments import _mixed_thresholds_db
 from nomasim.verify import (
     CLOSED_FORM,
@@ -49,6 +49,8 @@ from nomasim.verify import (
     sic_min_margin,
     zero_forcing_excess,
 )
+
+from enumeration_reference import exhaustive_admit_batch
 
 DEFAULT = SystemConfig()
 BENCH = SystemConfig(users_per_cluster=8, cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
@@ -81,7 +83,7 @@ def mixed_pairs(bench_gains):
     gains = rho[:, None] * bench_gains[:, None, :]  # (trials, powers, users)
     thresholds = db_to_linear(_mixed_thresholds_db(spec, range(1000)))[:, None, :]
     count, rate = _sequential_admit_batch(gains, thresholds)
-    best_count, best_rate, _ = _exhaustive_admit_batch(gains, thresholds)
+    best_count, best_rate, _ = exhaustive_admit_batch(gains, thresholds)
     condition = greedy_optimality_condition(gains, thresholds, count)
     return np.stack([count, best_count], axis=-1), np.stack([rate, best_rate], axis=-1), condition
 
@@ -163,7 +165,7 @@ def test_c06a_equal_targets_make_sequential_and_enumerated_agree(bench_gains):
     gains = np.stack([inst.gains for inst in instances])
     thresholds = np.stack([inst.sinr_thresholds for inst in instances])
     count, rate = _sequential_admit_batch(gains, thresholds)
-    best_count, best_rate, _ = _exhaustive_admit_batch(gains, thresholds)
+    best_count, best_rate, _ = exhaustive_admit_batch(gains, thresholds)
     cases = 0
     for gre_count, gre_rate, exh_count, exh_rate in zip(count, rate, best_count, best_rate):
         assert gre_count == exh_count

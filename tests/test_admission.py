@@ -20,11 +20,13 @@ from nomasim import (
 )
 from nomasim import admission
 from nomasim.admission import (
-    _exhaustive_admit_batch,
     _optimal_admit_batch,
     _optimal_admit_powers,
     _sequential_admit_batch,
 )
+
+import enumeration_reference
+from enumeration_reference import exhaustive_admit_batch
 
 
 def random_instance(rng, size=None):
@@ -499,16 +501,16 @@ def condition_by_slices(g, t, k):
 
 
 class TestExhaustiveBatch:
-    """The batched enumeration against a plain subset scan, bit for bit."""
+    """The tests' batched enumeration against a plain subset scan, bit for bit."""
 
     @given(small_batches())
     @settings(max_examples=100, deadline=None)
     def test_matches_a_plain_scan(self, batch):
-        count, rate, members = _exhaustive_admit_batch(*batch)
+        count, rate, members = exhaustive_admit_batch(*batch)
         assert count.shape == rate.shape == batch[0].shape[:1] and members.shape == batch[0].shape
         for i, (g, t) in enumerate(zip(*batch)):
             assert (count[i], rate[i], tuple(np.flatnonzero(members[i]))) == scan_subsets(g, t)  # exact
-            alone = _exhaustive_admit_batch(g, t)  # a batch of one: the same bits
+            alone = exhaustive_admit_batch(g, t)  # a batch of one: the same bits
             assert (alone[0], alone[1]) == (count[i], rate[i])
             np.testing.assert_array_equal(alone[2], members[i])
             res = exhaustive_admit(AdmissionInstance(g, t))  # its result builder: the same subset and bits
@@ -519,7 +521,7 @@ class TestExhaustiveBatch:
         rng = np.random.default_rng(25)
         eff = np.sort(rng.exponential(size=(4, 6)), axis=-1)[:, ::-1]
         gains = np.array([1.0, 10.0, 100.0])[:, None, None] * eff[:, None, None, :]
-        count, rate, _ = _exhaustive_admit_batch(gains, np.array([1.0, 3.0])[:, None])
+        count, rate, _ = exhaustive_admit_batch(gains, np.array([1.0, 3.0])[:, None])
         assert count.shape == rate.shape == (4, 3, 2)
         g, t = np.broadcast_arrays(gains, np.array([1.0, 3.0])[:, None])
         for idx in np.ndindex(count.shape):
@@ -528,26 +530,26 @@ class TestExhaustiveBatch:
     def test_cap_refuses_larger_instances(self):
         gains = np.arange(13.0, 0.0, -1.0)[None, :]
         with pytest.raises(ValueError, match="above the enumeration cap 12"):
-            _exhaustive_admit_batch(gains, np.ones(13))
+            exhaustive_admit_batch(gains, np.ones(13))
 
     @pytest.mark.parametrize("gains,thresholds", MALFORMED_BATCHES)
     def test_rejects_malformed_input(self, gains, thresholds):
         with pytest.raises(ValueError):
-            _exhaustive_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+            exhaustive_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
 
     def test_passes_stay_within_the_state_budget(self, monkeypatch):
         passes = []
-        run_pass = admission._enumeration_pass
+        run_pass = enumeration_reference._enumeration_pass
 
         def spy(g, t, code, sizes):
             passes.append(len(g) * len(code))
             return run_pass(g, t, code, sizes)
 
-        monkeypatch.setattr(admission, "_enumeration_pass", spy)
+        monkeypatch.setattr(enumeration_reference, "_enumeration_pass", spy)
         rng = np.random.default_rng(26)
         gains = np.sort(10.0 ** rng.uniform(-1, 4, (300, 8)), axis=-1)[:, ::-1]
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(300, 8)) / 10.0)
-        count, rate, _ = _exhaustive_admit_batch(gains, thresholds)
+        count, rate, _ = exhaustive_admit_batch(gains, thresholds)
         assert len(passes) > 1 and max(passes) <= admission._PASS_STATES
         for i in range(0, 300, 30):
             assert (count[i], rate[i]) == scan_subsets(gains[i], thresholds[i])[:2]
@@ -570,7 +572,7 @@ class TestBatchesOfOne:
         inst = AdmissionInstance(gains, thresholds)
         greedy, best = greedy_admit(inst), exhaustive_admit(inst)
         self.assert_matches_reference(greedy, gains, thresholds, range(len(gains)))
-        winner = np.flatnonzero(_exhaustive_admit_batch(gains, thresholds)[2])  # scan_subsets's, as tested above
+        winner = np.flatnonzero(exhaustive_admit_batch(gains, thresholds)[2])  # scan_subsets's, as tested above
         self.assert_matches_reference(best, gains, thresholds, winner)
         return greedy.admitted_count, best.admitted_count
 
@@ -604,7 +606,7 @@ class TestOptimalBatch:
     @staticmethod
     def assert_matches_enumeration(gains, thresholds):
         count, rate = _optimal_admit_batch(gains, thresholds)
-        ref_count, ref_rate, _ = _exhaustive_admit_batch(gains, thresholds)
+        ref_count, ref_rate, _ = exhaustive_admit_batch(gains, thresholds)
         assert count.shape == rate.shape == ref_count.shape
         np.testing.assert_array_equal(count, ref_count)
         assert np.all(np.abs(rate - ref_rate) <= 1e-12)
@@ -612,14 +614,16 @@ class TestOptimalBatch:
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
-        """Calls the library makes to the enumeration while the test runs."""
+        """Enumeration passes the library runs while the test runs (the
+        reference's own passes are not the library's)."""
         calls = []
+        run_pass = admission._enumeration_pass
 
-        def spy(gains, thresholds):
-            calls.append(len(gains))
-            return _exhaustive_admit_batch(gains, thresholds)
+        def spy(g, t, code, sizes):
+            calls.append(len(g))
+            return run_pass(g, t, code, sizes)
 
-        monkeypatch.setattr(admission, "_exhaustive_admit_batch", spy)
+        monkeypatch.setattr(admission, "_enumeration_pass", spy)
         return calls
 
     @given(small_batches())
@@ -752,7 +756,7 @@ class TestOptimalBatch:
             thresholds = levels[picks]
             gains = np.sort(10.0 ** rng.uniform(1, 4, (90, users)), axis=-1)[:, ::-1]
             count, rate = self.assert_matches_enumeration(gains, thresholds)
-            _, _, members = _exhaustive_admit_batch(gains, thresholds)
+            _, _, members = exhaustive_admit_batch(gains, thresholds)
             for i, (g, t) in enumerate(zip(gains, thresholds)):
                 expected = 0.0
                 for v in np.unique(t):
@@ -766,6 +770,14 @@ class TestOptimalBatch:
     def test_rejects_malformed_input(self, gains, thresholds):
         with pytest.raises(ValueError):
             _optimal_admit_batch(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float))
+
+    @pytest.mark.parametrize("shape", [(0, 8), (3, 0, 5)])
+    def test_empty_stack_gives_empty_arrays(self, shape):
+        # as the sequential kernel does: nothing to walk, nothing to reduce
+        count, rate = _optimal_admit_batch(np.zeros(shape), 2.0)
+        ref_count, ref_rate = _sequential_admit_batch(np.zeros(shape), 2.0)
+        assert count.shape == rate.shape == ref_count.shape == shape[:-1]
+        assert (count.dtype, rate.dtype) == (ref_count.dtype, ref_rate.dtype)
 
 
 def least_walks(gains, thresholds) -> dict:
@@ -871,6 +883,11 @@ class TestOptimalPowers:
         with pytest.raises(ValueError):
             _optimal_admit_powers(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float), [1.0])
 
+    def test_empty_stack_gives_one_empty_column_per_power(self):
+        count, rate = _optimal_admit_powers(np.zeros((0, 8)), 2.0, [1.0, 10.0, 100.0])
+        assert count.shape == rate.shape == (0, 3)
+        assert count.dtype.kind == "i" and rate.dtype == float
+
 
 class TestOptimalityCondition:
     def test_textbook_counterexample_fails_the_condition(self):
@@ -973,4 +990,4 @@ class TestAlignedThresholds:
             gains = np.stack([inst.gains for inst in instances])
             thresholds = np.stack([inst.sinr_thresholds for inst in instances])
             count, _ = _sequential_admit_batch(gains, thresholds)
-            np.testing.assert_array_equal(count, _exhaustive_admit_batch(gains, thresholds)[0])
+            np.testing.assert_array_equal(count, exhaustive_admit_batch(gains, thresholds)[0])

@@ -6,8 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from nomasim import CheckResult, SystemConfig, run_verification, verify
-from nomasim.verify import MAX_EXCESS, MIN_SLACK, NOMA_DOMINANCE, OMA_BOUND
+from nomasim import CheckResult, SystemConfig, admission, run_verification, verify
+from nomasim.verify import (
+    MAX_EXCESS,
+    MIN_SLACK,
+    NOMA_DOMINANCE,
+    OMA_BOUND,
+    _admission_draws,
+    _aligned_draws,
+    aligned_count_gap,
+    exhaustive_dominance_excess,
+)
+
+from enumeration_reference import exhaustive_admit_batch
 
 
 def test_all_checks_pass_on_defaults():
@@ -104,3 +115,37 @@ def test_a_nan_kernel_fails_its_checks(monkeypatch, kernel, failing):
     monkeypatch.setattr(verify, kernel, poisoned)
     for r in run_verification(trials=10, seed=0):
         assert r.violations == (r.trials if r.name in failing else 0)
+
+
+def near_ties(rng, count=200):
+    """Eight-user instances whose optimum turns on ties: gains from three
+    values (all equal on every fourth row), targets 5/10/15 dB, each
+    possibly moved 1 ulp up."""
+    gains = np.sort(10.0 ** rng.integers(0, 3, (count, 8)).astype(float), axis=-1)[:, ::-1]
+    gains[::4] = gains[::4, :1]
+    targets = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(count, 8)) / 10.0)
+    return gains, np.where(rng.random((count, 8)) < 0.5, targets, np.nextafter(targets, np.inf))
+
+
+def test_admission_checks_give_their_enumerated_values(monkeypatch):
+    # the instances verify draws at several seeds, and near ties
+    instances = [near_ties(np.random.default_rng(35))]
+    for seed in (0, 3, 7, 190):
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in (7, 8)]
+        instances += [_admission_draws(rngs[0], 500), _aligned_draws(rngs[1], 1000)]
+    optimal = [(exhaustive_dominance_excess(g, t), aligned_count_gap(g, t)) for g, t in instances]
+    monkeypatch.setattr(verify, "_optimal_admit_batch", lambda g, t: exhaustive_admit_batch(g, t)[:2])
+    for (g, t), (dominance, gap) in zip(instances, optimal):
+        np.testing.assert_array_equal(dominance, exhaustive_dominance_excess(g, t))
+        np.testing.assert_array_equal(gap, aligned_count_gap(g, t))
+    assert sum(np.count_nonzero(gap) for _, gap in optimal) > 100  # mixed targets: the counts differ
+
+
+def test_verification_runs_no_enumeration(monkeypatch):
+    enumerated, optimal = [], []
+    run_pass, run_dp = admission._enumeration_pass, verify._optimal_admit_batch
+    monkeypatch.setattr(admission, "_enumeration_pass", lambda *args: enumerated.append(args) or run_pass(*args))
+    monkeypatch.setattr(verify, "_optimal_admit_batch", lambda *args: optimal.append(args) or run_dp(*args))
+    assert all(r.passed for r in run_verification(trials=40, seed=0))
+    assert enumerated == [] and len(optimal) == 2  # both admission checks read the DP
+    assert not {"_enumeration_pass", "_subset_table", "exhaustive_admit"} & set(vars(verify))
