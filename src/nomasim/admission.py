@@ -14,22 +14,22 @@ thresholds[, count])`` arrays, instances stacked on leading axes, except the
 batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
 an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
 :func:`_sequential_admit_batch` is the one implementation of the sequential
-rule, and rates :func:`_enumeration_pass`'s candidate subsets too.
-:func:`_optimal_admit_batch` is the one exact search that sweeps and
-``verify`` run: a composition DP whose counts equal the enumeration's exactly
-(sum rates within rounding); both find fitting sets through :func:`_append`,
-the rule's append step. The oracle sweeps take the optimum at all their
-powers from :func:`_optimal_admit_powers`: one DP per instance on power-free
-gains, with no budget check, read at each power through a proven rounding
-margin, and the DP at that power wherever the margin cannot decide, so the
-results are the DP's bit for bit. The kernels match a scalar reference of the
-rule in the tests bit for bit. No sweep or ``verify`` check enumerates:
-:func:`_enumeration_pass` serves :func:`exhaustive_admit`, and the tests
-batch it into the reference they check the DP against.
+rule. :func:`_optimal_admit_batch` is the library's one exact search: a
+composition DP whose counts equal those of a subset enumeration exactly (sum
+rates within rounding); it finds fitting sets through :func:`_append`, the
+rule's append step. The oracle sweeps take the optimum at all their powers
+from :func:`_optimal_admit_powers`: one DP per instance on power-free gains,
+with no budget check, read at each power through a proven rounding margin,
+and the DP at that power wherever the margin cannot decide, so the results
+are the DP's bit for bit. :func:`exhaustive_admit` reads its count from the
+DP and rates only the subsets of that size. The kernels match a scalar
+reference of the rule in the tests bit for bit; the subset enumeration
+itself is a tests-only reference that the DP is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -38,15 +38,15 @@ import numpy as np
 
 from .units import db_to_linear
 
-# Sum rates this close to the highest count as a tie in the subset search,
-# broken toward the subset enumerated first.
+# Sum rates this close to the highest count as a tie among the optimal
+# subsets, broken toward the subset enumerated first.
 _RATE_TIE_TOL = 1e-12
 
 _ENUMERATION_CAP = 12
 
 # (instance, composition) states one DP pass holds per array: 256 KiB of
 # float64, enough instances to spread the per-step overhead of the array
-# operations. The tests' batched enumeration sizes its (instance, subset)
+# operations. The tests' enumeration reference sizes its (instance, subset)
 # passes by it too.
 _PASS_STATES = 1 << 15
 
@@ -123,27 +123,26 @@ class AdmissionResult:
     achieved_sinrs: np.ndarray
 
 
-def _members_first(g, t, members, rows=...) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the sequential rule over the users the masks ``members`` mark (users on the last axis), and their
-    order: members in gain order, then zero gains, which end admission. Row i reads the users of ``g[rows][i]``
-    and ``t[rows][i]``, with one gather per array."""
-    order = np.argsort(~members, axis=-1, kind="stable")
-    first = np.arange(members.shape[-1]) < members.sum(axis=-1, keepdims=True)
-    return np.where(first, g[rows, order], 0.0), t[rows, order], order
+def _padded(instance: AdmissionInstance, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the sequential rule over the index sets ``users`` (ascending, one per row on the last axis): their
+    gains and targets first, then zero gains, which end admission, so every row is the instance's length."""
+    rows, size = users.shape[:-1] + (len(instance),), users.shape[-1]
+    gains, thresholds = np.zeros(rows), np.ones(rows)
+    gains[..., :size], thresholds[..., :size] = instance.gains[users], instance.sinr_thresholds[users]
+    return gains, thresholds
 
 
-def _batch_of_one(instance: AdmissionInstance, members) -> AdmissionResult:
-    """The sequential rule over the users the mask ``members`` marks, as a batch of one."""
-    gains, thresholds, order = _members_first(instance.gains, instance.sinr_thresholds, members)
-    count, rate, shares, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
+def _batch_of_one(instance: AdmissionInstance, users: np.ndarray) -> AdmissionResult:
+    """The sequential rule over the users ``users`` (ascending indices), as a batch of one."""
+    count, rate, shares, sinrs = _sequential_admit_batch(*_padded(instance, users), detail=True)
     power, achieved = np.zeros(len(instance)), np.zeros(len(instance))
-    power[order], achieved[order] = shares, sinrs
+    power[users], achieved[users] = shares[: len(users)], sinrs[: len(users)]
     return AdmissionResult(int(count), power, 1.0 - math.fsum(shares), float(rate), achieved)
 
 
 def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
     """Admit users sequentially in decreasing-gain order until power runs out."""
-    return _batch_of_one(instance, np.ones(len(instance), dtype=bool))
+    return _batch_of_one(instance, np.arange(len(instance)))
 
 
 def _sequential_admit_batch(gains, thresholds, detail: bool = False):
@@ -211,43 +210,17 @@ def cumulative_power_closed_form(gains, thresholds, count) -> np.ndarray:
     return total
 
 
-def _members(code: np.ndarray, users: int) -> np.ndarray:
-    """Boolean member table of subset codes, users on the last axis."""
-    return (code[..., None] >> np.arange(users)) & 1 == 1
-
-
-@cache
-def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every subset of ``users`` users in enumeration order: its code and size.
-
-    A subset's code has bit k set when user k is a member. The order is size
-    descending, then :func:`itertools.combinations` order within a size,
-    which is descending order of the members read as a binary number with
-    user 0 as its most significant bit. Refused above ``_ENUMERATION_CAP``
-    users: the table, and so the search, is exponential.
-    """
-    if users > _ENUMERATION_CAP:
-        raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
-    code = np.arange(1 << users)
-    members = _members(code, users)
-    sizes = members.sum(axis=-1)
-    order = np.lexsort((-(members @ (1 << np.arange(users - 1, -1, -1))), -sizes))
-    code, sizes = code[order], sizes[order]
-    code.setflags(write=False)
-    sizes.setflags(write=False)
-    return code, sizes
-
-
 def _append(power, t, cost, budget: bool = True) -> np.ndarray:
     """Totals once a user of target ``t`` and cost ``t/g`` joins subsets of
     total ``power`` last, as the sequential rule appends it: ``need = t*P +
     t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``. Without
     ``budget`` nobody is rejected: the walk ``T <- T + (t*T + c)``.
 
-    The DP and the enumeration rest on this step being monotone. With ``t > 0``,
-    each of its IEEE operations is monotone in ``P`` (rounding is), so ``P <=
-    P'`` gives ``need <= need'`` and ``1 - P >= 1 - P'``: a rejection at ``P``
-    is one at ``P'``, and ``P + need <= P' + need'``. An inf total or an inf
+    The DP rests on this step being monotone, as does the tests' subset
+    enumeration it is checked against. With ``t > 0``, each of its IEEE
+    operations is monotone in ``P`` (rounding is), so ``P <= P'`` gives
+    ``need <= need'`` and ``1 - P >= 1 - P'``: a rejection at ``P`` is one
+    at ``P'``, and ``P + need <= P' + need'``. An inf total or an inf
     cost (a zero gain) gives inf. So a set's total is finite exactly when
     each of its members passes the allocation's check in its own order, and
     the least total of a family of sets stays least once a user joins them.
@@ -260,53 +233,28 @@ def _append(power, t, cost, budget: bool = True) -> np.ndarray:
     return total
 
 
-def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counts, sum rates and winners' member masks of one pass of instances.
-
-    ``g`` and ``t`` hold one instance per row. Totals walk the users once
-    through :func:`_append`, on (instances, subsets) arrays indexed by code:
-    the subsets holding user k as their last member are those of users
-    ``0..k-1`` with k added, so each step extends the ``2**k`` subsets built
-    so far; a subset that does not fit holds inf. :func:`_sequential_admit_batch`
-    rates the fitting subsets of the best size on :func:`_members_first` rows (its
-    totals ``P + need`` are the walk's ``need + P``); the first in enumeration
-    order whose rate is within ``_RATE_TIE_TOL`` of their highest wins.
-    """
-    batch, users = g.shape
-    cost = t / g  # a zero gain costs inf, more than is ever left
-    total = np.zeros((batch, 1 << users))
-    for k in range(users):
-        total[:, 1 << k : 2 << k] = _append(total[:, : 1 << k], t[:, k, None], cost[:, k, None])
-    feasible = total[:, code] < np.inf
-    best = sizes[feasible.argmax(axis=-1)]  # sizes descend, and the empty subset always fits
-    inst, subset = np.nonzero(feasible & (sizes == best[:, None]))
-
-    members = _members(code[subset], users)
-    rate = _sequential_admit_batch(*_members_first(g, t, members, inst[:, None])[:2])[1]
-
-    # Candidates are grouped by instance, each group in enumeration order.
-    first = np.searchsorted(inst, np.arange(batch))
-    tied = np.flatnonzero(np.maximum.reduceat(rate, first)[inst] - rate <= _RATE_TIE_TOL)
-    pick = tied[np.searchsorted(inst[tied], np.arange(batch))]
-    return best, rate[pick], members[pick]
-
-
 def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
-    """Best admission subset by enumeration: most users, then highest rate.
+    """Best admission subset: most users, then highest rate.
 
     Every subset is allocated with the same sequential rule (in decreasing
     gain order within the subset); a subset is feasible only if all its
-    members fit. Subsets are enumerated by size, descending, then in
-    lexicographic order of their index sets; among the feasible subsets of
-    the largest size, the first whose sum rate is within ``_RATE_TIE_TOL``
-    (``1e-12``) of their highest wins. Refused above ``_ENUMERATION_CAP``
-    users since the search is exponential. One :func:`_enumeration_pass` over
-    the instance as its only row, its winner allocated sequentially.
+    members fit. The largest feasible size is the count of
+    :func:`_optimal_admit_batch`, the composition DP. Subsets of that size
+    are rated by one :func:`_sequential_admit_batch` call in lexicographic
+    order of their index sets (:func:`itertools.combinations` order), and the
+    first feasible one whose sum rate is within ``_RATE_TIE_TOL`` (``1e-12``)
+    of the highest wins. Refused above ``_ENUMERATION_CAP`` users since the
+    subsets of one size are still exponentially many.
     """
-    table = _subset_table(len(instance))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        members = _enumeration_pass(instance.gains[None], instance.sinr_thresholds[None], *table)[2]
-    return _batch_of_one(instance, members[0])
+    users = len(instance)
+    if users > _ENUMERATION_CAP:
+        raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
+    size = int(_optimal_admit_batch(instance.gains, instance.sinr_thresholds)[0])
+    subsets = np.array(list(itertools.combinations(range(users), size)), dtype=int)  # (1, 0) for size 0
+    count, rate = _sequential_admit_batch(*_padded(instance, subsets))
+    fits = count == size  # the subset's every member fits
+    winner = np.flatnonzero(fits & (rate[fits].max() - rate <= _RATE_TIE_TOL))[0]
+    return _batch_of_one(instance, subsets[winner])
 
 
 @cache
@@ -414,7 +362,7 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     Same contract as :func:`_sequential_admit_batch`, with the objective of
     :func:`exhaustive_admit`: most users, then the highest sum rate, found by
     :func:`_best_compositions` from each composition's least power. Counts
-    equal :func:`exhaustive_admit`'s exactly and rates agree within rounding;
+    equal a subset enumeration's exactly and rates agree within rounding;
     nobody admitted gives rate 0.0.
     """
     g, t = _stacked(gains, thresholds)

@@ -34,11 +34,11 @@ from .rates import (
     noma_sum_rate,
     oma_sum_rate,
     oma_sum_upper_bound,
+    optimal_dof_fractions,
     sic_feasibility_check,
     two_user_gap,
     two_user_gap_maximizer,
 )
-from .rates import _columns, _optimal_oma_columns, _sum_users
 from .units import db_to_linear, is_whole
 
 MAX_EXCESS = "max_excess"
@@ -135,13 +135,13 @@ def oma_bound_excess(gains, split, sampled_dofs) -> np.ndarray:
     shares miss it."""
     bound = oma_sum_upper_bound(gains, split)
     sampled = oma_sum_rate(gains[..., None, :], split[..., None, :], sampled_dofs).max(axis=-1)
-    attained = _sum_users(_optimal_oma_columns(*_columns(gains, split)))
+    attained = oma_sum_rate(gains, split, optimal_dof_fractions(gains, split))
     return np.maximum(sampled - bound, np.abs(attained - bound))
 
 
 def noma_dominance_slack(gains, split) -> np.ndarray:
     """Superposed sum rate minus the best orthogonal sum rate."""
-    return noma_sum_rate(gains, split) - _sum_users(_optimal_oma_columns(*_columns(gains, split)))
+    return noma_sum_rate(gains, split) - oma_sum_rate(gains, split, optimal_dof_fractions(gains, split))
 
 
 def noma_lower_bound_slack(gains, split) -> np.ndarray:

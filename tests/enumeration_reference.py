@@ -1,14 +1,91 @@
-"""The batched subset enumeration: the tests' exact reference for the composition DP.
+"""The subset enumeration: the tests' exact reference for the composition DP.
 
-No sweep or ``verify`` check enumerates; the library's one exact search is
-the composition DP. This module batches the library's own enumeration pass,
-the one :func:`nomasim.exhaustive_admit` runs on a single row, over stacked
-instances, so the tests can compare the DP with it on whole batches.
+The library's one exact search is the composition DP, and nothing in the
+library enumerates subsets. This module walks every subset of stacked
+instances, so the tests can check the DP, and :func:`nomasim.exhaustive_admit`
+that reads the DP's count, against it on whole batches. It reuses the
+library's validation, append step and sequential kernel, but not the DP.
 """
+
+from functools import cache
 
 import numpy as np
 
-from nomasim.admission import _PASS_STATES, _enumeration_pass, _stacked, _subset_table
+from nomasim.admission import (
+    _ENUMERATION_CAP,
+    _PASS_STATES,
+    _RATE_TIE_TOL,
+    _append,
+    _sequential_admit_batch,
+    _stacked,
+)
+
+
+def _members_first(g, t, members, rows=...) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the sequential rule over the users the masks ``members`` mark (users on the last axis), and their
+    order: members in gain order, then zero gains, which end admission. Row i reads the users of ``g[rows][i]``
+    and ``t[rows][i]``, with one gather per array."""
+    order = np.argsort(~members, axis=-1, kind="stable")
+    first = np.arange(members.shape[-1]) < members.sum(axis=-1, keepdims=True)
+    return np.where(first, g[rows, order], 0.0), t[rows, order], order
+
+
+def _members(code: np.ndarray, users: int) -> np.ndarray:
+    """Boolean member table of subset codes, users on the last axis."""
+    return (code[..., None] >> np.arange(users)) & 1 == 1
+
+
+@cache
+def _subset_table(users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of ``users`` users in enumeration order: its code and size.
+
+    A subset's code has bit k set when user k is a member. The order is size
+    descending, then :func:`itertools.combinations` order within a size,
+    which is descending order of the members read as a binary number with
+    user 0 as its most significant bit. Refused above ``_ENUMERATION_CAP``
+    users: the table, and so the search, is exponential.
+    """
+    if users > _ENUMERATION_CAP:
+        raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
+    code = np.arange(1 << users)
+    members = _members(code, users)
+    sizes = members.sum(axis=-1)
+    order = np.lexsort((-(members @ (1 << np.arange(users - 1, -1, -1))), -sizes))
+    code, sizes = code[order], sizes[order]
+    code.setflags(write=False)
+    sizes.setflags(write=False)
+    return code, sizes
+
+
+def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts, sum rates and winners' member masks of one pass of instances.
+
+    ``g`` and ``t`` hold one instance per row. Totals walk the users once
+    through :func:`_append`, on (instances, subsets) arrays indexed by code:
+    the subsets holding user k as their last member are those of users
+    ``0..k-1`` with k added, so each step extends the ``2**k`` subsets built
+    so far; a subset that does not fit holds inf. :func:`_sequential_admit_batch`
+    rates the fitting subsets of the best size on :func:`_members_first` rows (its
+    totals ``P + need`` are the walk's ``need + P``); the first in enumeration
+    order whose rate is within ``_RATE_TIE_TOL`` of their highest wins.
+    """
+    batch, users = g.shape
+    cost = t / g  # a zero gain costs inf, more than is ever left
+    total = np.zeros((batch, 1 << users))
+    for k in range(users):
+        total[:, 1 << k : 2 << k] = _append(total[:, : 1 << k], t[:, k, None], cost[:, k, None])
+    feasible = total[:, code] < np.inf
+    best = sizes[feasible.argmax(axis=-1)]  # sizes descend, and the empty subset always fits
+    inst, subset = np.nonzero(feasible & (sizes == best[:, None]))
+
+    members = _members(code[subset], users)
+    rate = _sequential_admit_batch(*_members_first(g, t, members, inst[:, None])[:2])[1]
+
+    # Candidates are grouped by instance, each group in enumeration order.
+    first = np.searchsorted(inst, np.arange(batch))
+    tied = np.flatnonzero(np.maximum.reduceat(rate, first)[inst] - rate <= _RATE_TIE_TOL)
+    pick = tied[np.searchsorted(inst[tied], np.arange(batch))]
+    return best, rate[pick], members[pick]
 
 
 def exhaustive_admit_batch(gains, thresholds):

@@ -599,6 +599,26 @@ class TestBatchesOfOne:
     def test_zero_gains_and_nobody_admitted(self, gains, thresholds, counts):
         assert self.assert_both_match(np.array(gains), np.array(thresholds)) == counts
 
+    @pytest.mark.parametrize("users", [11, 12])
+    def test_at_the_enumeration_cap(self, users):
+        rng = np.random.default_rng(36 + users)
+        gains = np.sort(10.0 ** rng.uniform(-1, 3, (6, users)), axis=-1)[:, ::-1]
+        thresholds = 10.0 ** (rng.choice([-5.0, 0.0, 5.0, 10.0], size=(6, users)) / 10.0)
+        near = 1.0 + np.arange(users) * np.spacing(1.0)  # 1 ulp apart
+        cases = [
+            *zip(gains, thresholds),
+            (np.full(users, 1e-3), np.full(users, 100.0)),  # nobody fits
+            (np.full(users, 1e9), np.full(users, 0.1)),  # everybody fits
+            (np.full(users, 8.0), near),  # three fit whichever three: rates tie
+            (np.full(users, 7.0 + 8 * np.spacing(7.0)), near[::-1]),  # some triples fit, on the budget's last ulps
+        ]
+        counts = set()
+        for g, t in cases:
+            counts.add(self.assert_both_match(g, t)[1])
+            _, _, winner = scan_subsets(g, t)
+            self.assert_matches_reference(exhaustive_admit(AdmissionInstance(g, t)), g, t, winner)
+        assert {0, 3, users} <= counts
+
 
 class TestOptimalBatch:
     """The composition DP against the enumeration: counts exact, rates within 1e-12."""
@@ -612,19 +632,10 @@ class TestOptimalBatch:
         assert np.all(np.abs(rate - ref_rate) <= 1e-12)
         return count, rate
 
-    @pytest.fixture
-    def enumerations(self, monkeypatch):
-        """Enumeration passes the library runs while the test runs (the
-        reference's own passes are not the library's)."""
-        calls = []
-        run_pass = admission._enumeration_pass
-
-        def spy(g, t, code, sizes):
-            calls.append(len(g))
-            return run_pass(g, t, code, sizes)
-
-        monkeypatch.setattr(admission, "_enumeration_pass", spy)
-        return calls
+    def test_the_library_holds_no_enumeration(self):
+        # the DP is the library's one exact search; the reference it is checked against does not call it
+        assert not {"_members", "_subset_table", "_members_first", "_enumeration_pass"} & set(vars(admission))
+        assert "_optimal_admit_batch" not in vars(enumeration_reference)
 
     @given(small_batches())
     @settings(max_examples=200, deadline=None)
@@ -652,21 +663,19 @@ class TestOptimalBatch:
         count, _ = self.assert_matches_enumeration(gains, np.array([1.0, 3.0, 10.0, 30.0])[:, None])
         assert count.shape == (6, 3, 4)
 
-    def test_budget_edge_is_exact_without_enumeration(self, enumerations):
+    def test_budget_edge_is_exact_without_enumeration(self):
         count, rate = self.assert_matches_enumeration([[2.0], [4.0]], [2.0])  # the first needs exactly the budget
-        assert enumerations == []
         np.testing.assert_array_equal(count, [1, 1])
         assert rate[0] == rate[1] == math.log2(3.0)
 
-    def test_twelve_user_budget_edge_matches_enumeration(self, enumerations):
+    def test_twelve_user_budget_edge_matches_enumeration(self):
         rng = np.random.default_rng(27)
         gains = np.sort(10.0 ** rng.uniform(-1, 3, (200, 12)), axis=-1)[:, ::-1]
         thresholds = 10.0 ** (rng.choice([5.0, 10.0, 15.0], size=(200, 12)) / 10.0)
         thresholds[:, 0] = gains[:, 0]  # the strongest user alone needs exactly the budget
         self.assert_matches_enumeration(gains, thresholds)
-        assert enumerations == []
 
-    def test_rounding_boundary_matches_enumeration(self, enumerations):
+    def test_rounding_boundary_matches_enumeration(self):
         # the weakest of three users needs the power left within a few ulps,
         # so its admission turns on how the allocation rounds
         rng = np.random.default_rng(29)
@@ -679,10 +688,10 @@ class TestOptimalBatch:
         gains = np.stack([g1, g2, g3], axis=-1)
         keep = (g3 > 0) & np.all(np.diff(gains, axis=-1) <= 0, axis=-1)
         count, _ = self.assert_matches_enumeration(gains[keep], t[keep])
-        assert enumerations == [] and keep.sum() > 1000
+        assert keep.sum() > 1000
         assert 300 < (count == 3).sum() < keep.sum() - 300  # both sides of the budget
 
-    def test_large_aligned_pools_give_the_sequential_count(self, enumerations):
+    def test_large_aligned_pools_give_the_sequential_count(self):
         # targets never decrease along the gains, so the sequential count is
         # optimal; pools this large are far above the enumeration cap
         rng = np.random.default_rng(28)
@@ -694,7 +703,6 @@ class TestOptimalBatch:
             assert time.perf_counter() - start < 2.0  # about 0.1 s; enumeration could not finish
             np.testing.assert_array_equal(count, _sequential_admit_batch(gains, thresholds)[0])
             assert 0 < count.min() and count.max() < users  # the budget binds inside the pool
-        assert enumerations == []
 
     def test_distinct_targets_stay_within_the_pass_budget(self, monkeypatch):
         passes = []

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nomasim import CheckResult, SystemConfig, admission, run_verification, verify
+from nomasim import CheckResult, SystemConfig, run_verification, verify
 from nomasim.verify import (
     MAX_EXCESS,
     MIN_SLACK,
@@ -142,10 +142,8 @@ def test_admission_checks_give_their_enumerated_values(monkeypatch):
 
 
 def test_verification_runs_no_enumeration(monkeypatch):
-    enumerated, optimal = [], []
-    run_pass, run_dp = admission._enumeration_pass, verify._optimal_admit_batch
-    monkeypatch.setattr(admission, "_enumeration_pass", lambda *args: enumerated.append(args) or run_pass(*args))
+    optimal, run_dp = [], verify._optimal_admit_batch
     monkeypatch.setattr(verify, "_optimal_admit_batch", lambda *args: optimal.append(args) or run_dp(*args))
     assert all(r.passed for r in run_verification(trials=40, seed=0))
-    assert enumerated == [] and len(optimal) == 2  # both admission checks read the DP
+    assert len(optimal) == 2  # both admission checks read the DP
     assert not {"_enumeration_pass", "_subset_table", "exhaustive_admit"} & set(vars(verify))
