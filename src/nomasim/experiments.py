@@ -7,10 +7,10 @@ Trials are evaluated a chunk at a time, on arrays with a leading trial axis.
 Rate sweeps reduce per-user rate columns (summed in user order, or stacked for
 the Jain index) and never stack rates only to sum them.
 Each trial's values are a pure function of ``(spec, trial)``, whatever chunk
-it falls in, and results are reduced in trial order, which keeps output
-byte-identical for any chunking and any worker count. With several workers the
-calling process evaluates the first contiguous share of trials itself while
-child processes evaluate the others and send their values back over pipes.
+it falls in, and are reduced in trial order, which keeps output byte-identical
+for any chunking and any worker count. A sweep holds them once, in one array:
+the calling process fills the first contiguous share of trials, and with
+several workers child processes send the other shares back over pipes.
 
 Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
 default trials and grid, what its grid holds, the sweep keys it reads, the
@@ -421,24 +421,23 @@ def sweep_series(spec: SweepSpec) -> tuple[tuple[str, str], ...]:
     return _KINDS[spec.kind].series(spec)
 
 
-def _evaluate_trials(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
-    """Values of trials ``start`` to ``stop - 1``, shape (trials, n_series, n_grid),
-    evaluated ``_CHUNK_TRIALS`` trials at a time."""
+def _evaluate_trials(spec: SweepSpec, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, shape (trials, n_series, n_grid), with the values of trials
+    ``start`` on, evaluated ``_CHUNK_TRIALS`` trials at a time, and return it."""
     evaluate = _KINDS[spec.kind].evaluate
-    chunks = []
-    for first in range(start, stop, _CHUNK_TRIALS):
-        trials = np.arange(first, min(first + _CHUNK_TRIALS, stop))
-        chunks.append(evaluate(spec, draw_cluster(spec.config, 0, trials), trials))
-    return np.concatenate(chunks)
+    for first in range(0, len(out), _CHUNK_TRIALS):
+        trials = np.arange(start + first, start + min(first + _CHUNK_TRIALS, len(out)))
+        out[first : first + len(trials)] = evaluate(spec, draw_cluster(spec.config, 0, trials), trials)
+    return out
 
 
-def _send_share(writer, spec: SweepSpec, start: int, stop: int) -> None:
-    """Body of a child process: send the values of trials ``start`` to
-    ``stop - 1``, or the exception that stopped them with its traceback, and
-    close the pipe."""
+def _send_share(writer, spec: SweepSpec, start: int, shape: tuple) -> None:
+    """Body of a child process: send the values of the ``shape[0]`` trials
+    from ``start`` on, or the exception that stopped them with its traceback,
+    and close the pipe."""
     with writer:
         try:
-            values = _evaluate_trials(spec, start, stop)
+            values = _evaluate_trials(spec, start, np.empty(shape))
         except Exception as exc:
             import traceback
 
@@ -450,19 +449,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute a sweep and reduce per-trial values to mean and stderr rows.
 
     ``workers`` only changes how trials are scheduled: they are cut into that
-    many contiguous shares, each evaluated chunk by chunk. This process takes
-    the first share while a child process per other share sends its values
-    back over a pipe; a child's exception is raised here, a child that dies
-    raises ``RuntimeError``, and no child outlives the call. ``workers`` is
-    capped at one per chunk, so a single chunk starts no child, where its
-    start-up costs more than it saves. The reduction always happens in trial
-    order, so results are identical for any width.
+    many contiguous shares, each evaluated chunk by chunk into its rows of one
+    array. This process fills the first share while a child process per other
+    share sends its values over a pipe; a child's exception is raised here, a
+    child that dies raises ``RuntimeError``, and no child outlives the call.
+    ``workers`` is capped at one per chunk, so a single chunk starts no child,
+    where its start-up costs more than it saves. The reduction always happens
+    in trial order, so results are identical for any width.
     """
     if not is_whole(workers, 1):
         raise ValueError("workers must be a positive integer")
     workers = min(workers, math.ceil(spec.trials / _CHUNK_TRIALS))
     share = math.ceil(spec.trials / workers)
     shares = [(start, min(start + share, spec.trials)) for start in range(0, spec.trials, share)]
+    values = np.empty((spec.trials, len(sweep_series(spec)), len(spec.grid)))
     children, readers = [], []
     try:
         for start, stop in shares[1:]:
@@ -472,35 +472,34 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             readers.append(reader)
             # Closing this process's write end at once makes a dead child read as EOF.
             with writer:
-                child = multiprocessing.Process(target=_send_share, args=(writer, spec, start, stop))
+                child = multiprocessing.Process(target=_send_share, args=(writer, spec, start, values[start:stop].shape))
                 child.start()
             children.append(child)
-        parts = [_evaluate_trials(spec, *shares[0])]
+        _evaluate_trials(spec, 0, values[: shares[0][1]])
         for child, reader, (start, stop) in zip(children, readers, shares[1:]):
             try:
-                parts.append(reader.recv())
+                received = reader.recv()
             except EOFError:  # every write end closed with nothing sent: the child died
                 child.join()
                 raise RuntimeError(
                     f"the worker for trials {start} to {stop - 1} exited with code {child.exitcode} before sending"
                 ) from None
             child.join()
-            if isinstance(parts[-1], tuple):
-                exc, trace = parts[-1]
+            if isinstance(received, tuple):
+                exc, trace = received
                 raise exc from RuntimeError(f"in the worker for trials {start} to {stop - 1}:\n{trace}")
+            values[start:stop] = received
+            del received  # free before the next share arrives
     finally:
         for child in children:
             child.terminate()  # a no-op once joined; stops a child still running after a failure
             child.join()
         for reader in readers:
             reader.close()
-    stacked = np.concatenate(parts)
-    del parts  # copied into ``stacked``; the reduction's temporaries need the room
-    mean = stacked.mean(axis=0)
-    if spec.trials > 1:
-        stderr = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)
-    else:
-        stderr = np.zeros_like(mean)
+    mean = values.mean(axis=0)
+    values -= mean  # then square: numpy's std(ddof=1) steps, done in place on the values
+    values *= values
+    stderr = np.sqrt(values.sum(axis=0) / max(spec.trials - 1, 1)) / math.sqrt(spec.trials)
 
     series = sweep_series(spec)
     surface = _KINDS[spec.kind].unit == "share pair"
@@ -508,16 +507,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     for gi, point in enumerate(spec.grid):
         pt = tuple(point) if surface else (float(point),)
         for si, (scheme, metric) in enumerate(series):
-            rows.append(
-                SweepRow(
-                    sweep_point=pt,
-                    scheme=scheme,
-                    metric=metric,
-                    mean=float(mean[si, gi]),
-                    stderr=float(stderr[si, gi]),
-                    trials=spec.trials,
-                )
-            )
+            rows.append(SweepRow(pt, scheme, metric, float(mean[si, gi]), float(stderr[si, gi]), spec.trials))
     metadata = _build_metadata(spec, series, mean, surface)
     return SweepResult(kind=spec.kind, rows=tuple(rows), metadata=metadata)
 

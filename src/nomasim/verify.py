@@ -185,6 +185,11 @@ def closed_form_error(gains, thresholds) -> np.ndarray:
     """Distance of the closed-form cumulative power from the exact sum of
     the sequential scheme's shares."""
     count, _, shares, _ = _sequential_admit_batch(gains, thresholds, detail=True)
+    return _closed_form_gap(gains, thresholds, count, shares)
+
+
+def _closed_form_gap(gains, thresholds, count, shares) -> np.ndarray:
+    """:func:`closed_form_error` from the sequential scheme's counts and shares."""
     running = np.fromiter(map(math.fsum, shares.reshape(-1, shares.shape[-1]).tolist()), dtype=float)
     return np.abs(cumulative_power_closed_form(gains, thresholds, count) - running.reshape(count.shape))
 
@@ -200,7 +205,7 @@ def greedy_invariant_excess(gains, thresholds) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         tight = np.where(count > 0, miss / np.max(thresholds, axis=-1, where=admitted, initial=0.0), 0.0)
     prefix_excess = np.maximum(np.cumsum(shares, axis=-1).max(axis=-1) - 1.0, 0.0)
-    agree = closed_form_error(gains, thresholds) - CLOSED_FORM.tolerance
+    agree = _closed_form_gap(gains, thresholds, count, shares) - CLOSED_FORM.tolerance
     monotone_break = (_sequential_admit_batch(2.0 * gains, thresholds)[0] < count).astype(float)
     return _largest(tight - 1e-9, prefix_excess - 1e-12, agree, monotone_break, 0.0)
 

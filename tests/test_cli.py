@@ -307,6 +307,12 @@ class TestSweepCommands:
         assert main(args + ["--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_output_is_exit_code_1(self, tmp_path, capsys):
+        rc = main(["ergodic", "--trials", "2", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_deepest_valid_path_loss_runs(self, tmp_path):
         # gains underflow to zero here; the combiners must not report a degenerate channel
         args = ["ergodic", "--trials", "50", "--set", "pathloss_fixed_db=3220", "--set", "cell_radius_range_km=0.9,1.1"]

@@ -9,8 +9,9 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -531,9 +532,9 @@ def hook_shares(monkeypatch, parent, child):
     """Run ``parent()`` before the parent's share and ``child()`` before each child's."""
     evaluate = experiments._evaluate_trials
 
-    def patched(spec, start, stop):
+    def patched(spec, start, out):
         (child if start else parent)()
-        return evaluate(spec, start, stop)
+        return evaluate(spec, start, out)
 
     monkeypatch.setattr(experiments, "_evaluate_trials", patched)
 
@@ -630,6 +631,42 @@ class TestExecution:
             run_sweep(THREE_SHARES, workers=3)
         assert multiprocessing.active_children() == []
         assert time.monotonic() - began < 30
+
+    @pytest.mark.parametrize("trials", [1, 2, 257, 600])
+    def test_reduction_is_numpy_mean_and_std_bit_for_bit(self, monkeypatch, trials):
+        # The in-place reduction must take numpy's std(ddof=1) steps: a numpy
+        # that reduces in another order fails here, not in a CSV comparison.
+        spec = make_sweep("ergodic_power_sweep", CFG, trials=trials, grid=(30.0, 35.0, 40.0, 45.0, 50.0))
+        rng = np.random.default_rng(trials)
+        shape = (trials, len(sweep_series(spec)), len(spec.grid))
+        values = rng.lognormal(0.0, 2.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+        def fill(spec, start, out):
+            out[:] = values[start : start + len(out)]
+            return out
+
+        monkeypatch.setattr(experiments, "_evaluate_trials", fill)
+        rows = run_sweep(spec).rows  # series by series within each grid point
+        mean = np.array([r.mean for r in rows]).reshape(len(spec.grid), -1).T
+        stderr = np.array([r.stderr for r in rows]).reshape(len(spec.grid), -1).T
+        std = values.std(axis=0, ddof=1) if trials > 1 else np.zeros(shape[1:])
+        assert mean.tobytes() == values.mean(axis=0).tobytes()
+        assert stderr.tobytes() == (std / math.sqrt(trials)).tobytes()
+
+    def test_a_sweep_holds_its_values_once(self):
+        def traced_peak(spec):
+            tracemalloc.start()
+            try:
+                run_sweep(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 16 chunks, so that holding the values twice overshoots the bound by a wide margin
+        spec = make_sweep("split_sweep_3user", CFG, trials=16 * experiments._CHUNK_TRIALS)
+        one_chunk = traced_peak(replace(spec, trials=experiments._CHUNK_TRIALS))
+        values = spec.trials * len(sweep_series(spec)) * len(spec.grid) * 8
+        assert traced_peak(spec) <= 1.25 * values + one_chunk
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, math.inf, math.nan, True, False])
     def test_worker_count_validated(self, workers):

@@ -147,3 +147,16 @@ def test_verification_runs_no_enumeration(monkeypatch):
     assert all(r.passed for r in run_verification(trials=40, seed=0))
     assert len(optimal) == 2  # both admission checks read the DP
     assert not {"_enumeration_pass", "_subset_table", "exhaustive_admit"} & set(vars(verify))
+
+
+def test_greedy_invariants_run_the_detail_kernel_once(monkeypatch):
+    details, sequential = [], verify._sequential_admit_batch
+
+    def spy(gains, thresholds, detail=False):
+        details.append(detail)
+        return sequential(gains, thresholds, detail=detail)
+
+    monkeypatch.setattr(verify, "_sequential_admit_batch", spy)
+    excess = verify.greedy_invariant_excess(*_admission_draws(np.random.default_rng(0), 50))
+    assert details == [True, False]  # the invariants' detail pass, then the doubled gains' counts
+    assert np.all(excess <= 0.0)
