@@ -13,11 +13,11 @@ sorted in decreasing order; targets are linear. Functions take ``(gains,
 thresholds[, count])`` arrays, instances stacked on leading axes, except the
 batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
 an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
-:func:`_sequential_admit_batch` is the one implementation of the sequential
-rule. :func:`_optimal_admit_batch` is the library's one exact search: a
-composition DP whose counts equal those of a subset enumeration exactly (sum
-rates within rounding); it finds fitting sets through :func:`_append`, the
-rule's append step. The oracle sweeps take the optimum at all their powers
+:func:`_append` is the sequential rule's one step, which
+:func:`_sequential_admit_batch` walks. :func:`_optimal_admit_batch` is the
+library's one exact search: a composition DP whose counts equal those of a
+subset enumeration exactly (sum rates within rounding); its walks find fitting
+sets through the same step. The oracle sweeps take the optimum at all powers
 from :func:`_optimal_admit_powers`: one DP per instance on power-free gains,
 with no budget check, read at each power through a proven rounding margin,
 and the DP at that power wherever the margin cannot decide, so the results
@@ -151,11 +151,11 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     ``gains`` and the linear ``thresholds`` broadcast to one shape whose last
     axis is the admission order; the leading axes are the batch (e.g. trials
     x powers x targets). Inputs are validated once for the batch, as
-    :class:`AdmissionInstance` validates one instance. The recurrence walks
-    the users until every instance stops: with ``P`` the power committed, a
-    user of gain ``g`` and target ``t`` needs ``t*P + t/g`` and reaches SINR
-    ``need*g / (1 + g*P)``; the first user with a zero gain or a need above
-    ``1 - P`` ends admission, so trailing zero-gain padding changes nothing.
+    :class:`AdmissionInstance` validates one instance. The users step through
+    :func:`_append` until every instance stops: with ``P`` the power committed,
+    a user of gain ``g`` and target ``t`` needs ``t*P + t/g`` and reaches SINR
+    ``need*g / (1 + g*P)``; a zero gain (an inf cost) or a need above ``1 - P``
+    ends admission, so trailing zero-gain padding changes nothing.
     Rate terms go through ``math.log2`` (numpy's log2 can differ from it in
     the last bit), so each instance's results equal these operations on
     Python floats bit for bit. With ``detail``, each user's power share and
@@ -170,8 +170,8 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(g.shape[-1]):
             gk, tk = g[..., k], t[..., k]
-            need = tk * total + tk / gk
-            admitted &= (gk > 0.0) & ~(need > 1.0 - total)
+            need = _append(total, tk, tk / gk)  # a zero gain costs inf
+            admitted &= need < np.inf
             if not admitted.any():
                 break
             sinr = need[admitted] * gk[admitted] / (1.0 + gk[admitted] * total[admitted])
@@ -211,10 +211,10 @@ def cumulative_power_closed_form(gains, thresholds, count) -> np.ndarray:
 
 
 def _append(power, t, cost, budget: bool = True) -> np.ndarray:
-    """Totals once a user of target ``t`` and cost ``t/g`` joins subsets of
-    total ``power`` last, as the sequential rule appends it: ``need = t*P +
-    t/g``, rejected (inf) when ``need > 1 - P``, else ``P + need``. Without
-    ``budget`` nobody is rejected: the walk ``T <- T + (t*T + c)``.
+    """The sequential rule's one step: the need of a user of target ``t`` and
+    cost ``t/g`` joining users of total ``power`` last, ``need = t*P + t/g``,
+    rejected (inf) when ``need > 1 - P``; the total is then ``P + need``.
+    Without ``budget`` nobody is rejected: the walk ``T <- T + (t*T + c)``.
 
     The DP rests on this step being monotone, as does the tests' subset
     enumeration it is checked against. With ``t > 0``, each of its IEEE
@@ -225,12 +225,11 @@ def _append(power, t, cost, budget: bool = True) -> np.ndarray:
     each of its members passes the allocation's check in its own order, and
     the least total of a family of sets stays least once a user joins them.
     """
-    total = t * power
-    total += cost
+    need = np.asarray(t * power)  # an array even for one instance, which putmask needs
+    need += cost
     if budget:
-        np.putmask(total, total > 1.0 - power, np.inf)  # inf + P is inf
-    total += power
-    return total
+        np.putmask(need, need > 1.0 - power, np.inf)  # inf + P is inf
+    return need
 
 
 def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
@@ -294,6 +293,7 @@ def _composition_pass(t, cost, level, dims, budget: bool = True) -> np.ndarray:
     power[:, 0] = 0.0
     for k in range(cost.shape[1]):
         joined = _append(power, t[:, k, None], cost[:, k, None], budget)
+        joined += power
         for l, stride in enumerate(strides):
             if present[k][l]:
                 grown = power[:, stride:]

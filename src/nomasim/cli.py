@@ -149,7 +149,9 @@ def _run_gap_command(args) -> int:
 
 
 def _run_verify_command(args) -> int:
-    config, sweep_kwargs, _ = _resolve_config(args, reads=("trials",))
+    config, sweep_kwargs, cell_keys = _resolve_config(args, reads=("trials",))
+    if "users_per_cluster" in cell_keys:  # each check draws the cluster sizes it tests
+        raise ConfigError("verify does not read the cell key 'users_per_cluster', which its checks set themselves")
     trials = args.trials if args.trials is not None else sweep_kwargs.get("trials", 1000)
     results = run_verification(trials=trials, seed=config.rng_seed, config=config)
     failed = sum(not r.passed for r in results)

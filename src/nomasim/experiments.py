@@ -50,8 +50,8 @@ ORACLE_BENCHMARK_RADIUS_KM = (0.01, 0.15)
 
 _EQUAL_MODE_RATE_TOL = 1e-12
 
-# Trials per array pass: enough to spread the per-call overhead of the array
-# kernels, few enough that a chunk's temporaries stay around a megabyte.
+# Trials per array pass, to spread the array kernels' per-call overhead. One chunk's sweep traces 0.8-1.8 MiB,
+# but 11-12 MiB on a three-user share surface (1.6 MiB of values): there its temporaries set a small sweep's peak.
 _CHUNK_TRIALS = 256
 
 

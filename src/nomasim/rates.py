@@ -16,8 +16,9 @@ whole-array expressions bit for bit. The interference power a user sees from
 the users decoded before it is an exclusive running sum, the shares before it
 added in order, not a running total minus its own share: that difference
 cancels to a few ulps of the total when an earlier share is tiny. The sweeps
-and ``verify`` reduce per-user columns, never stacking rates only to sum them;
-:func:`_optimal_shares` is the one implementation of the optimal split.
+and ``verify`` reduce per-user columns, never stacking rates only to sum them.
+:func:`_noma_columns` is the one superposed-rate formula, SIC margins included,
+:func:`_optimal_shares` the one optimal split and :func:`_columns` the one gate.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ def _users(x: np.ndarray) -> list:
 
 
 def _columns(gains, split) -> tuple[list, list]:
-    """Per-user columns of gains and shares, checked finite."""
+    """Per-user columns of gains and shares, the rate functions' one input gate: gains finite and non-negative,
+    shares finite and at least ``-_SUM_TOL`` (a share of ``1 - sum`` can round just below 0)."""
     g = np.asarray(gains, dtype=float)
     w = np.asarray(split, dtype=float)
     if g.shape[-1:] != w.shape[-1:]:
         raise ValueError("gains and split must have the same number of users")
-    _require_finite("gains and splits", g, w)
+    # min and max keep NaN, so each check is one pass that also rejects it
+    if g.size and w.size and not (g.min() >= 0 and g.max() < np.inf and w.min() >= -_SUM_TOL and w.max() < np.inf):
+        raise ValueError("gains and splits must be finite and non-negative")
     return _users(g), _users(w)
 
 
@@ -95,7 +99,8 @@ def _oma_columns(gains, split, dof) -> list:
     lam = np.asarray(dof, dtype=float)
     if lam.shape[-1:] != (len(w),):
         raise ValueError("dof fractions must have one entry per user")
-    _require_finite("dof fractions", lam)
+    if lam.size and not (lam.min() >= -_SUM_TOL and lam.sum(axis=-1).max() <= 1 + _SUM_TOL):  # NaN fails too
+        raise ValueError("dof fractions must be finite, non-negative and sum to at most 1")
     return list(map(_oma_term, _users(lam), _received(g, w)))
 
 
@@ -157,11 +162,6 @@ class SicFeasibility:
     margins: np.ndarray
 
 
-def _require_finite(name: str, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError(f"{name} must be finite")
-
-
 def sic_feasibility_check(gains, split) -> SicFeasibility:
     """Check that earlier receivers can decode every later user's signal.
 
@@ -171,12 +171,9 @@ def sic_feasibility_check(gains, split) -> SicFeasibility:
     w = np.asarray(split, dtype=float)
     if g.ndim == 0 or w.shape != g.shape:
         raise ValueError("gains and split must have equal shapes, users on the last axis")
-    _require_finite("gains and splits", g, w)
-    earlier = np.zeros_like(w)  # the exclusive running sum of _noma_columns
-    earlier[..., 1:] = np.cumsum(w[..., :-1], axis=-1)
-    rx = g[..., :, None]
     # cross[..., l, k]: rate of user k's signal when decoded at receiver l
-    cross = np.log2(1.0 + w[..., None, :] * rx / (1.0 + rx * earlier[..., None, :]))
+    receivers = np.broadcast_to(g[..., :, None], g.shape + g.shape[-1:])
+    cross = np.stack(_noma_columns(*_columns(receivers, w[..., None, :])), axis=-1)
     margins = cross - np.diagonal(cross, axis1=-2, axis2=-1)[..., None, :]
     later = np.triu(np.ones(margins.shape[-2:], dtype=bool), k=1)
     margins = np.where(later, margins, np.nan)
@@ -273,9 +270,10 @@ def cluster_size_rate_delta(gains, split_small, split_large) -> ClusterSizeDelta
     l = w.shape[-1]
     if g.shape[-1] != l + 1 or th.shape[-1] != l + 1:
         raise ValueError("need len(gains) == len(split_large) == len(split_small) + 1")
-    _require_finite("gains and splits", g, w, th)
-    if (g[..., 1:] > g[..., :-1]).any() or (g < 0).any():
-        raise ValueError("gains must be non-negative and non-increasing")
+    if not all(np.isfinite(a).all() for a in (g, w, th)):  # before the order and budget checks
+        raise ValueError("gains and splits must be finite")
+    if (g[..., 1:] > g[..., :-1]).any():  # the sum rates below reject a negative gain
+        raise ValueError("gains must be non-increasing")
     if (np.abs(w.sum(axis=-1) - 1.0) > 1e-9).any() or (np.abs(th.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("both splits must use the full power budget")
     if (th[..., :l] > w + 1e-12).any():

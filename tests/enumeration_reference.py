@@ -73,7 +73,8 @@ def _enumeration_pass(g, t, code, sizes) -> tuple[np.ndarray, np.ndarray, np.nda
     cost = t / g  # a zero gain costs inf, more than is ever left
     total = np.zeros((batch, 1 << users))
     for k in range(users):
-        total[:, 1 << k : 2 << k] = _append(total[:, : 1 << k], t[:, k, None], cost[:, k, None])
+        prior = total[:, : 1 << k]
+        total[:, 1 << k : 2 << k] = _append(prior, t[:, k, None], cost[:, k, None]) + prior
     feasible = total[:, code] < np.inf
     best = sizes[feasible.argmax(axis=-1)]  # sizes descend, and the empty subset always fits
     inst, subset = np.nonzero(feasible & (sizes == best[:, None]))

@@ -398,7 +398,7 @@ class TestAppendStep:
             coeffs, _ = allocate_sequential(g.tolist(), t.tolist())
             total, running = np.zeros(1), 0.0
             for k in range(min(len(coeffs) + 1, len(g))):  # the fitting users, then the first rejected
-                total = admission._append(total, t[k], t[k] / g[k])
+                total = admission._append(total, t[k], t[k] / g[k]) + total
                 running = running + coeffs[k] if k < len(coeffs) else math.inf
                 assert total[0] == running
 

@@ -304,6 +304,36 @@ class TestDrawCluster:
             r.effective_gains[0] = 0.0
 
 
+def ks_distance(cdf_of_sorted: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between a sample and a law, given the law's CDF at the sorted sample."""
+    n = len(cdf_of_sorted)
+    steps = np.arange(1, n + 1) / n
+    return float(max((steps - cdf_of_sorted).max(), (cdf_of_sorted - (steps - 1.0 / n)).max()))
+
+
+class TestChannelLaw:
+    """The law of a draw: a user's effective gain over its path gain ``beta(d)`` is the power of a
+    unit-variance complex Gaussian vector projected onto the ``rx - tx + 1`` dimensions the combiner keeps
+    clear of the other columns, so Gamma(rx - tx + 1, 1); its distance is uniform over the annulus."""
+
+    USERS, TRIALS = 4, 25000
+    # KS critical value at a false-alarm rate of 1e-4 for the 100000 samples: sqrt(ln(2 / 1e-4) / (2 n))
+    BOUND = math.sqrt(math.log(2.0 / 1e-4) / (2 * USERS * TRIALS))
+
+    @pytest.mark.parametrize("tx,rx,seed", [(3, 3, 11), (4, 6, 12), (1, 2, 13)])
+    def test_gains_over_the_path_gain_are_gamma_and_distances_uniform(self, tx, rx, seed):
+        config = SystemConfig(tx_antennas=tx, rx_antennas=rx, users_per_cluster=self.USERS, rng_seed=seed)
+        draws = [draw_cluster(config, 0, np.arange(lo, lo + 5000)) for lo in range(0, self.TRIALS, 5000)]
+        d = np.concatenate([r.distances_km.ravel() for r in draws])
+        beta = 10.0 ** (-(config.pathloss_fixed_db + config.pathloss_slope * np.log10(d)) / 10.0)
+        x = np.sort(np.concatenate([r.effective_gains.ravel() for r in draws]) / beta)
+        shape = rx - tx + 1  # an integer shape: the CDF is 1 - e^-x sum_{j < k} x^j / j!
+        gamma_cdf = 1.0 - np.exp(-x) * sum(x**j / math.factorial(j) for j in range(shape))
+        assert ks_distance(gamma_cdf) <= self.BOUND
+        lo, hi = config.cell_radius_range_km
+        assert ks_distance((np.sort(d) - lo) / (hi - lo)) <= self.BOUND
+
+
 class TestBatchedDraw:
     @pytest.mark.parametrize("users", [2, 3, 8])
     @pytest.mark.parametrize("cluster_index", [0, 1, 2])

@@ -253,13 +253,15 @@ class TestDispatch:
             (["admission", "--set", "users_per_cluster=8"], "users_per_cluster"),
             (["oracle-compare", "--set", "tx_power_dbm=20"], "tx_power_dbm"),
             (["oracle-compare", "--mixed", "--config"], "users_per_cluster"),
+            (["verify", "--set", "users_per_cluster=5"], "users_per_cluster"),
         ],
     )
     def test_cell_key_the_sweep_sets_itself_is_exit_code_2(self, args, key, capsys, tmp_path):
         if args[-1] == "--config":
             args = args + [write_config(tmp_path, "rng_seed = 3\nusers_per_cluster = 5\n")]
         out = tmp_path / "x.csv"
-        assert main(args + ["--trials", "2", "--out", str(out)]) == 2
+        flags = ["--trials", "2"] + (["--out", str(out)] if args[0] != "verify" else [])
+        assert main(args + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{key}'" in err and args[0] in err
         assert not out.exists()
@@ -271,11 +273,16 @@ class TestDispatch:
         assert main([sweep, "--set", "grid=0.3", "--set", "tx_power_dbm=20", "--out", str(b)]) == 0
         assert a.read_text() != b.read_text()
 
-    @pytest.mark.parametrize("args", [["gap"], ["verify", "--trials", "3"]])
-    def test_gap_and_verify_read_both_cell_keys(self, args, capsys):
+    @pytest.mark.parametrize(
+        "args,setting",
+        [(["gap"], "users_per_cluster=3"), (["gap"], "tx_power_dbm=20"), (["verify", "--trials", "3"], "tx_power_dbm=20")],
+        ids=["gap-users", "gap-power", "verify-power"],
+    )
+    def test_gap_and_verify_read_their_cell_keys(self, args, setting, capsys):
+        # each key on its own changes the output; verify refuses users_per_cluster (above)
         assert main(args) == 0
         default = capsys.readouterr().out
-        assert main(args + ["--set", "users_per_cluster=3", "--set", "tx_power_dbm=20"]) == 0
+        assert main(args + ["--set", setting]) == 0
         assert capsys.readouterr().out != default
 
 

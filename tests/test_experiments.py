@@ -564,6 +564,34 @@ def test_import_loads_neither_a_pool_nor_numpy_random():
     assert out.stdout.splitlines() == ["[]", "['numpy.random']"]
 
 
+# A sweep in a fresh interpreter under the start method in argv[1]; spawned and forkserver children import this
+# file as a module other than __main__, so the guard keeps them from starting a sweep of their own.
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+import nomasim
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    spec = nomasim.make_sweep(sys.argv[2], nomasim.SystemConfig(), trials=2 * nomasim.experiments._CHUNK_TRIALS + 3)
+    pooled, serial = nomasim.run_sweep(spec, workers=3), nomasim.run_sweep(spec)
+    assert pooled.rows == serial.rows and pooled.metadata == serial.metadata
+    assert multiprocessing.active_children() == []
+    print("same rows and metadata")
+"""
+
+
+@pytest.mark.parametrize("method,kind", [("spawn", "ergodic_power_sweep"), ("forkserver", "oracle_compare_mixed")])
+def test_pooled_sweep_is_the_serial_one_under_each_start_method(method, kind, tmp_path):
+    # spawned and forkserver children share no memory with the caller: they get the spec by pickle alone
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = tmp_path / "sweep.py"
+    script.write_text(START_METHOD_SCRIPT)
+    out = subprocess.run([sys.executable, str(script), method, kind], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["same rows and metadata"]
+
+
 class TestExecution:
     def test_rerun_is_identical(self):
         spec = make_sweep("ergodic_power_sweep", CFG, trials=5, grid=(30.0, 40.0))

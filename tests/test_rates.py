@@ -397,12 +397,32 @@ class TestMalformedInput:
             (jain_index, ([1.0, -0.5],), "rates must be non-negative"),
             (two_user_gap, ([-2.0, 1.0], 0.5), "gains must be finite and non-negative"),
             (two_user_gap, ([[2.0, 1.0], [2.0, -1.0]], 0.5), "gains must be finite and non-negative"),
+            # every rate function rejects negative gains and shares, and DoF fractions past the orthogonal budget
+            (noma_user_rates, ([2.0, 1.0], [1.5, -0.5]), "non-negative"),
+            (noma_user_rates, ([2.0, -0.4], [0.5, 0.5]), "non-negative"),
+            (noma_sum_rate, ([2.0, 1.0], [1.5, -0.5]), "non-negative"),
+            (noma_sum_rate, ([2.0, -0.4], [0.5, 0.5]), "non-negative"),
+            (noma_sum_rate, ([[2.0, 1.0], [2.0, 1.0]], [[0.5, 0.5], [1.5, -0.5]]), "non-negative"),
+            (oma_sum_upper_bound, ([2.0, -4.0], [0.5, 0.5]), "non-negative"),
+            (optimal_dof_fractions, ([2.0, -4.0], [0.5, 0.5]), "non-negative"),
+            (sic_feasibility_check, ([2.0, -1.0], [0.5, 0.5]), "non-negative"),
+            (sic_feasibility_check, ([[2.0, 1.0], [-2.0, -3.0]], [[0.5, 0.5], [0.5, 0.5]]), "non-negative"),
+            (oma_user_rates, ([2.0, 1.0], [0.5, 0.5], [-0.5, 1.5]), "non-negative"),
+            (oma_sum_rate, ([2.0, 1.0], [0.5, 0.5], [0.9, 0.9]), "sum to at most 1"),
+            (cluster_size_rate_delta, ([4.0, 2.0, 1.0], [1.5, -0.5], [1.5, -0.5, 0.0]), "non-negative"),
         ],
         ids=lambda value: getattr(value, "__name__", None),
     )
     def test_rejected_with_a_message(self, fn, args, message):
         with pytest.raises(ValueError, match=message):
             fn(*args)
+
+    def test_rounding_below_zero_and_above_the_budget_passes(self):
+        # a share of 1 - sum can round just below 0, and DoF fractions can sum just above 1
+        w = [1.0 + 1e-13, -1e-13]
+        assert abs(noma_sum_rate([2.0, 1.0], w) - math.log2(3.0)) < 1e-12
+        assert sic_feasibility_check([2.0, 1.0], w).feasible
+        assert oma_sum_rate([2.0, 1.0], [0.5, 0.5], [0.5 + 1e-13, 0.5]) > 0
 
 
 class TestNonFiniteInput:
