@@ -27,6 +27,7 @@ _DEGENERATE_RTOL = 1e-12
 _SEED_POOL, _MASK32 = 4, (1 << 32) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_OTHERS = tuple(np.array([d for d in range(_SEED_POOL) if d != s]) for s in range(_SEED_POOL))  # of word s
 
 
 class DegenerateChannelError(ValueError):
@@ -186,12 +187,13 @@ def _pcg64_seeds(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     pool = _hashmix(words[:, :_SEED_POOL], consts[: _SEED_POOL + 1])
     k = _SEED_POOL
     for src in range(lengths.max()):  # the pool's own words mix into the others, then any words beyond it
-        dst = [d for d in range(_SEED_POOL) if d != src]
-        h = _hashmix(pool[:, src, None] if src < _SEED_POOL else words[:, src, None], consts[k : k + len(dst) + 1])
-        k += len(dst)
+        own = src < _SEED_POOL
+        dst = _POOL_OTHERS[src] if own else slice(None)
+        h = _hashmix(pool[:, src, None] if own else words[:, src, None], consts[k : k + _SEED_POOL - own + 1])
+        k += _SEED_POOL - own
         mixed = _MIX_L * pool[:, dst] - _MIX_R * h
         mixed ^= mixed >> 16
-        pool[:, dst] = mixed if src < _SEED_POOL else np.where(src < lengths[:, None], mixed, pool[:, dst])
+        pool[:, dst] = mixed if own else np.where(src < lengths[:, None], mixed, pool)
     state = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_POOL))
     return state.astype("<u4").view("<u8").astype(np.uint64)
 

@@ -181,8 +181,8 @@ def sic_feasibility_check(gains, split) -> SicFeasibility:
     return SicFeasibility(feasible=bool(feasible) if g.ndim == 1 else feasible, margins=margins)
 
 
-def two_user_gap(gains, omega1):
-    """Sum-rate advantage of superposition over the orthogonal bound, 2 users."""
+def _gap_inputs(gains, omega1) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and stronger-user shares of :func:`two_user_gap`, checked once."""
     g = np.asarray(gains, dtype=float)
     if g.shape[-1] != 2:
         raise ValueError("two_user_gap needs exactly two gains")
@@ -192,12 +192,26 @@ def two_user_gap(gains, omega1):
     w1 = np.asarray(omega1, dtype=float)
     if w1.size and not (w1.min() >= -_SUM_TOL and w1.max() <= 1 + _SUM_TOL):
         raise ValueError("omega1 must lie in [0, 1] and be finite")
-    g1, g2, w2 = g[..., 0], g[..., 1], 1.0 - w1
-    # The superposed sum rate minus the orthogonal bound is exactly log2(1 + x).
-    # log1p keeps the gap's curvature, which the rounding of log2(1 + z) swamps
-    # at small gains, and each factor of x stays finite at large ones.
-    x = w1 * g2 / (1.0 + w1 * g2) * (w2 * (g1 - g2) / (1.0 + w1 * g1 + w2 * g2))
+    return g, w1
+
+
+def _gap(g1, g2, w1, w2):
+    """The two-user gap at shares ``w1`` and ``w2 = 1 - w1`` of checked input: log2(1 + x), exactly the superposed
+    sum rate minus the orthogonal bound, x = w1 g2 / (1 + w1 g2) * (w2 (g1 - g2) / (1 + w1 g1 + w2 g2)) in that
+    order, in place on its own temporaries. log1p keeps the gap's curvature, which the rounding of log2(1 + z)
+    swamps at small gains, and each factor of x stays finite at large ones."""
+    x = w1 * g2
+    x /= 1.0 + x
+    y = w1 * g1 + 1.0
+    y += w2 * g2
+    x *= w2 * (g1 - g2) / y
     return np.log1p(x) / np.log(2.0)
+
+
+def two_user_gap(gains, omega1):
+    """Sum-rate advantage of superposition over the orthogonal bound, 2 users."""
+    g, w1 = _gap_inputs(gains, omega1)
+    return _gap(g[..., 0], g[..., 1], w1, 1.0 - w1)
 
 
 def two_user_gap_maximizer(scaled_gain):
@@ -214,7 +228,7 @@ def two_user_gap_maximizer(scaled_gain):
     return float(out) if np.ndim(scaled_gain) == 0 else out
 
 
-def extend_split(split, extra_fraction: float) -> np.ndarray:
+def extend_split(split, extra_fraction) -> np.ndarray:
     """Grow a split by one user without raising any existing share.
 
     ``split`` holds non-negative shares summing to at most 1 (an admission
@@ -222,16 +236,19 @@ def extend_split(split, extra_fraction: float) -> np.ndarray:
     by ``1 - extra_fraction`` and the new (weakest) user receives
     ``extra_fraction`` of the total, so the result keeps the same total and is
     dominated by the original share-for-share, the regime where adding the
-    user cannot raise the sum rate.
+    user cannot raise the sum rate. Users are on the last axis; leading axes
+    stack splits, and ``extra_fraction`` broadcasts over them (one per split).
     """
-    if not 0 <= extra_fraction <= 1:
+    f = np.asarray(extra_fraction, dtype=float)
+    if f.size and not (f.min() >= 0 and f.max() <= 1):  # min and max keep NaN
         raise ValueError("extra_fraction must lie in [0, 1]")
     w = np.asarray(split, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("split must be a non-empty 1-D sequence of shares")
-    if not (np.all(w >= -_SUM_TOL) and w.sum() <= 1 + _SUM_TOL):  # NaN fails both comparisons
+    if w.ndim == 0 or w.shape[-1] == 0:
+        raise ValueError("split must be a non-empty sequence of shares, users on the last axis")
+    total = w.sum(axis=-1)
+    if w.size and not (w.min() >= -_SUM_TOL and total.max() <= 1 + _SUM_TOL):  # min and max keep NaN
         raise ValueError("split shares must be finite, non-negative and sum to at most 1")
-    return np.append(w * (1.0 - extra_fraction), extra_fraction * w.sum())
+    return np.concatenate((w * (1.0 - f)[..., None], (f * total)[..., None]), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Randomized self-checks of the library's provable properties: the check library.
 
 Each check replays one guarantee (bound, dominance, feasibility, optimality
-condition) on random instances. Instances are drawn one at a time, by fixed
-RNG calls in a fixed order, then stacked per size and measured in one call
-per size group, the exact optimum included: the composition DP the oracle
-sweeps run, not an enumeration. Only the two-user gap grid (one draw per
-grid, which bounds peak memory) runs per instance. A
-:class:`Guarantee` holds a check's tolerance and direction: a ``max_excess``
-measure must not exceed the tolerance and ``worst`` is the largest one; a
-``min_slack`` measure must not fall below it and ``worst`` is the smallest.
-A non-finite measure is always a violation. ``nomasim verify`` runs the
+condition) on random instances. Only the RNG calls run one instance at a time,
+in a fixed order; scaling, sorting, target lookup, split normalization and
+growth run once per size group on the stacked draws, and each group is measured
+in one call, the exact optimum included: the composition DP the oracle sweeps
+run, not an enumeration. Only the two-user gap grid runs pair by pair, which
+bounds peak memory. A :class:`Guarantee` holds a check's tolerance and
+direction: a ``max_excess`` measure must not exceed the tolerance and ``worst``
+is the largest one; a ``min_slack`` measure must not fall below it and
+``worst`` is the smallest. A non-finite measure is always a violation. ``nomasim verify`` runs the
 measure functions below on its own draws, the acceptance gate on its own.
 """
 
@@ -29,6 +29,10 @@ from .admission import (
 )
 from .channel import SystemConfig, draw_cluster
 from .rates import (
+    _gap,
+    _gap_inputs,
+    _sum_users,
+    _users,
     cluster_size_rate_delta,
     extend_split,
     noma_sum_rate,
@@ -36,7 +40,6 @@ from .rates import (
     oma_sum_upper_bound,
     optimal_dof_fractions,
     sic_feasibility_check,
-    two_user_gap,
     two_user_gap_maximizer,
 )
 from .units import db_to_linear, is_whole
@@ -160,13 +163,14 @@ def gap_maximizer_excess(pairs, grid) -> np.ndarray:
     """Excess of the grid argmax over one step from the closed-form
     maximizer, and of the gap's negativity or its end values over 1e-9.
 
-    ``pairs`` stacks two-user gains. Each pair is evaluated on the grid on
-    its own: a trials x grid block would raise peak memory for no gain.
+    ``pairs`` stacks two-user gains, checked once with the grid; each pair is
+    evaluated on the grid on its own, as a trials x grid block would raise peak memory for no gain.
     """
-    step = grid[1] - grid[0]
+    pairs, grid = _gap_inputs(pairs, grid)
+    step, rest = grid[1] - grid[0], 1.0 - grid
     at, low, first, last = np.array([
         (grid[int(np.argmax(gaps))], gaps.min(), gaps[0], gaps[-1])
-        for gaps in (two_user_gap(g, grid) for g in pairs)
+        for gaps in (_gap(g1, g2, grid, rest) for g1, g2 in pairs.tolist())
     ]).T
     deviation = np.abs(at - two_user_gap_maximizer(pairs[:, 0]))
     negativity = _largest(-low, np.abs(first), np.abs(last))
@@ -226,23 +230,31 @@ def aligned_count_gap(gains, thresholds) -> np.ndarray:
     return np.abs(best_count - _sequential_admit_batch(gains, thresholds)[0]).astype(float)
 
 
-# Draws: each check's RNG calls, one instance at a time in trial order.
+# Draws: each check's RNG calls, one instance at a time in trial order; the
+# arithmetic on them runs once per size group, on the stacked draws.
 
 
-def _random_gains(rng, size: int) -> np.ndarray:
-    """Descending positive gains with a wide dynamic range."""
+def _gain_draw(rng, size: int) -> tuple:
+    """One instance's RNG calls for its gains: unsorted lognormal gains and their scale, a Python float
+    (``np.power`` on an array may round differently)."""
     scale = 10.0 ** rng.uniform(-1.0, 4.0)
-    g = scale * rng.lognormal(mean=0.0, sigma=1.5, size=size)
-    return np.sort(g)[::-1]
+    return rng.lognormal(mean=0.0, sigma=1.5, size=size), scale
 
 
-# Target levels of the admission checks, in dB. Indexing them by ``integers``
-# draws the bits ``choice`` over them would, and costs half as much.
-_TARGETS_DB = np.array([5.0, 10.0, 15.0])
+def _gains(raw, scales) -> np.ndarray:
+    """Descending gains of stacked :func:`_gain_draw` rows, each row bit for bit its own scaled sort."""
+    return np.sort(np.asarray(scales)[:, None] * raw, axis=-1)[:, ::-1].copy()
 
 
-def _random_thresholds(rng, size: int) -> np.ndarray:
-    return db_to_linear(_TARGETS_DB[rng.integers(0, 3, size)])
+def _shares(exponentials) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k), shape[:-1])`` from ``rng.standard_exponential(shape)``, bit for bit: numpy adds
+    the exponentials left to right and multiplies by the reciprocal; a pairwise sum or a division rounds differently."""
+    return exponentials * (1.0 / _sum_users(_users(exponentials)))[..., None]
+
+
+# Target levels of the admission checks (5, 10 and 15 dB) on linear scale.
+# Indexing them by ``integers`` draws the bits ``choice`` over them would, and costs half as much.
+_TARGETS = db_to_linear(np.array([5.0, 10.0, 15.0]))
 
 
 def _grouped_trials(trials: int, key) -> dict:
@@ -254,12 +266,24 @@ def _grouped_trials(trials: int, key) -> dict:
     return groups
 
 
+def _stacked(instances) -> list:
+    """Instances (tuples of arrays or scalars) stacked per shape of their
+    first entry: one tuple of arrays per group, groups in order of first
+    appearance and each in instance order."""
+    groups: dict = {}
+    for instance in instances:
+        groups.setdefault(np.shape(instance[0]), []).append(instance)
+    return [tuple(map(np.array, zip(*group))) for group in groups.values()]
+
+
+def _measured(measure, groups) -> np.ndarray:
+    return np.concatenate([np.empty(0)] + [measure(*group).ravel() for group in groups])
+
+
 def evaluate_by_size(measure, instances) -> np.ndarray:
     """``measure`` of a sequence of instances (tuples of arrays) stacked per
     size of their first array: one call per size group, results concatenated."""
-    groups = _grouped_trials(len(instances), lambda i: np.shape(instances[i][0])).values()
-    stacks = (map(np.stack, zip(*(instances[i] for i in g))) for g in groups)
-    return np.concatenate([np.empty(0)] + [measure(*s).ravel() for s in stacks])
+    return _measured(measure, _stacked(instances))
 
 
 def _zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> np.ndarray:
@@ -284,47 +308,48 @@ def _redraw_differences(config: SystemConfig, rng_seed: int, trials: int) -> np.
 
 
 def _gains_and_splits(rng, trials: int, dof_samples: int = 0) -> list:
-    """Per trial, gains and a split of ``2 + t % 5`` users, then as many
-    sampled orthogonal shares as asked for."""
-    draws = []
-    for t in range(trials):
-        size = 2 + t % 5
-        draw = (_random_gains(rng, size), rng.dirichlet(np.ones(size)))
-        draws.append(draw + (rng.dirichlet(np.ones(size), size=dof_samples),) if dof_samples else draw)
-    return draws
+    """Per size group (``2 + t % 5`` users): stacked gains, splits and the sampled orthogonal shares asked for."""
+
+    def draw(size):
+        shapes = [(size,), (dof_samples, size)] if dof_samples else [(size,)]
+        return (*_gain_draw(rng, size), *[rng.standard_exponential(shape) for shape in shapes])
+
+    groups = _stacked(draw(2 + t % 5) for t in range(trials))
+    return [(_gains(raw, scale), *map(_shares, e)) for raw, scale, *e in groups]
 
 
 def _cluster_splits(config: SystemConfig, rng_seed: int, rng, trials: int) -> list:
-    gains: dict[int, np.ndarray] = {}
-    for size, ts in _grouped_trials(trials, lambda t: 2 + t % 5).items():
-        draw = draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts)
-        gains.update(zip(ts, config.rho * draw.effective_gains))
-    return [(gains[t], rng.dirichlet(np.ones(gains[t].size))) for t in range(trials)]
+    splits = _stacked((rng.standard_exponential(2 + t % 5),) for t in range(trials))  # in the groups' order
+    return [
+        (config.rho * draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts).effective_gains,
+         _shares(e))
+        for (size, ts), (e,) in zip(_grouped_trials(trials, lambda t: 2 + t % 5).items(), splits)
+    ]
 
 
 def _growth_draws(rng, trials: int) -> list:
-    draws = []
-    for t in range(trials):
-        g, w = _random_gains(rng, 2 + t % 5), rng.dirichlet(np.ones(1 + t % 5))
-        draws.append((g, w, extend_split(w, float(rng.uniform(0.0, 1.0)))))
-    return draws
+    draws = ((*_gain_draw(rng, 2 + t % 5), rng.standard_exponential(1 + t % 5), rng.uniform()) for t in range(trials))
+    groups = [(_gains(raw, scale), _shares(e), f) for raw, scale, e, f in _stacked(draws)]
+    return [(g, w, extend_split(w, f)) for g, w, f in groups]
+
+
+def _gap_pairs(rng, trials: int) -> np.ndarray:
+    return _gains(*_stacked(_gain_draw(rng, 2) for _ in range(trials))[0])
 
 
 def _admission_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    draws = [(_random_gains(rng, 8), _random_thresholds(rng, 8)) for _ in range(trials)]
-    return np.array([g for g, _ in draws]), np.array([t for _, t in draws])
+    ((raw, scale, levels),) = _stacked((*_gain_draw(rng, 8), rng.integers(0, 3, 8)) for _ in range(trials))
+    return _gains(raw, scale), _TARGETS[levels]
 
 
 def _aligned_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Every other trial has one target for all; only aligned instances stay."""
-    gains, thresholds = [], []
-    for t in range(trials):
-        gains.append(_random_gains(rng, 8))
-        if t % 2:
-            thresholds.append(np.full(8, float(db_to_linear(_TARGETS_DB[rng.integers(0, 3)]))))
-        else:
-            thresholds.append(_random_thresholds(rng, 8))
-    gains, thresholds = np.array(gains), np.array(thresholds)
+
+    def draw(t):
+        return (*_gain_draw(rng, 8), [rng.integers(0, 3)] * 8 if t % 2 else rng.integers(0, 3, 8))
+
+    ((raw, scale, levels),) = _stacked(map(draw, range(trials)))
+    gains, thresholds = _gains(raw, scale), _TARGETS[levels]
     aligned = aligned_thresholds(thresholds)
     return gains[aligned], thresholds[aligned]
 
@@ -341,16 +366,12 @@ def run_verification(trials: int = 1000, seed: int = 0, config: SystemConfig | N
     return [
         ZERO_FORCING.tally(_zero_forcing(config, seed, trials)),
         DETERMINISM.tally(_redraw_differences(config, seed, min(trials, 200))),
-        OMA_BOUND.tally(evaluate_by_size(oma_bound_excess, _gains_and_splits(rngs[0], trials, dof_samples=100))),
-        NOMA_DOMINANCE.tally(
-            evaluate_by_size(noma_dominance_slack, _cluster_splits(config, seed + 1, rngs[1], trials))
-        ),
-        NOMA_LOWER_BOUND.tally(evaluate_by_size(noma_lower_bound_slack, _gains_and_splits(rngs[2], trials))),
-        SIC_FEASIBILITY.tally(evaluate_by_size(sic_min_margin, _gains_and_splits(rngs[3], trials))),
-        GAP_MAXIMIZER.tally(
-            gap_maximizer_excess(np.array([_random_gains(rngs[4], 2) for _ in range(trials)]), np.linspace(0, 1, 10001))
-        ),
-        CLUSTER_GROWTH.tally(evaluate_by_size(cluster_growth_excess, _growth_draws(rngs[5], trials))),
+        OMA_BOUND.tally(_measured(oma_bound_excess, _gains_and_splits(rngs[0], trials, dof_samples=100))),
+        NOMA_DOMINANCE.tally(_measured(noma_dominance_slack, _cluster_splits(config, seed + 1, rngs[1], trials))),
+        NOMA_LOWER_BOUND.tally(_measured(noma_lower_bound_slack, _gains_and_splits(rngs[2], trials))),
+        SIC_FEASIBILITY.tally(_measured(sic_min_margin, _gains_and_splits(rngs[3], trials))),
+        GAP_MAXIMIZER.tally(gap_maximizer_excess(_gap_pairs(rngs[4], trials), np.linspace(0, 1, 10001))),
+        CLUSTER_GROWTH.tally(_measured(cluster_growth_excess, _growth_draws(rngs[5], trials))),
         GREEDY_INVARIANTS.tally(greedy_invariant_excess(*_admission_draws(rngs[6], trials))),
         EXHAUSTIVE_DOMINANCE.tally(exhaustive_dominance_excess(*_admission_draws(rngs[7], min(trials, 500)))),
         ALIGNED_CONDITION.tally(aligned_count_gap(*_aligned_draws(rngs[8], trials))),

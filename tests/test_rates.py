@@ -254,6 +254,32 @@ class TestClusterGrowth:
         with pytest.raises(ValueError):
             extend_split([1.0], 1.5)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_extend_split_of_stacked_splits_is_each_splits(self, k):
+        rng = np.random.default_rng(k)
+        w, f = rng.dirichlet(np.ones(k), size=40), rng.uniform(size=40)
+        each = lambda fractions: np.array([np.append(s * (1.0 - x), x * s.sum()) for s, x in zip(w, fractions)])
+        for fractions in (f, np.full(40, 0.25)):
+            assert extend_split(w, fractions).tobytes() == each(fractions).tobytes()
+        assert extend_split(w, 0.25).tobytes() == each(np.full(40, 0.25)).tobytes()
+        assert extend_split(w[0], f[0]).tobytes() == each(f)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "split,fraction",
+        [
+            ([[0.5, 0.5], [0.2, 0.8]], [0.3, 1.5]),
+            ([[0.5, 0.5], [0.2, 0.8]], [0.3, math.nan]),
+            ([[0.5, 0.5], [0.8, 0.8]], 0.5),
+            ([[0.5, 0.5], [0.5, -0.5]], 0.5),
+            ([[0.5, 0.5], [0.5, math.nan]], [0.3, 0.2]),
+            (np.zeros((2, 0)), 0.5),
+            (0.5, 0.5),
+        ],
+    )
+    def test_extend_split_rejects_bad_stacked_input(self, split, fraction):
+        with pytest.raises(ValueError):
+            extend_split(split, fraction)
+
     def test_equal_gains_leave_rate_unchanged(self):
         d = cluster_size_rate_delta([2.0, 2.0, 2.0], [0.4, 0.6], extend_split([0.4, 0.6], 0.25))
         assert d.delta == pytest.approx(0.0, abs=1e-12)
