@@ -14,7 +14,9 @@ thresholds[, count])`` arrays, instances stacked on leading axes, except the
 batches of one :func:`greedy_admit` and :func:`exhaustive_admit`, which take
 an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
 :func:`_append` is the sequential rule's one step, which
-:func:`_sequential_admit_batch` walks. :func:`_optimal_admit_batch` is the
+:func:`_sequential_admit_batch` walks on the instances still admitting; its
+rate terms and the DP's take ``math.log2`` once per distinct value
+(:func:`_log2`). :func:`_optimal_admit_batch` is the
 library's one exact search: a composition DP whose counts equal those of a
 subset enumeration exactly (sum rates within rounding); its walks find fitting
 sets through the same step. The oracle sweeps take the optimum at all powers
@@ -132,17 +134,10 @@ def _padded(instance: AdmissionInstance, users: np.ndarray) -> tuple[np.ndarray,
     return gains, thresholds
 
 
-def _batch_of_one(instance: AdmissionInstance, users: np.ndarray) -> AdmissionResult:
-    """The sequential rule over the users ``users`` (ascending indices), as a batch of one."""
-    count, rate, shares, sinrs = _sequential_admit_batch(*_padded(instance, users), detail=True)
-    power, achieved = np.zeros(len(instance)), np.zeros(len(instance))
-    power[users], achieved[users] = shares[: len(users)], sinrs[: len(users)]
-    return AdmissionResult(int(count), power, 1.0 - math.fsum(shares), float(rate), achieved)
-
-
 def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
     """Admit users sequentially in decreasing-gain order until power runs out."""
-    return _batch_of_one(instance, np.arange(len(instance)))
+    count, rate, shares, sinrs = _sequential_admit_batch(instance.gains, instance.sinr_thresholds, detail=True)
+    return AdmissionResult(int(count), shares, 1.0 - math.fsum(shares), float(rate), sinrs)
 
 
 def _sequential_admit_batch(gains, thresholds, detail: bool = False):
@@ -155,33 +150,45 @@ def _sequential_admit_batch(gains, thresholds, detail: bool = False):
     :func:`_append` until every instance stops: with ``P`` the power committed,
     a user of gain ``g`` and target ``t`` needs ``t*P + t/g`` and reaches SINR
     ``need*g / (1 + g*P)``; a zero gain (an inf cost) or a need above ``1 - P``
-    ends admission, so trailing zero-gain padding changes nothing.
-    Rate terms go through ``math.log2`` (numpy's log2 can differ from it in
-    the last bit), so each instance's results equal these operations on
-    Python floats bit for bit. With ``detail``, each user's power share and
+    ends admission, so trailing zero-gain padding changes nothing. A step
+    runs on the instances still admitting only. Rate terms are ``math.log2``
+    of each distinct ``1 + SINR`` (:func:`_log2`), added per instance in step
+    order, so each instance's results equal these operations on Python floats
+    bit for bit, in any stack. With ``detail``, each user's power share and
     achieved SINR (zero for the rejected) follow.
     """
     g, t = _stacked(gains, thresholds)
-    total, rate = np.zeros(g.shape[:-1]), np.zeros(g.shape[:-1])
-    count = np.zeros(g.shape[:-1], dtype=int)
-    admitted = np.ones(g.shape[:-1], dtype=bool)
+    shape, users = g.shape[:-1], g.shape[-1]
+    size = math.prod(shape)
+    active, total, rate = np.arange(size), np.zeros(size), np.zeros(size)  # total: each active instance's power
+    steps = [(active[:0], total[:0])]  # each step's admitting instances and SINRs; empty first, for a stop at user 0
     if detail:
-        shares, sinrs = np.zeros(g.shape), np.zeros(g.shape)
+        shares, sinrs = np.zeros((users, size)), np.zeros((users, size))  # users first: a step fills part of one row
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(g.shape[-1]):
-            gk, tk = g[..., k], t[..., k]
+        for k in range(users):
+            gk, tk = g[..., k].reshape(-1)[active], t[..., k].reshape(-1)[active]
             need = _append(total, tk, tk / gk)  # a zero gain costs inf
-            admitted &= need < np.inf
-            if not admitted.any():
+            if not (fits := need < np.inf).any():
                 break
-            sinr = need[admitted] * gk[admitted] / (1.0 + gk[admitted] * total[admitted])
+            active, total, gk, need = active[fits], total[fits], gk[fits], need[fits]
+            steps.append((active, need * gk / (1.0 + gk * total)))
             if detail:
-                shares[..., k][admitted] = need[admitted]
-                sinrs[..., k][admitted] = sinr
-            rate[admitted] += np.fromiter(map(math.log2, (1.0 + sinr).tolist()), dtype=float, count=sinr.size)
-            total = np.where(admitted, total + need, total)
-            count += admitted
-    return (count, rate, shares, sinrs) if detail else (count, rate)
+                shares[k][active], sinrs[k][active] = need, steps[-1][1]
+            total = total + need
+    inst, sinr = map(np.concatenate, zip(*steps))
+    np.add.at(rate, inst, _log2(1.0 + sinr))  # in order, so each instance's terms add up step by step
+    count, rate = np.bincount(inst, minlength=size).reshape(shape), rate.reshape(shape)
+    return (count, rate, *(a.T.copy().reshape(g.shape) for a in (shares, sinrs))) if detail else (count, rate)
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each entry of ``x``, called once per distinct value;
+    numpy's log2 can differ from it in the last bit."""
+    ordered = np.sort(x, axis=None)
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1], first[1:] = True, ordered[1:] != ordered[:-1]
+    distinct = ordered[first]  # sorted, so each entry finds its own value by bisection
+    return np.fromiter(map(math.log2, distinct.tolist()), dtype=float, count=distinct.size)[distinct.searchsorted(x)]
 
 
 def cumulative_power_closed_form(gains, thresholds, count) -> np.ndarray:
@@ -250,10 +257,12 @@ def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
         raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
     size = int(_optimal_admit_batch(instance.gains, instance.sinr_thresholds)[0])
     subsets = np.array(list(itertools.combinations(range(users), size)), dtype=int)  # (1, 0) for size 0
-    count, rate = _sequential_admit_batch(*_padded(instance, subsets))
+    count, rate, shares, sinrs = _sequential_admit_batch(*_padded(instance, subsets), detail=True)
     fits = count == size  # the subset's every member fits
     winner = np.flatnonzero(fits & (rate[fits].max() - rate <= _RATE_TIE_TOL))[0]
-    return _batch_of_one(instance, subsets[winner])
+    power, achieved = np.zeros(users), np.zeros(users)
+    power[subsets[winner]], achieved[subsets[winner]] = shares[winner, :size], sinrs[winner, :size]
+    return AdmissionResult(size, power, 1.0 - math.fsum(power), float(rate[winner]), achieved)
 
 
 @cache
@@ -331,7 +340,7 @@ def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tup
     sizes = (level[:, :, None] == np.arange(n_levels)).sum(axis=1)
     values = np.zeros((len(t), n_levels))  # 0 for a level an instance lacks: log2(1) = 0
     np.put_along_axis(values, level, t, axis=-1)
-    log_base = np.fromiter(map(math.log2, (1.0 + values).ravel().tolist()), dtype=float, count=values.size)
+    log_base = _log2(1.0 + values)
     rank = np.argsort(np.argsort(-sizes, axis=-1, kind="stable"), axis=-1)  # each level's canonical place
 
     count, found = np.empty((len(t), settings), dtype=int), []
@@ -350,7 +359,7 @@ def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tup
             setting, inst, state = np.nonzero(fit & (total == best[..., None]))
             found.append((part[inst], setting, counts[:, state].T))
     inst, setting, held = map(np.concatenate, zip(*found))
-    terms = np.take_along_axis(held, rank[inst], axis=-1) * log_base.reshape(values.shape)[inst]  # target order
+    terms = np.take_along_axis(held, rank[inst], axis=-1) * log_base[inst]  # target order
     rate = np.full(count.shape, -np.inf)  # ufunc.at takes a flat index several times faster than a tuple
     np.maximum.at(rate.reshape(-1), inst * settings + setting, np.add.accumulate(terms, axis=-1)[:, -1])
     return count, rate

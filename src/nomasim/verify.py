@@ -258,12 +258,12 @@ _TARGETS = db_to_linear(np.array([5.0, 10.0, 15.0]))
 
 
 def _grouped_trials(trials: int, key) -> dict:
-    """Trials ``0 .. trials - 1`` grouped by ``key(t)``, each group in trial
-    order, so a group's clusters come from one batched draw."""
+    """Trials ``0 .. trials - 1`` grouped by ``key(t)``, each group an int
+    array in trial order, so a group's clusters come from one batched draw."""
     groups: dict = {}
     for t in range(trials):
         groups.setdefault(key(t), []).append(t)
-    return groups
+    return {k: np.array(ts) for k, ts in groups.items()}
 
 
 def _stacked(instances) -> list:

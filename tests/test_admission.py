@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from nomasim import (
     AdmissionInstance,
+    SystemConfig,
     aligned_thresholds,
     cumulative_power_closed_form,
+    db_to_linear,
+    draw_cluster,
     exhaustive_admit,
     greedy_admit,
     greedy_optimality_condition,
@@ -318,6 +321,43 @@ class TestSequentialBatch:
     def test_an_empty_stack_holds_nothing_to_validate(self):
         count, rate = _sequential_admit_batch(np.array([np.nan, 1.0]), np.ones((0, 2)))
         assert count.shape == rate.shape == (0,)
+
+    def test_a_stack_gives_each_instance_its_own_bits(self):
+        # 600 instances, a seventh zero-padded, half with targets off a grid (about a thousand distinct
+        # rate terms), against each row alone and against two random cuts of the stack
+        rng = np.random.default_rng(36)
+        gains = np.sort(10.0 ** rng.uniform(-2, 4, (600, 8)), axis=-1)[:, ::-1]
+        gains[::7, 5:] = 0.0
+        thresholds = 10.0 ** (rng.choice([0.0, 5.0, 10.0, 15.0], size=(600, 8)) / 10.0)
+        thresholds[1::2] = 10.0 ** rng.uniform(-0.5, 1.5, (300, 8))
+        whole = _sequential_admit_batch(gains, thresholds, detail=True)
+        rows = [_sequential_admit_batch(g, t, detail=True) for g, t in zip(gains, thresholds)]
+        others = [[np.stack(column) for column in zip(*rows)]]
+        for _ in range(2):
+            cuts = np.sort(rng.choice(np.arange(1, 600), size=4, replace=False))
+            pieces = zip(np.split(gains, cuts), np.split(thresholds, cuts))
+            parts = [_sequential_admit_batch(g, t, detail=True) for g, t in pieces]
+            others.append([np.concatenate(column) for column in zip(*parts)])
+        for other in others:
+            for a, b in zip(whole, other):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert len(np.unique(whole[0])) >= 4
+
+    def test_each_distinct_rate_term_takes_one_log(self, monkeypatch):
+        # an admission_vs_sinr block: 200 trials x 3 powers x 7 targets of 8 users
+        config = SystemConfig(users_per_cluster=8)
+        eff = draw_cluster(config, 0, np.arange(200)).effective_gains
+        rho = np.array([config.rho_at(p) for p in (30.0, 40.0, 50.0)])
+        gains = rho[:, None, None] * eff[:, None, None, :]
+        thresholds = db_to_linear(np.arange(5.0, 20.1, 2.5))[:, None]
+        calls, log2 = [], math.log2
+        monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or log2(x))
+        for _ in range(2):  # and again on a second call: no table outlives its call
+            calls.clear()
+            count, rate, _, sinrs = _sequential_admit_batch(gains, thresholds, detail=True)
+            terms = 1.0 + sinrs[np.arange(8) < count[..., None]]
+            assert sorted(calls) == sorted(set(terms.tolist()))
+        assert 10 * len(calls) < terms.size and (rate > 0).any()
 
 
 class TestClosedForm:
