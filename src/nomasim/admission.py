@@ -16,17 +16,17 @@ an :class:`AdmissionInstance` and give an :class:`AdmissionResult`.
 :func:`_append` is the sequential rule's one step, which
 :func:`_sequential_admit_batch` walks on the instances still admitting; its
 rate terms and the DP's take ``math.log2`` once per distinct value
-(:func:`_log2`). :func:`_optimal_admit_batch` is the
-library's one exact search: a composition DP whose counts equal those of a
-subset enumeration exactly (sum rates within rounding); its walks find fitting
-sets through the same step. The oracle sweeps take the optimum at all powers
-from :func:`_optimal_admit_powers`: one DP per instance on power-free gains,
-with no budget check, read at each power through a proven rounding margin,
-and the DP at that power wherever the margin cannot decide, so the results
-are the DP's bit for bit. :func:`exhaustive_admit` reads its count from the
-DP and rates only the subsets of that size. The kernels match a scalar
-reference of the rule in the tests bit for bit; the subset enumeration
-itself is a tests-only reference that the DP is checked against.
+(:func:`_log2`). :func:`_optimal_admit_batch` is the library's one exact
+search: a composition DP (:func:`_best_compositions`) whose counts equal a
+subset enumeration's exactly (sum rates within rounding); its walks take each
+composition's least total through the same step, and a total below a
+setting's bound fits. The oracle sweeps take the optimum at all powers from
+:func:`_optimal_admit_powers`: one budget-free DP per instance on power-free
+gains, read at each power against the two bounds of a proven rounding margin,
+and the DP at that power wherever they cannot decide, so the results are the
+DP's bit for bit. :func:`exhaustive_admit` reads its count from the DP and
+rates only the subsets of that size, each on its own columns. The kernels
+match the tests' scalar reference bit for bit; the enumeration is tests-only.
 """
 
 from __future__ import annotations
@@ -123,15 +123,6 @@ class AdmissionResult:
     residual_power: float
     sum_rate_bps_hz: float
     achieved_sinrs: np.ndarray
-
-
-def _padded(instance: AdmissionInstance, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the sequential rule over the index sets ``users`` (ascending, one per row on the last axis): their
-    gains and targets first, then zero gains, which end admission, so every row is the instance's length."""
-    rows, size = users.shape[:-1] + (len(instance),), users.shape[-1]
-    gains, thresholds = np.zeros(rows), np.ones(rows)
-    gains[..., :size], thresholds[..., :size] = instance.gains[users], instance.sinr_thresholds[users]
-    return gains, thresholds
 
 
 def greedy_admit(instance: AdmissionInstance) -> AdmissionResult:
@@ -256,12 +247,15 @@ def exhaustive_admit(instance: AdmissionInstance) -> AdmissionResult:
     if users > _ENUMERATION_CAP:
         raise ValueError(f"instance has {users} users, above the enumeration cap {_ENUMERATION_CAP}")
     size = int(_optimal_admit_batch(instance.gains, instance.sinr_thresholds)[0])
-    subsets = np.array(list(itertools.combinations(range(users), size)), dtype=int)  # (1, 0) for size 0
-    count, rate, shares, sinrs = _sequential_admit_batch(*_padded(instance, subsets), detail=True)
+    power, achieved = np.zeros(users), np.zeros(users)
+    if not size:
+        return AdmissionResult(0, power, 1.0, 0.0, achieved)
+    subsets = np.array(list(itertools.combinations(range(users), size)))
+    g, t = instance.gains[subsets], instance.sinr_thresholds[subsets]  # each subset on its own columns
+    count, rate, shares, sinrs = _sequential_admit_batch(g, t, detail=True)
     fits = count == size  # the subset's every member fits
     winner = np.flatnonzero(fits & (rate[fits].max() - rate <= _RATE_TIE_TOL))[0]
-    power, achieved = np.zeros(users), np.zeros(users)
-    power[subsets[winner]], achieved[subsets[winner]] = shares[winner, :size], sinrs[winner, :size]
+    power[subsets[winner]], achieved[subsets[winner]] = shares[winner], sinrs[winner]
     return AdmissionResult(size, power, 1.0 - math.fsum(power), float(rate[winner]), achieved)
 
 
@@ -310,27 +304,32 @@ def _composition_pass(t, cost, level, dims, budget: bool = True) -> np.ndarray:
     return power
 
 
-def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and sum rates of the optimum of each instance row of ``t`` and
-    ``cost`` in each of ``settings`` settings, shaped (rows, settings).
+def _best_compositions(t, cost, below, above=-np.inf, budget: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts, sum rates and undecided flags of the optimum of each instance
+    row of ``t`` and ``cost`` in each setting k of ``below``, shaped (rows,
+    settings).
 
     Every admitted user sits at its target, so the objective (most users,
     then the highest sum rate) depends only on the composition: how many
     users are admitted at each distinct target. :func:`_composition_pass`
-    walks each row once, and ``fits(power, part)`` reads the least totals of
-    the rows ``part`` (rows, states) as whether each composition fits in each
-    setting (settings, rows, states). An instance with ``s_l`` users at level
-    ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a fixed
-    number of levels. The walk never reads which target a level holds, so
-    rows are grouped by canonical shape (levels by count, descending, ties by
-    target), each group in passes of at most ``_PASS_STATES`` states (or one
-    row, if it alone has more). Rates ``sum_l c[l] * log2(1 + target_l)`` of
-    the fitting compositions of the best count add up from 0.0 in ascending
-    target order, whatever the pass, and the highest wins; nobody admitted
-    gives 0.0. An empty stack gives empty (0, settings) arrays.
+    walks each row once; a composition fits in setting k when its least total
+    is below ``below[k]``, and a row is undecided there when some least total
+    is neither below ``below[k]`` nor above ``above[k]`` (with the default,
+    none is). An instance with ``s_l`` users at level ``l`` has ``prod_l (s_l
+    + 1)`` states, polynomial in the users for a fixed number of levels. The
+    walk never reads which target a level holds, so rows are grouped by
+    canonical shape (levels by count, descending, ties by target), each group
+    in passes of at most ``_PASS_STATES`` states (or one row, if it alone has
+    more). Each pass rates its fitting compositions of the best count, ``sum_l
+    c[l] * log2(1 + target_l)`` added up from 0.0 in ascending target order,
+    and the highest wins; nobody admitted gives 0.0. An empty stack gives
+    empty (0, settings) arrays.
     """
+    below, above = (np.asarray(b, dtype=float)[..., None, None] for b in (below, above))  # (settings, rows, states)
+    count = np.zeros((len(t), len(below)), dtype=int)
+    rate, undecided = np.full(count.shape, -np.inf), np.zeros(count.shape, dtype=bool)
     if not len(t):
-        return np.zeros((0, settings), dtype=int), np.zeros((0, settings))
+        return count, rate, undecided
     # Levels of an instance: its distinct targets, ascending.
     ordered = np.sort(t, axis=-1)
     distinct = np.ones(ordered.shape, dtype=bool)
@@ -343,7 +342,6 @@ def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tup
     log_base = _log2(1.0 + values)
     rank = np.argsort(np.argsort(-sizes, axis=-1, kind="stable"), axis=-1)  # each level's canonical place
 
-    count, found = np.empty((len(t), settings), dtype=int), []
     shapes, group = np.unique(np.sort(sizes, axis=-1)[:, ::-1] + 1, axis=0, return_inverse=True)
     group = group.ravel()  # numpy 2.0 gives the inverse the input's shape
     for i, dims in enumerate(map(tuple, shapes.tolist())):
@@ -353,16 +351,16 @@ def _best_compositions(t, cost, fits, settings: int, budget: bool = True) -> tup
         for lo in range(0, len(same), step):
             part = same[lo : lo + step]
             canonical = np.take_along_axis(rank[part], level[part], axis=-1)
-            fit = fits(_composition_pass(t[part], cost[part], canonical, dims, budget), part)
+            power = _composition_pass(t[part], cost[part], canonical, dims, budget)
+            fit = power < below
             best = (fit * total).max(axis=-1)
-            count[part] = best.T
+            count[part], undecided[part] = best.T, ~(fit | (power > above)).all(axis=-1).T
             setting, inst, state = np.nonzero(fit & (total == best[..., None]))
-            found.append((part[inst], setting, counts[:, state].T))
-    inst, setting, held = map(np.concatenate, zip(*found))
-    terms = np.take_along_axis(held, rank[inst], axis=-1) * log_base[inst]  # target order
-    rate = np.full(count.shape, -np.inf)  # ufunc.at takes a flat index several times faster than a tuple
-    np.maximum.at(rate.reshape(-1), inst * settings + setting, np.add.accumulate(terms, axis=-1)[:, -1])
-    return count, rate
+            inst = part[inst]
+            terms = np.take_along_axis(counts[:, state].T, rank[inst], axis=-1) * log_base[inst]  # target order
+            # ufunc.at takes a flat index several times faster than a tuple
+            np.maximum.at(rate.reshape(-1), inst * len(below) + setting, np.add.accumulate(terms, axis=-1)[:, -1])
+    return count, rate, undecided
 
 
 def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +377,7 @@ def _optimal_admit_batch(gains, thresholds) -> tuple[np.ndarray, np.ndarray]:
     g, t = g.reshape(-1, users), t.reshape(-1, users)
     with np.errstate(divide="ignore", over="ignore"):
         cost = t / g  # a zero gain costs inf
-    count, rate = _best_compositions(t, cost, lambda power, part: (power < np.inf)[None], 1)
+    count, rate, _ = _best_compositions(t, cost, [np.inf])
     return count.reshape(shape), rate.reshape(shape)
 
 
@@ -466,14 +464,8 @@ def _optimal_admit_powers(gains, thresholds, rho) -> tuple[np.ndarray, np.ndarra
             & (lo > tiny)
             & (hi < np.inf)
         )
-
-        def fits(m, part):
-            fit = m < lo[:, None, None]
-            unsure[part] |= ~(fit | (m > hi[:, None, None])).all(axis=-1).T
-            return fit
-
-        count, rate = _best_compositions(t, cost, fits, len(rho), budget=False)
-    inst, k = np.nonzero(unsure)
+        count, rate, undecided = _best_compositions(t, cost, lo, hi, budget=False)
+    inst, k = np.nonzero(unsure | undecided)
     if len(inst):
         count[inst, k], rate[inst, k] = _optimal_admit_batch(rho[k, None] * e[inst], t[inst])
     return count.reshape(shape + rho.shape), rate.reshape(shape + rho.shape)

@@ -22,6 +22,10 @@ from .units import db_to_linear, is_whole, require_finite, require_linear, store
 # norm is rounding of a column inside the span of the basis.
 _DEGENERATE_RTOL = 1e-12
 
+# Room above a power's mean SNR-scale gain for the zero-forcing fade, a Gamma(k, 1) factor with k = rx - tx + 1:
+# it exceeds 1e6 (60 dB) with probability e**-1e6 * sum_{j < k} 1e6**j / j!, below 1e-400000 at 3x3.
+_FADE_DB = 60.0
+
 # numpy's SeedSequence pool size and hash constants. NEP 19 keeps SeedSequence and
 # PCG64 seeding stable across numpy versions.
 _SEED_POOL, _MASK32 = 4, (1 << 32) - 1
@@ -91,17 +95,17 @@ class SystemConfig:
     def _require_power(self, name: str, powers_dbm) -> None:
         """Raise ``ValueError`` naming ``name`` and the keys at fault unless each
         power over the noise power, the path gain, and each power over the noise
-        and the path loss stay within float64 range on linear scale across the
-        cell. Path loss is affine in ``log10 d``, so the two ends of
-        ``cell_radius_range_km`` bound it."""
+        and the path loss, and ``_FADE_DB`` above it, stay within float64
+        range on linear scale across the cell. Path loss is affine in ``log10
+        d``, so the two ends of ``cell_radius_range_km`` bound it."""
         over_noise = np.subtract(powers_dbm, self.noise_power_dbm)
         require_linear(f"{name} over the noise power of noise_density_dbm_hz and bandwidth_hz", over_noise)
         with np.errstate(over="ignore"):
             loss = self.pathloss_fixed_db + self.pathloss_slope * np.log10(self.cell_radius_range_km)
         keys = "pathloss_fixed_db, pathloss_slope and cell_radius_range_km"
         require_linear(f"the path gain of {keys}", -loss)
-        over = np.subtract.outer(powers_dbm, self.noise_power_dbm + loss)
-        require_linear(f"{name} over the noise power and the path loss of {keys}", over)
+        over = np.add.outer(np.subtract.outer(powers_dbm, self.noise_power_dbm + loss), (0.0, _FADE_DB))
+        require_linear(f"{name} over the noise power and the path loss of {keys}, and {_FADE_DB:g} dB above it,", over)
 
     def with_(self, **changes) -> "SystemConfig":
         return replace(self, **changes)

@@ -257,23 +257,14 @@ def _shares(exponentials) -> np.ndarray:
 _TARGETS = db_to_linear(np.array([5.0, 10.0, 15.0]))
 
 
-def _grouped_trials(trials: int, key) -> dict:
-    """Trials ``0 .. trials - 1`` grouped by ``key(t)``, each group an int
-    array in trial order, so a group's clusters come from one batched draw."""
-    groups: dict = {}
-    for t in range(trials):
-        groups.setdefault(key(t), []).append(t)
-    return {k: np.array(ts) for k, ts in groups.items()}
-
-
-def _stacked(instances) -> list:
-    """Instances (tuples of arrays or scalars) stacked per shape of their
-    first entry: one tuple of arrays per group, groups in order of first
-    appearance and each in instance order."""
+def _grouped(instances, key=lambda instance: np.shape(instance[0])) -> dict:
+    """Instances (tuples of arrays or scalars) stacked per ``key`` (by default the
+    shape of their first entry): one tuple of arrays per key, keys in order of
+    first appearance and each group in instance order."""
     groups: dict = {}
     for instance in instances:
-        groups.setdefault(np.shape(instance[0]), []).append(instance)
-    return [tuple(map(np.array, zip(*group))) for group in groups.values()]
+        groups.setdefault(key(instance), []).append(instance)
+    return {k: tuple(map(np.array, zip(*group))) for k, group in groups.items()}
 
 
 def _measured(measure, groups) -> np.ndarray:
@@ -283,14 +274,14 @@ def _measured(measure, groups) -> np.ndarray:
 def evaluate_by_size(measure, instances) -> np.ndarray:
     """``measure`` of a sequence of instances (tuples of arrays) stacked per
     size of their first array: one call per size group, results concatenated."""
-    return _measured(measure, _stacked(instances))
+    return _measured(measure, _grouped(instances).values())
 
 
 def _zero_forcing(config: SystemConfig, rng_seed: int, trials: int) -> np.ndarray:
-    groups = _grouped_trials(trials, lambda t: (2 + t % 3, t % config.tx_antennas))
+    groups = _grouped(((t,) for t in range(trials)), lambda i: (2 + i[0] % 3, i[0] % config.tx_antennas))
     return np.concatenate([
         zero_forcing_excess(draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=users), ci, ts), ci)
-        for (users, ci), ts in groups.items()
+        for (users, ci), (ts,) in groups.items()
     ])
 
 
@@ -298,7 +289,7 @@ def _redraw_differences(config: SystemConfig, rng_seed: int, trials: int) -> np.
     # Each group is drawn twice, the second time in reverse trial order.
     cfg = config.with_(rng_seed=rng_seed)
     diffs = []
-    for ci, ts in _grouped_trials(trials, lambda t: t % cfg.tx_antennas).items():
+    for ci, (ts,) in _grouped(((t,) for t in range(trials)), lambda i: i[0] % cfg.tx_antennas).items():
         a = draw_cluster(cfg, ci, ts)
         b = draw_cluster(cfg, ci, ts[::-1])
         gain_diff = np.abs(a.effective_gains - b.effective_gains[::-1]).max(axis=-1)
@@ -314,31 +305,31 @@ def _gains_and_splits(rng, trials: int, dof_samples: int = 0) -> list:
         shapes = [(size,), (dof_samples, size)] if dof_samples else [(size,)]
         return (*_gain_draw(rng, size), *[rng.standard_exponential(shape) for shape in shapes])
 
-    groups = _stacked(draw(2 + t % 5) for t in range(trials))
+    groups = _grouped(draw(2 + t % 5) for t in range(trials)).values()
     return [(_gains(raw, scale), *map(_shares, e)) for raw, scale, *e in groups]
 
 
 def _cluster_splits(config: SystemConfig, rng_seed: int, rng, trials: int) -> list:
-    splits = _stacked((rng.standard_exponential(2 + t % 5),) for t in range(trials))  # in the groups' order
+    groups = _grouped((rng.standard_exponential(2 + t % 5), t) for t in range(trials)).values()
     return [
-        (config.rho * draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=size), 0, ts).effective_gains,
+        (config.rho * draw_cluster(config.with_(rng_seed=rng_seed, users_per_cluster=e.shape[-1]), 0, ts).effective_gains,
          _shares(e))
-        for (size, ts), (e,) in zip(_grouped_trials(trials, lambda t: 2 + t % 5).items(), splits)
+        for e, ts in groups
     ]
 
 
 def _growth_draws(rng, trials: int) -> list:
     draws = ((*_gain_draw(rng, 2 + t % 5), rng.standard_exponential(1 + t % 5), rng.uniform()) for t in range(trials))
-    groups = [(_gains(raw, scale), _shares(e), f) for raw, scale, e, f in _stacked(draws)]
+    groups = [(_gains(raw, scale), _shares(e), f) for raw, scale, e, f in _grouped(draws).values()]
     return [(g, w, extend_split(w, f)) for g, w, f in groups]
 
 
 def _gap_pairs(rng, trials: int) -> np.ndarray:
-    return _gains(*_stacked(_gain_draw(rng, 2) for _ in range(trials))[0])
+    return _gains(*_grouped(_gain_draw(rng, 2) for _ in range(trials))[(2,)])
 
 
 def _admission_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    ((raw, scale, levels),) = _stacked((*_gain_draw(rng, 8), rng.integers(0, 3, 8)) for _ in range(trials))
+    raw, scale, levels = _grouped((*_gain_draw(rng, 8), rng.integers(0, 3, 8)) for _ in range(trials))[(8,)]
     return _gains(raw, scale), _TARGETS[levels]
 
 
@@ -348,7 +339,7 @@ def _aligned_draws(rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
     def draw(t):
         return (*_gain_draw(rng, 8), [rng.integers(0, 3)] * 8 if t % 2 else rng.integers(0, 3, 8))
 
-    ((raw, scale, levels),) = _stacked(map(draw, range(trials)))
+    raw, scale, levels = _grouped(map(draw, range(trials)))[(8,)]
     gains, thresholds = _gains(raw, scale), _TARGETS[levels]
     aligned = aligned_thresholds(thresholds)
     return gains[aligned], thresholds[aligned]

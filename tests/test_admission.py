@@ -484,6 +484,44 @@ class TestExhaustiveAdmit:
         assert res.admitted_count == 2
         assert res.power_coefficients[1] == 0.0
 
+    def test_a_tie_goes_to_the_first_fitting_subset_past_unfitting_ones(self):
+        # user 0 fits alone but with nobody else; users 1-3 fit in any pair, all at one rate bit for bit.
+        # The pairs holding user 0 come first and rate higher, as user 0 alone: they do not fit, so (1, 2) wins
+        inst = AdmissionInstance(gains=[100.0, 10.0, 10.0, 10.0], sinr_thresholds=[50.0, 2.0, 2.0, 2.0])
+        res = exhaustive_admit(inst)
+        assert res.admitted_count == 2
+        np.testing.assert_array_equal(res.power_coefficients > 0, [False, True, True, False])
+        assert res.sum_rate_bps_hz == greedy_admit(AdmissionInstance([10.0, 10.0], [2.0, 2.0])).sum_rate_bps_hz
+
+    @pytest.mark.parametrize(
+        "gains,thresholds,count",
+        [
+            ([1.0, 0.5, 0.0], [1e9, 1e9, 1.0], 0),
+            ([10.0, 9.0, 8.0, 7.0, 0.0], [1.0, 1000.0, 1.0, 1.0, 1.0], 3),
+            ([1e9, 1e8, 1e7, 1e6], [0.1, 0.1, 0.1, 0.1], 4),
+        ],
+    )
+    def test_rates_the_subsets_of_the_dp_count_on_their_own_columns(self, gains, thresholds, count, monkeypatch):
+        # every subset of the DP's count, as its own users' gains and targets: no zero-gain padding, and none
+        # at count 0, whose result is built directly
+        rated, run = [], admission._sequential_admit_batch
+        monkeypatch.setattr(admission, "_sequential_admit_batch", lambda g, t, **kw: rated.append(g) or run(g, t, **kw))
+        inst = AdmissionInstance(gains, thresholds)
+        res = exhaustive_admit(inst)
+        assert res.admitted_count == count
+        if count:
+            subsets = np.array(list(itertools.combinations(range(len(gains)), count)))
+            assert [g.tobytes() for g in rated] == [inst.gains[subsets].tobytes()]
+        else:
+            assert rated == []
+            assert (res.residual_power, res.sum_rate_bps_hz) == (1.0, 0.0)
+            assert type(res.residual_power) is float and type(res.sum_rate_bps_hz) is float
+            assert not res.power_coefficients.any() and not res.achieved_sinrs.any()
+        if count == len(gains):  # the one subset is the sequential scheme's whole list
+            greedy = greedy_admit(inst)
+            assert res.power_coefficients.tobytes() == greedy.power_coefficients.tobytes()
+            assert (res.sum_rate_bps_hz, res.residual_power) == (greedy.sum_rate_bps_hz, greedy.residual_power)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_never_admits_fewer_than_sequential(self, seed):
@@ -930,6 +968,22 @@ class TestOptimalPowers:
     def test_rejects_malformed_input(self, gains, thresholds):
         with pytest.raises(ValueError):
             _optimal_admit_powers(np.asarray(gains, dtype=float), np.asarray(thresholds, dtype=float), [1.0])
+
+    def test_a_pass_flags_only_its_rows_between_the_bounds(self, monkeypatch):
+        # one user of cost c, then a zero-gain one (cost inf): the walk's least totals are 0, c and inf, so a
+        # row is undecided in a setting exactly when below <= c <= above. Rows 0-1 hold one target and rows 2-3
+        # two, so each pair is a pass of its own shape, with undecided and decided rows in both settings
+        t = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 3.0], [1.0, 3.0]])
+        cost = np.array([[0.5, 2.0, 1.0, 3.0], [math.inf] * 4]).T
+        below, above = np.array([1.0, 2.5]), np.array([2.0, 4.0])
+        passes, run_pass = [], admission._composition_pass
+        monkeypatch.setattr(admission, "_composition_pass", lambda t, *a: passes.append(len(t)) or run_pass(t, *a))
+        count, rate, undecided = admission._best_compositions(t, cost, below, above, budget=False)
+        assert passes == [2, 2]
+        np.testing.assert_array_equal(undecided, [[False, False], [True, False], [True, False], [False, True]])
+        np.testing.assert_array_equal(count, [[1, 1], [0, 1], [0, 1], [0, 0]])
+        np.testing.assert_array_equal(rate, count * 1.0)  # log2(1 + 1)
+        assert not admission._best_compositions(t, cost, below, budget=False)[2].any()  # no upper bound given
 
     def test_empty_stack_gives_one_empty_column_per_power(self):
         count, rate = _optimal_admit_powers(np.zeros((0, 8)), 2.0, [1.0, 10.0, 100.0])

@@ -212,6 +212,29 @@ class TestDispatch:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["admission", "--trials", "300", "--set", "power_dbm_values=2970"], "power_dbm_values"),
+            (["ergodic", "--trials", "300", "--set", "grid=2970"], "grid"),
+            (["gap", "--set", "tx_power_dbm=2975", "--trial", "1"], "tx_power_dbm"),
+        ],
+    )
+    def test_power_whose_faded_gain_can_overflow_is_exit_code_2_naming_the_key(self, args, key, capsys, tmp_path):
+        # without path loss the mean gains stay in float64 range, but a strong fade in these draws overflows
+        out = tmp_path / "x.csv"
+        flags = ["--set", "pathloss_fixed_db=0", "--set", "pathloss_slope=0"]
+        assert main(args + flags + ([] if args[0] == "gap" else ["--out", str(out)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_with_room_for_the_fade_runs(self, tmp_path):
+        flags = ["--set", "pathloss_fixed_db=0", "--set", "pathloss_slope=0", "--set", "grid=2918"]
+        assert main(["ergodic", "--trials", "300", *flags, "--out", str(tmp_path / "x.csv")]) == 0
+
     @pytest.mark.parametrize("mode", [[], ["--surface"]])
     def test_all_zero_rates_in_fairness_are_exit_code_2_naming_the_keys(self, mode, capsys, tmp_path):
         out = tmp_path / "x.csv"
