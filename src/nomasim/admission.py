@@ -304,7 +304,7 @@ def _composition_pass(t, cost, level, dims, budget: bool = True) -> np.ndarray:
     return power
 
 
-def _best_compositions(t, cost, below, above=-np.inf, budget: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _best_compositions(t, cost, below, above=None, budget: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts, sum rates and undecided flags of the optimum of each instance
     row of ``t`` and ``cost`` in each setting k of ``below``, shaped (rows,
     settings).
@@ -314,18 +314,20 @@ def _best_compositions(t, cost, below, above=-np.inf, budget: bool = True) -> tu
     users are admitted at each distinct target. :func:`_composition_pass`
     walks each row once; a composition fits in setting k when its least total
     is below ``below[k]``, and a row is undecided there when some least total
-    is neither below ``below[k]`` nor above ``above[k]`` (with the default,
-    none is). An instance with ``s_l`` users at level ``l`` has ``prod_l (s_l
-    + 1)`` states, polynomial in the users for a fixed number of levels. The
-    walk never reads which target a level holds, so rows are grouped by
-    canonical shape (levels by count, descending, ties by target), each group
-    in passes of at most ``_PASS_STATES`` states (or one row, if it alone has
-    more). Each pass rates its fitting compositions of the best count, ``sum_l
-    c[l] * log2(1 + target_l)`` added up from 0.0 in ascending target order,
-    and the highest wins; nobody admitted gives 0.0. An empty stack gives
-    empty (0, settings) arrays.
+    is neither below ``below[k]`` nor above ``above[k]`` (without ``above``,
+    none is, and no flag is computed). An instance with ``s_l`` users at
+    level ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a
+    fixed number of levels. The walk never reads which target a level holds,
+    so rows are grouped by canonical shape (levels by count, descending, ties
+    by target), each group in passes of at most ``_PASS_STATES`` states (or
+    one row, if it alone has more). Each pass rates its fitting compositions
+    of the best count, ``sum_l c[l] * log2(1 + target_l)`` added up from 0.0
+    in ascending target order, and the highest wins; nobody admitted gives
+    0.0. An empty stack gives empty (0, settings) arrays.
     """
-    below, above = (np.asarray(b, dtype=float)[..., None, None] for b in (below, above))  # (settings, rows, states)
+    below = np.asarray(below, dtype=float)[..., None, None]  # (settings, rows, states)
+    if above is not None:
+        above = np.asarray(above, dtype=float)[..., None, None]
     count = np.zeros((len(t), len(below)), dtype=int)
     rate, undecided = np.full(count.shape, -np.inf), np.zeros(count.shape, dtype=bool)
     if not len(t):
@@ -354,7 +356,9 @@ def _best_compositions(t, cost, below, above=-np.inf, budget: bool = True) -> tu
             power = _composition_pass(t[part], cost[part], canonical, dims, budget)
             fit = power < below
             best = (fit * total).max(axis=-1)
-            count[part], undecided[part] = best.T, ~(fit | (power > above)).all(axis=-1).T
+            count[part] = best.T
+            if above is not None:
+                undecided[part] = ~(fit | (power > above)).all(axis=-1).T
             setting, inst, state = np.nonzero(fit & (total == best[..., None]))
             inst = part[inst]
             terms = np.take_along_axis(counts[:, state].T, rank[inst], axis=-1) * log_base[inst]  # target order

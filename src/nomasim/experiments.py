@@ -10,7 +10,8 @@ Each trial's values are a pure function of ``(spec, trial)``, whatever chunk
 it falls in, and are reduced in trial order, which keeps output byte-identical
 for any chunking and any worker count. A sweep holds them once, in one array:
 the calling process fills the first contiguous share of trials, and with
-several workers child processes send the other shares back over pipes.
+several workers, child processes, started only for shares worth a process,
+fill the other shares' rows in place in shared memory.
 
 Each sweep kind is one entry of ``_KINDS``: the cluster size it draws, its
 default trials and grid, what its grid holds, the sweep keys it reads, the
@@ -28,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
@@ -53,6 +55,13 @@ _EQUAL_MODE_RATE_TOL = 1e-12
 # Trials per array pass, to spread the array kernels' per-call overhead. One chunk's sweep traces 0.8-1.8 MiB,
 # but 11-12 MiB on a three-user share surface (1.6 MiB of values): there its temporaries set a small sweep's peak.
 _CHUNK_TRIALS = 256
+
+# Least CPU time of a share, estimated from the caller's first chunk, for which a child process starts. A child
+# costs 6-9 ms on a shared 2-core VM (fork; 1000-trial ergodic sweep at two workers): start() takes 0.7-0.9 ms,
+# its target begins 2.1-2.8 ms after, its 500 trials take 6.3-6.9 ms against 4.7-5.2 ms in the warm caller, and
+# the join 1 ms. Over 3x that keeps such a 500-trial share serial on a host three times slower, and a cold first
+# chunk (8.5-9.9 ms against 2.2-2.4 ms warm, mostly numpy.random's import) serial here.
+_CHILD_MIN_CPU_S = 0.03
 
 
 def value_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -431,65 +440,98 @@ def _evaluate_trials(spec: SweepSpec, start: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _send_share(writer, spec: SweepSpec, start: int, shape: tuple) -> None:
-    """Body of a child process: send the values of the ``shape[0]`` trials
-    from ``start`` on, or the exception that stopped them with its traceback,
-    and close the pipe."""
+def _send_share(writer, spec: SweepSpec, block, shape: tuple, start: int, stop: int) -> None:
+    """Body of a child process: fill rows ``start`` to ``stop`` of the
+    ``shape`` value array in the shared ``block``, then send ``None``, or the
+    exception that stopped it with its traceback, and close the pipe."""
     with writer:
         try:
-            values = _evaluate_trials(spec, start, np.empty(shape))
+            _evaluate_trials(spec, start, np.frombuffer(block.buffer).reshape(shape)[start:stop])
+            report = None
         except Exception as exc:
             import traceback
 
-            values = (exc, traceback.format_exc())
-        writer.send(values)
+            report = (exc, traceback.format_exc())
+        writer.send(report)
+
+
+def _shares(trials: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` shares of the trials, at most ``workers`` of them."""
+    share = math.ceil(trials / workers)
+    return [(start, min(start + share, trials)) for start in range(0, trials, share)]
+
+
+def _shared_array(shape: tuple):
+    """A float array of ``shape`` in pages child processes can write, and the
+    block that holds them: a file unlinked at once, in ``/dev/shm`` when it
+    has room, which reaches a child by fork or as a passed descriptor. Every
+    page is reserved up front, so running out of room is an ``OSError`` here,
+    not a ``SIGBUS`` when a page is first written."""
+    from multiprocessing.heap import Arena
+
+    block = Arena(8 * math.prod(shape))
+    if hasattr(os, "posix_fallocate"):
+        os.posix_fallocate(block.fd, 0, block.size)
+    return np.frombuffer(block.buffer).reshape(shape), block
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute a sweep and reduce per-trial values to mean and stderr rows.
 
-    ``workers`` only changes how trials are scheduled: they are cut into that
-    many contiguous shares, each evaluated chunk by chunk into its rows of one
-    array. This process fills the first share while a child process per other
-    share sends its values over a pipe; a child's exception is raised here, a
-    child that dies raises ``RuntimeError``, and no child outlives the call.
-    ``workers`` is capped at one per chunk, so a single chunk starts no child,
-    where its start-up costs more than it saves. The reduction always happens
-    in trial order, so results are identical for any width.
+    ``workers`` only changes how trials are scheduled: they are cut into at
+    most that many contiguous shares, each evaluated chunk by chunk into its
+    rows of one array. This process evaluates its first chunk and times it,
+    and starts a child process for the other shares only when each one's
+    estimated CPU time is at least ``_CHILD_MIN_CPU_S``, what a child costs
+    with a margin; otherwise it takes fewer, larger shares, down to one. With
+    children, the array is in shared memory: this process fills the first
+    share while each child fills its own rows in place and reports over a
+    pipe. A child's exception is raised here, a child that dies raises
+    ``RuntimeError``, and no child outlives the call. A single chunk starts
+    no child. The reduction always happens in trial order, so results are
+    identical for any width.
     """
     if not is_whole(workers, 1):
         raise ValueError("workers must be a positive integer")
-    workers = min(workers, math.ceil(spec.trials / _CHUNK_TRIALS))
-    share = math.ceil(spec.trials / workers)
-    shares = [(start, min(start + share, spec.trials)) for start in range(0, spec.trials, share)]
-    values = np.empty((spec.trials, len(sweep_series(spec)), len(spec.grid)))
+    shape = (spec.trials, len(sweep_series(spec)), len(spec.grid))
+    shares = _shares(spec.trials, min(workers, math.ceil(spec.trials / _CHUNK_TRIALS)))
+    values, done = np.empty(shape), 0
+    if len(shares) > 1:
+        done = min(_CHUNK_TRIALS, shares[0][1])
+        began = time.process_time()
+        _evaluate_trials(spec, 0, values[:done])
+        per_trial = (time.process_time() - began) / done
+        while len(shares) > 1 and per_trial * (shares[-1][1] - shares[-1][0]) < _CHILD_MIN_CPU_S:
+            shares = _shares(spec.trials, len(shares) - 1)
     children, readers = [], []
     try:
-        for start, stop in shares[1:]:
+        if len(shares) > 1:
             import multiprocessing  # only a sweep that starts children pays for the import
 
+            serial, (values, block) = values, _shared_array(shape)
+            values[:done] = serial[:done]
+            del serial  # only its first chunk's pages were touched
+        for start, stop in shares[1:]:
             reader, writer = multiprocessing.Pipe(duplex=False)
             readers.append(reader)
             # Closing this process's write end at once makes a dead child read as EOF.
             with writer:
-                child = multiprocessing.Process(target=_send_share, args=(writer, spec, start, values[start:stop].shape))
+                child = multiprocessing.Process(target=_send_share, args=(writer, spec, block, shape, start, stop))
                 child.start()
             children.append(child)
-        _evaluate_trials(spec, 0, values[: shares[0][1]])
+        _evaluate_trials(spec, done, values[done : shares[0][1]])
         for child, reader, (start, stop) in zip(children, readers, shares[1:]):
             try:
-                received = reader.recv()
+                report = reader.recv()
             except EOFError:  # every write end closed with nothing sent: the child died
                 child.join()
                 raise RuntimeError(
                     f"the worker for trials {start} to {stop - 1} exited with code {child.exitcode} before sending"
                 ) from None
             child.join()
-            if isinstance(received, tuple):
-                exc, trace = received
+            if report is not None:
+                exc, trace = report
                 raise exc from RuntimeError(f"in the worker for trials {start} to {stop - 1}:\n{trace}")
-            values[start:stop] = received
-            del received  # free before the next share arrives
     finally:
         for child in children:
             child.terminate()  # a no-op once joined; stops a child still running after a failure

@@ -1,6 +1,8 @@
 """Sweep construction, execution, reduction, and serialization."""
 
 import csv
+import errno
+import gc
 import json
 import math
 import multiprocessing
@@ -569,14 +571,26 @@ def test_any_setting_runs_finite_or_is_refused_by_key(case):
 
 
 def hook_shares(monkeypatch, parent, child):
-    """Run ``parent()`` before the parent's share and ``child()`` before each child's."""
+    """Run ``child()`` before each child's share, and ``parent()`` before the
+    parent's share past its first chunk, which it evaluates once its children
+    have started."""
     evaluate = experiments._evaluate_trials
+    caller = os.getpid()
 
     def patched(spec, start, out):
-        (child if start else parent)()
+        if os.getpid() != caller:
+            child()
+        elif start:
+            parent()
         return evaluate(spec, start, out)
 
     monkeypatch.setattr(experiments, "_evaluate_trials", patched)
+
+
+@pytest.fixture
+def every_share_pays(monkeypatch):
+    """Start a child for every share, however little work it holds."""
+    monkeypatch.setattr(experiments, "_CHILD_MIN_CPU_S", 0.0)
 
 
 @pytest.fixture
@@ -592,6 +606,38 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_sweep_whose_shares_do_not_pay_loads_no_pool():
+    # a warm serial run first, then four workers on shares of about 2 ms each
+    sweep = "nomasim.make_sweep('ergodic_power_sweep', nomasim.SystemConfig(), trials=1000, grid=(30.0,))"
+    code = f"import sys, nomasim; spec = {sweep}; nomasim.run_sweep(spec); nomasim.run_sweep(spec, workers=4); "
+    code += "print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    assert out.stdout == "False\n"
+
+
+# Peak RSS of this process and of its largest child after a 10000-trial share surface (67 MB of values) at argv[1]
+# workers, every share starting a child.
+POOL_RSS_SCRIPT = """
+import resource, sys
+import nomasim
+
+nomasim.experiments._CHILD_MIN_CPU_S = 0.0
+nomasim.run_sweep(nomasim.make_sweep("split_sweep_3user", nomasim.SystemConfig(), trials=10000), workers=int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_pooled_sweep_holds_its_values_once():
+    # children fill their rows of one shared array in place: the caller peaks as high as one worker does
+    def peaks(workers):
+        out = subprocess.run([sys.executable, "-c", POOL_RSS_SCRIPT, str(workers)], check=True, capture_output=True, text=True)
+        return [int(kb) for kb in out.stdout.split()]
+
+    (serial, _), (pooled, child) = peaks(1), peaks(2)
+    assert child > 0  # a child ran
+    assert pooled <= 1.1 * serial
 
 
 def test_import_loads_neither_a_pool_nor_numpy_random():
@@ -612,8 +658,12 @@ import nomasim
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
+    nomasim.experiments._CHILD_MIN_CPU_S = 0.0  # every share pays, so three workers start two children
+    started, start = [], multiprocessing.process.BaseProcess.start
+    multiprocessing.process.BaseProcess.start = lambda process: started.append(process) or start(process)
     spec = nomasim.make_sweep(sys.argv[2], nomasim.SystemConfig(), trials=2 * nomasim.experiments._CHUNK_TRIALS + 3)
     pooled, serial = nomasim.run_sweep(spec, workers=3), nomasim.run_sweep(spec)
+    assert len(started) == 2
     assert pooled.rows == serial.rows and pooled.metadata == serial.metadata
     assert multiprocessing.active_children() == []
     print("same rows and metadata")
@@ -637,6 +687,7 @@ class TestExecution:
         spec = make_sweep("ergodic_power_sweep", CFG, trials=5, grid=(30.0, 40.0))
         assert run_sweep(spec).rows == run_sweep(spec).rows
 
+    @pytest.mark.usefixtures("every_share_pays")
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_parallel_matches_serial(self, kind):
         # Chunks start at 0 and 256 in one process, at 0, 256, 258 and 514
@@ -655,6 +706,17 @@ class TestExecution:
         spec = make_sweep("ergodic_power_sweep", CFG, trials=experiments._CHUNK_TRIALS, grid=(30.0,))
         assert run_sweep(spec, workers=4).rows == run_sweep(spec).rows
 
+    def test_no_child_for_a_share_not_worth_a_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a child started for a share of a few milliseconds")
+
+        # Four chunks, but at four workers a share is 250 one-point trials, about 2 ms warm.
+        spec = make_sweep("ergodic_power_sweep", CFG, trials=1000, grid=(30.0,))
+        serial = run_sweep(spec).rows  # first, so that the pooled run times a warm chunk
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
+        assert run_sweep(spec, workers=4).rows == serial
+
+    @pytest.mark.usefixtures("every_share_pays")
     def test_the_parent_takes_the_first_of_uneven_shares(self, monkeypatch):
         started = []
         start = multiprocessing.process.BaseProcess.start
@@ -671,6 +733,7 @@ class TestExecution:
         assert multiprocessing.active_children() == []
 
     @forked
+    @pytest.mark.usefixtures("every_share_pays")
     def test_a_child_exception_is_raised_with_its_type(self, monkeypatch, deadline):
         def fail():
             raise ValueError("share 1 failed")
@@ -682,6 +745,36 @@ class TestExecution:
         assert multiprocessing.active_children() == []
 
     @forked
+    @pytest.mark.usefixtures("every_share_pays")
+    def test_a_failing_child_leaves_no_block_behind(self, monkeypatch, deadline):
+        if not (os.path.isdir("/dev/shm") and os.path.exists("/proc/self/maps")):
+            pytest.skip("needs /dev/shm and /proc/self/maps")
+        caller = os.getpid()
+        block = f"pym-{caller}-"  # the prefix of the file that backs the shared values
+
+        def fail():
+            named = [name for name in os.listdir("/dev/shm") if name.startswith(block)]
+            raise ValueError(f"named blocks: {named}")
+
+        hook_shares(monkeypatch, parent=lambda: None, child=fail)
+        with pytest.raises(ValueError, match=r"named blocks: \[\]$"):  # unlinked before any child starts
+            run_sweep(THREE_SHARES, workers=3)
+        gc.collect()  # the raised exception's frames held the values
+        with open("/proc/self/maps") as maps:
+            assert [line for line in maps if block in line] == []
+
+    @pytest.mark.usefixtures("every_share_pays")
+    def test_no_room_for_the_block_is_an_os_error_before_any_child(self, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            run_sweep(THREE_SHARES, workers=3)
+        assert multiprocessing.active_children() == []
+
+    @forked
+    @pytest.mark.usefixtures("every_share_pays")
     def test_a_child_that_dies_is_a_runtime_error(self, monkeypatch, deadline):
         hook_shares(monkeypatch, parent=lambda: None, child=lambda: os._exit(3))
         with pytest.raises(RuntimeError, match="trials 256 to 511 exited with code 3"):
@@ -689,6 +782,7 @@ class TestExecution:
         assert multiprocessing.active_children() == []
 
     @forked
+    @pytest.mark.usefixtures("every_share_pays")
     def test_a_failing_parent_stops_its_children(self, monkeypatch, deadline):
         def interrupt():
             raise KeyboardInterrupt
