@@ -119,7 +119,8 @@ class ClusterRealization:
     ``detection_vectors[l]`` its unit-norm combiner, and ``effective_gains[l]``
     the scalar ``|v^H H p|**2`` with ``p`` the cluster's column of the identity
     precoder, so ``H p`` is the user's own column of ``H`` (path loss included,
-    noise not). ``sort_order[l]`` is the draw-order index of sorted user l. A
+    noise not); it is the squared norm of that column projected off the other
+    columns. ``sort_order[l]`` is the draw-order index of sorted user l. A
     draw is power-free: the SNR-scale gains the rate and admission code expects
     at ``dbm`` are ``config.rho_at(dbm) * effective_gains``.
 
@@ -134,8 +135,8 @@ class ClusterRealization:
     sort_order: np.ndarray
 
 
-def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
-    """Combiners of a stack of (n_rx, n_tx) channels, by Gram-Schmidt on the whole stack.
+def _combiners(channels: np.ndarray, own_column_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Combiners of a stack of (n_rx, n_tx) channels, by Gram-Schmidt on the whole stack, and their gains.
 
     Each matrix is scaled by the power of two that brings its largest entry into
     [0.5, 1); that is exact, and keeps every sum of squares clear of underflow.
@@ -143,10 +144,11 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
     orthonormal basis q built so far, twice, and normalized. An interfering
     column that keeps at most _DEGENERATE_RTOL of its norm lies in the span of
     the others and adds nothing to q. The own column's v = p / ||p||, with
-    p = h - q q^H h, nulls every interferer and maximizes |v^H h|. Raises
+    p = h - q q^H h, nulls every interferer and maximizes |v^H h|, which is ||p||
+    as p is orthogonal to q: the gain is ||p||**2, unscaled. Raises
     DegenerateChannelError if ||p|| <= _DEGENERATE_RTOL * ||h||. Every sum adds
-    one matrix's entries in index order, so no combiner depends on the rest of
-    the stack.
+    one matrix's entries in index order and no step calls BLAS, so no combiner
+    or gain depends on the rest of the stack or on the BLAS kernel.
     """
     exponent = np.frexp(np.abs(channels).max(axis=(-2, -1)))[1]
     scale = np.ldexp(1.0, -np.maximum(exponent, -1022))  # 2**1022 at most, so it stays finite
@@ -164,7 +166,7 @@ def _combiners(channels: np.ndarray, own_column_index: int) -> np.ndarray:
         basis.append((q, q.conj()))
     if not kept.all():
         raise DegenerateChannelError("own column lies in the span of the interfering columns")
-    return np.moveaxis(q, 0, -1)
+    return np.moveaxis(q, 0, -1), (norm / scale) ** 2
 
 
 @cache
@@ -252,7 +254,8 @@ def draw_cluster(
     variance; user distances are uniform over ``cell_radius_range_km`` and the
     resulting path loss scales each channel matrix. Each user's effective gain
     is seen through its own column ``cluster_index`` of the channel, the one the
-    identity precoder's column sends through; the transmit power is not read.
+    identity precoder's column sends through, and is the squared projected norm
+    :func:`_combiners` builds the combiner from; the transmit power is not read.
     Trial ``t`` draws from the stream
     ``default_rng(SeedSequence([rng_seed, cluster_index, t]))``: the distances,
     then the real and then the imaginary parts of the fading. So a given triple
@@ -288,10 +291,7 @@ def draw_cluster(
     pathloss_db = config.pathloss_fixed_db + config.pathloss_slope * np.log10(distances)
     channels *= (10.0 ** (-pathloss_db / 20.0))[..., None, None]
 
-    detection = _combiners(channels, cluster_index)
-    own = channels[..., cluster_index]
-    z = (detection.conj()[..., None, :] @ own[..., :, None])[..., 0, 0]
-    gains = z.real**2 + z.imag**2
+    detection, gains = _combiners(channels, cluster_index)
 
     order = np.argsort(-gains, axis=-1, kind="stable")  # ties keep draw order
     pick = (np.arange(len(trials))[:, None], order)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -85,11 +86,6 @@ def parse_config(path, overrides=(), base: SystemConfig = SystemConfig()) -> tup
     return config, sweep_kwargs, tuple(system_kwargs)
 
 
-def _metadata_path(csv_path: str) -> str:
-    root, ext = os.path.splitext(csv_path)
-    return (root if ext == ".csv" else csv_path) + ".meta.json"
-
-
 def _resolve_config(args, reads: tuple[str, ...] | None = None) -> tuple[SystemConfig, dict, tuple[str, ...]]:
     """Cell config, sweep settings and the cell keys set of parsed arguments; ``reads``
     lists the sweep keys a non-sweep subcommand accepts (make_sweep checks a sweep's)."""
@@ -117,8 +113,11 @@ def _run_sweep_command(args) -> int:
         raise ConfigError(f"{args.subcommand} does not read the cell key '{unread[0]}', which the sweep sets itself")
     result = run_sweep(spec, workers=args.workers)
     out = args.out or os.path.join(os.environ.get("NOMASIM_OUT_DIR", "."), f"{args.kind}.csv")
+    root, ext = os.path.splitext(out)
+    meta = (root if ext == ".csv" else out) + ".meta.json"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta)  # so a failed write never leaves the new CSV beside the previous run's sidecar
     write_csv(result, out)
-    meta = _metadata_path(out)
     write_metadata(result, meta)
     print(f"{args.kind}: {len(result.rows)} rows ({spec.trials} trials) -> {out}")
     print(f"metadata -> {meta}")

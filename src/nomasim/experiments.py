@@ -59,8 +59,8 @@ _CHUNK_TRIALS = 256
 # Least CPU time of a share, estimated from the caller's first chunk, for which a child process starts. A child
 # costs 6-9 ms on a shared 2-core VM (fork; 1000-trial ergodic sweep at two workers): start() takes 0.7-0.9 ms,
 # its target begins 2.1-2.8 ms after, its 500 trials take 6.3-6.9 ms against 4.7-5.2 ms in the warm caller, and
-# the join 1 ms. Over 3x that keeps such a 500-trial share serial on a host three times slower, and a cold first
-# chunk (8.5-9.9 ms against 2.2-2.4 ms warm, mostly numpy.random's import) serial here.
+# the join 1 ms. Over 3x that keeps such a 500-trial share serial on a host three times slower. The timed chunk
+# runs with numpy.random loaded: in a fresh process its import took the chunk from 2.2-2.4 ms to 8.5-9.9 ms.
 _CHILD_MIN_CPU_S = 0.03
 
 
@@ -498,6 +498,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     values, done = np.empty(shape), 0
     if len(shares) > 1:
         done = min(_CHUNK_TRIALS, shares[0][1])
+        import numpy.random  # noqa: F401  # loaded before the timer: its import tripled a fresh process's chunk
         began = time.process_time()
         _evaluate_trials(spec, 0, values[:done])
         per_trial = (time.process_time() - began) / done

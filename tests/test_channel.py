@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from nomasim.experiments import _THRESHOLD_STREAM
 
 def combiner(h, own_column_index):
     """The combiner kernel of :func:`draw_cluster` on a batch of one channel."""
-    return _combiners(h[None], own_column_index)[0]
+    return _combiners(h[None], own_column_index)[0][0]
 
 
 def svd_combiner(channels, own_column_index):
@@ -172,12 +175,14 @@ class TestDetectionVector:
         rng = np.random.default_rng(n_rx * 10 + n_tx)
         h = rng.standard_normal((500, n_rx, n_tx)) + 1j * rng.standard_normal((500, n_rx, n_tx))
         for c in range(n_tx):
-            v = _combiners(h, c)
+            v, norms = _combiners(h, c)
             ref = svd_combiner(h, c)
             np.testing.assert_allclose(v, ref, rtol=0, atol=1e-12)
             own = h[..., c]
             gains = np.abs(np.sum(v.conj() * own, axis=-1)) ** 2
-            np.testing.assert_allclose(gains, np.abs(np.sum(ref.conj() * own, axis=-1)) ** 2, rtol=1e-10)
+            ref_gains = np.abs(np.sum(ref.conj() * own, axis=-1)) ** 2
+            np.testing.assert_allclose(gains, ref_gains, rtol=1e-10)
+            np.testing.assert_allclose(norms, ref_gains, rtol=1e-10)  # the gains draw_cluster reports
             if n_tx > 1:  # a single projection pass would leak up to 8e-14 at 8x8; the second keeps it near 5e-16
                 assert leakage(v, np.delete(h, c, axis=-1)).max() <= 1e-14
 
@@ -190,7 +195,7 @@ class TestDetectionVector:
         h[..., 2] = 0.0 if case == "zero" else h[..., 1]
         if case == "perturbed duplicate":
             h[..., 2] += 1e-7 * (rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4)))
-        v = _combiners(h, 0)
+        v = _combiners(h, 0)[0]
         np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=1e-12)
         assert leakage(v, h[..., 1:]).max() <= 1e-12
 
@@ -201,8 +206,8 @@ class TestDetectionVector:
         rng = np.random.default_rng(17)
         h = rng.standard_normal((500, 4, 3)) + 1j * rng.standard_normal((500, 4, 3))
         h[..., 2] = 0.0 if case == "zero" else h[..., 1]
-        gain = np.abs(np.sum(_combiners(h, 0).conj() * h[..., 0], axis=-1)) ** 2
-        best = np.abs(np.sum(_combiners(h[..., :2], 0).conj() * h[..., 0], axis=-1)) ** 2
+        gain = np.abs(np.sum(_combiners(h, 0)[0].conj() * h[..., 0], axis=-1)) ** 2
+        best = np.abs(np.sum(_combiners(h[..., :2], 0)[0].conj() * h[..., 0], axis=-1)) ** 2
         np.testing.assert_allclose(gain, best, rtol=1e-12)
 
 
@@ -236,6 +241,13 @@ class TestDrawCluster:
         recomputed = np.abs(np.einsum("ln,ln->l", r.detection_vectors.conj(), r.channels[:, :, 0])) ** 2
         np.testing.assert_allclose(r.effective_gains, recomputed, rtol=1e-12)
         assert sorted(r.sort_order.tolist()) == list(range(cfg.users_per_cluster))
+        # the gains are the squared projected norms; |v^H h|**2 recomputed from the stored arrays must agree
+        for tx, rx in [(3, 3), (1, 2), (4, 6), (8, 8)]:
+            config = SystemConfig(tx_antennas=tx, rx_antennas=rx, users_per_cluster=3)
+            for c in sorted({0, tx - 1}):
+                r = draw_cluster(config, c, np.arange(2000))
+                products = np.einsum("tln,tln->tl", r.detection_vectors.conj(), r.channels[..., c])
+                np.testing.assert_allclose(r.effective_gains, np.abs(products) ** 2, rtol=1e-12)
 
     def test_gains_follow_path_loss_down_to_subnormal_range(self):
         # at 3100 dB the interfering columns' Gram entries go subnormal, so a
@@ -332,6 +344,44 @@ class TestChannelLaw:
         assert ks_distance(gamma_cdf) <= self.BOUND
         lo, hi = config.cell_radius_range_km
         assert ks_distance((np.sort(d) - lo) / (hi - lo)) <= self.BOUND
+
+
+# Digests of draw_cluster's gains and sort orders at four shapes and two cluster indices, and of a small ergodic
+# and mixed oracle sweep, then of the same gains as the BLAS product |v^H h|**2, a control that changes with the
+# OpenBLAS kernel wherever the kernel takes effect.
+BLAS_KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+import nomasim
+from nomasim.experiments import ORACLE_BENCHMARK_RADIUS_KM
+
+outputs, control = hashlib.sha256(), hashlib.sha256()
+for tx, rx, users in [(3, 3, 3), (1, 2, 2), (4, 6, 4), (8, 8, 8)]:
+    config = nomasim.SystemConfig(tx_antennas=tx, rx_antennas=rx, users_per_cluster=users)
+    for c in sorted({0, tx - 1}):
+        r = nomasim.draw_cluster(config, c, np.arange(200))
+        outputs.update(r.effective_gains.tobytes() + r.sort_order.tobytes())
+        z = (r.detection_vectors.conj()[..., None, :] @ r.channels[..., c, None])[..., 0, 0]
+        control.update((z.real**2 + z.imag**2).tobytes())
+dense = nomasim.SystemConfig(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
+for kind, config in [("ergodic_power_sweep", nomasim.SystemConfig()), ("oracle_compare_mixed", dense)]:
+    outputs.update(repr(nomasim.run_sweep(nomasim.make_sweep(kind, config, trials=300)).rows).encode())
+print(outputs.hexdigest(), control.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_openblas_kernel():
+    # a core type the CPU lacks falls back silently, so the control shows whether the kernels took effect
+    outputs, controls = zip(*(
+        subprocess.run(
+            [sys.executable, "-c", BLAS_KERNEL_SCRIPT], env={**os.environ, "OPENBLAS_CORETYPE": core},
+            check=True, capture_output=True, text=True, timeout=60,
+        ).stdout.split()
+        for core in ("SkylakeX", "Haswell", "Prescott")
+    ))
+    if len(set(controls)) == 1:
+        pytest.skip("OPENBLAS_CORETYPE changed no BLAS product on this host")
+    assert len(set(outputs)) == 1
 
 
 class TestBatchedDraw:

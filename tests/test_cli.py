@@ -1,5 +1,6 @@
 """Config file handling, subcommand dispatch, exit codes, output layout."""
 
+import errno
 import json
 import math
 from dataclasses import fields
@@ -342,6 +343,19 @@ class TestSweepCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith("i/o error:")
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_a_failed_sidecar_write_leaves_no_stale_sidecar(self, tmp_path, monkeypatch, capsys):
+        out, meta = tmp_path / "e.csv", tmp_path / "e.meta.json"
+        assert main(["ergodic", "--trials", "2", "--seed", "1", "--out", str(out)]) == 0
+
+        def no_space(result, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_metadata", no_space)
+        assert main(["ergodic", "--trials", "3", "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert out.read_text().splitlines()[1].endswith(",3")  # the new CSV
+        assert not meta.exists()
 
     def test_deepest_valid_path_loss_runs(self, tmp_path):
         # gains underflow to zero here; the combiners must not report a degenerate channel

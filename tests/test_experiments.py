@@ -617,6 +617,29 @@ def test_a_sweep_whose_shares_do_not_pay_loads_no_pool():
     assert out.stdout == "False\n"
 
 
+# A two-worker sweep in a fresh interpreter, recording at each read of the cost rule's timer whether numpy.random,
+# which the first draw of a process imports, is loaded.
+TIMER_SCRIPT = """
+import sys, time, types
+import nomasim
+
+reads = []
+def process_time():
+    reads.append("numpy.random" in sys.modules)
+    return time.process_time()
+
+nomasim.experiments.time = types.SimpleNamespace(process_time=process_time)
+nomasim.run_sweep(nomasim.make_sweep("ergodic_power_sweep", nomasim.SystemConfig(), trials=300), workers=2)
+print(reads)
+"""
+
+
+def test_the_timed_chunk_runs_with_numpy_random_loaded():
+    # a cold chunk would make the estimate, and so whether a child starts, differ between a fresh and a warm process
+    out = subprocess.run([sys.executable, "-c", TIMER_SCRIPT], check=True, capture_output=True, text=True)
+    assert out.stdout == "[True, True]\n"
+
+
 # Peak RSS of this process and of its largest child after a 10000-trial share surface (67 MB of values) at argv[1]
 # workers, every share starting a child.
 POOL_RSS_SCRIPT = """
