@@ -19,8 +19,9 @@ rate terms and the DP's take ``math.log2`` once per distinct value
 (:func:`_log2`). :func:`_optimal_admit_batch` is the library's one exact
 search: a composition DP (:func:`_best_compositions`) whose counts equal a
 subset enumeration's exactly (sum rates within rounding); its walks take each
-composition's least total through the same step, and a total below a
-setting's bound fits. The oracle sweeps take the optimum at all powers from
+composition's least total through the same step, one step per user over a
+whole pass of instances of several shapes, and a total below a setting's
+bound fits. The oracle sweeps take the optimum at all powers from
 :func:`_optimal_admit_powers`: one budget-free DP per instance on power-free
 gains, read at each power against the two bounds of a proven rounding margin,
 and the DP at that power wherever they cannot decide, so the results are the
@@ -31,6 +32,7 @@ match the tests' scalar reference bit for bit; the enumeration is tests-only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,10 +48,10 @@ _RATE_TIE_TOL = 1e-12
 
 _ENUMERATION_CAP = 12
 
-# (instance, composition) states one DP pass holds per array: 256 KiB of
-# float64, enough instances to spread the per-step overhead of the array
-# operations. The tests' enumeration reference sizes its (instance, subset)
-# passes by it too.
+# (instance, composition) states one DP pass holds per array, padding
+# included (rows times the widest row's states): 256 KiB of float64, enough
+# instances to spread the per-step overhead of the array operations. The
+# tests' enumeration reference sizes its (instance, subset) passes by it too.
 _PASS_STATES = 1 << 15
 
 # Most composition-DP states an oracle instance may need (512 KiB per
@@ -208,11 +210,12 @@ def cumulative_power_closed_form(gains, thresholds, count) -> np.ndarray:
     return total
 
 
-def _append(power, t, cost, budget: bool = True) -> np.ndarray:
+def _append(power, t, cost, budget: bool = True, out=None) -> np.ndarray:
     """The sequential rule's one step: the need of a user of target ``t`` and
     cost ``t/g`` joining users of total ``power`` last, ``need = t*P + t/g``,
     rejected (inf) when ``need > 1 - P``; the total is then ``P + need``.
     Without ``budget`` nobody is rejected: the walk ``T <- T + (t*T + c)``.
+    The need is written to ``out`` if given.
 
     The DP rests on this step being monotone, as does the tests' subset
     enumeration it is checked against. With ``t > 0``, each of its IEEE
@@ -223,7 +226,7 @@ def _append(power, t, cost, budget: bool = True) -> np.ndarray:
     each of its members passes the allocation's check in its own order, and
     the least total of a family of sets stays least once a user joins them.
     """
-    need = np.asarray(t * power)  # an array even for one instance, which putmask needs
+    need = np.asarray(np.multiply(t, power, out=out))  # an array even for one instance, which putmask needs
     need += cost
     if budget:
         np.putmask(need, need > 1.0 - power, np.inf)  # inf + P is inf
@@ -268,12 +271,13 @@ def _composition_table(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, t
     return counts, total, tuple(math.prod(dims[l + 1 :]) for l in range(len(dims)))
 
 
-def _composition_pass(t, cost, level, dims, budget: bool = True) -> np.ndarray:
+def _composition_pass(t, cost, level, segments, budget: bool = True) -> np.ndarray:
     """Least totals of one pass of instances, per composition.
 
     ``t`` and ``cost`` (target over gain) hold one instance per row, ``level``
-    each user's target level; ``dims`` is each instance's own count per level
-    plus one, so every instance of a pass has the same shape.
+    each user's target level. ``segments`` splits the rows into runs of one
+    canonical shape, as ``(stop, dims)`` pairs in row order, the widest
+    first; ``dims`` is each instance's own count per level plus one.
     ``power[b, c]`` is the least total, as :func:`_sequential_admit_batch`
     computes it, of a fitting subset of the users walked so far with ``c[l]``
     users at level ``l`` (inf if none fits). Walking strongest first, user k
@@ -282,25 +286,37 @@ def _composition_pass(t, cost, level, dims, budget: bool = True) -> np.ndarray:
     exactly when a subset of its composition fits, the enumeration's test.
     Without ``budget`` the walk has no check, and a state holds the least
     rounded walk ``T <- T + (t*T + c)`` over all subsets of its composition.
+    Each step runs once over the whole pass, and each state's operations
+    are its own, so a row's totals do not depend on the rows beside it.
 
     States are flattened in C order, so adding a user at level ``l`` is a
     shift by that level's stride. A shift off the top of level ``l`` wraps
     into another state, but only ever carries inf: a state counting as many
     level-``l`` users as the instance has is unreachable while one of them is
-    still to come.
+    still to come. A row of ``S`` states holds them in its first ``S``
+    columns, and its run's shifts read and write only those, so the padding
+    up to the widest row is never written, never read by a real state, and
+    stays inf.
     """
-    _, total, strides = _composition_table(dims)
-    at = level[:, :, None] == np.arange(len(dims))  # (batch, users, levels)
-    present = at.any(axis=0).tolist()
-    power = np.full((len(cost), len(total)), np.inf)
+    width = math.prod(segments[0][1])
+    at = level[:, :, None] == np.arange(len(segments[0][1]))  # (batch, users, levels)
+    starts = [0] + [stop for stop, _ in segments[:-1]]
+    present = np.logical_or.reduceat(at, starts, axis=0).tolist()  # (runs, users, levels)
+    power = np.full((len(cost), width), np.inf)
     power[:, 0] = 0.0
+    joined = np.empty_like(power)
+    shifts = []  # per run and level: whether each step adds to it, and the views its shift reads and writes
+    for lo, (stop, dims), adds in zip(starts, segments, present):
+        states = math.prod(dims)
+        for l, stride in enumerate(_composition_table(dims)[2]):
+            grown, source = power[lo:stop, stride:states], joined[lo:stop, : states - stride]
+            shifts.append(([a[l] for a in adds], grown, source, at[lo:stop, :, l, None]))
     for k in range(cost.shape[1]):
-        joined = _append(power, t[:, k, None], cost[:, k, None], budget)
+        _append(power, t[:, k, None], cost[:, k, None], budget, out=joined)
         joined += power
-        for l, stride in enumerate(strides):
-            if present[k][l]:
-                grown = power[:, stride:]
-                np.minimum(grown, joined[:, :-stride], out=grown, where=at[:, k, l, None])
+        for adds, grown, source, where in shifts:
+            if adds[k]:
+                np.minimum(grown, source, out=grown, where=where[:, k])
     return power
 
 
@@ -318,12 +334,16 @@ def _best_compositions(t, cost, below, above=None, budget: bool = True) -> tuple
     none is, and no flag is computed). An instance with ``s_l`` users at
     level ``l`` has ``prod_l (s_l + 1)`` states, polynomial in the users for a
     fixed number of levels. The walk never reads which target a level holds,
-    so rows are grouped by canonical shape (levels by count, descending, ties
-    by target), each group in passes of at most ``_PASS_STATES`` states (or
-    one row, if it alone has more). Each pass rates its fitting compositions
-    of the best count, ``sum_l c[l] * log2(1 + target_l)`` added up from 0.0
-    in ascending target order, and the highest wins; nobody admitted gives
-    0.0. An empty stack gives empty (0, settings) arrays.
+    so rows are ordered by canonical shape (levels by count, descending, ties
+    by target), the shapes with the most states first, and cut into passes
+    of rows padded to the pass's widest row: a pass takes rows while its
+    rows times that width stay within ``_PASS_STATES`` (or one row, if it
+    alone has more). Each pass rates its fitting compositions of the best
+    count, ``sum_l c[l] * log2(1 + target_l)`` added up from 0.0 in
+    ascending target order, and the highest wins; nobody admitted gives 0.0.
+    Padding never fits and is never undecided, so an instance's results do
+    not depend on which rows share its pass. An empty stack gives empty (0,
+    settings) arrays.
     """
     below = np.asarray(below, dtype=float)[..., None, None]  # (settings, rows, states)
     if above is not None:
@@ -346,24 +366,44 @@ def _best_compositions(t, cost, below, above=None, budget: bool = True) -> tuple
 
     shapes, group = np.unique(np.sort(sizes, axis=-1)[:, ::-1] + 1, axis=0, return_inverse=True)
     group = group.ravel()  # numpy 2.0 gives the inverse the input's shape
-    for i, dims in enumerate(map(tuple, shapes.tolist())):
-        counts, total, _ = _composition_table(dims)
-        same = np.flatnonzero(group == i)
-        step = max(1, _PASS_STATES // len(total))
-        for lo in range(0, len(same), step):
-            part = same[lo : lo + step]
-            canonical = np.take_along_axis(rank[part], level[part], axis=-1)
-            power = _composition_pass(t[part], cost[part], canonical, dims, budget)
-            fit = power < below
-            best = (fit * total).max(axis=-1)
-            count[part] = best.T
-            if above is not None:
-                undecided[part] = ~(fit | (power > above)).all(axis=-1).T
-            setting, inst, state = np.nonzero(fit & (total == best[..., None]))
-            inst = part[inst]
-            terms = np.take_along_axis(counts[:, state].T, rank[inst], axis=-1) * log_base[inst]  # target order
-            # ufunc.at takes a flat index several times faster than a tuple
-            np.maximum.at(rate.reshape(-1), inst * len(below) + setting, np.add.accumulate(terms, axis=-1)[:, -1])
+    widest = np.argsort(-np.prod(shapes, axis=-1), kind="stable")  # shapes, most states first
+    order = np.argsort(np.argsort(widest)[group], kind="stable")  # rows in runs of one shape, widest first
+    ends = np.cumsum(np.bincount(group)[widest]).tolist()  # where each run ends in ``order``
+    shapes = list(map(tuple, shapes[widest].tolist()))
+    lo = 0
+    while lo < len(t):
+        first = bisect.bisect_right(ends, lo)  # the run of row ``lo``, the widest of the pass
+        stop = min(len(t), lo + max(1, _PASS_STATES // math.prod(shapes[first])))
+        runs = range(first, bisect.bisect_left(ends, stop) + 1)
+        segments = [(min(ends[r], stop) - lo, shapes[r]) for r in runs]
+        part = order[lo:stop]
+        lo = stop
+        canonical = np.take_along_axis(rank[part], level[part], axis=-1)
+        power = _composition_pass(t[part], cost[part], canonical, segments, budget)
+        if len(segments) == 1:  # the shape's own tables, as they are
+            counts, total, _ = _composition_table(segments[0][1])
+        else:  # each row's tables in its first columns; a total of -1 marks padding
+            counts = np.zeros((n_levels, *power.shape), dtype=int)
+            total, start = np.full(power.shape, -1), 0
+            for end, dims in segments:
+                own_counts, own_total, _ = _composition_table(dims)
+                counts[:, start:end, : len(own_total)] = own_counts[:, None, :]
+                total[start:end, : len(own_total)] = own_total
+                start = end
+        fit = power < below
+        best = (fit * total).max(axis=-1)
+        count[part] = best.T
+        if above is not None:
+            decided = fit | (power > above)
+            if len(segments) > 1:
+                decided |= total < 0
+            undecided[part] = ~decided.all(axis=-1).T
+        setting, inst, state = np.nonzero(fit & (total == best[..., None]))
+        terms = counts[:, state] if len(segments) == 1 else counts[:, inst, state]
+        inst = part[inst]
+        terms = np.take_along_axis(terms.T, rank[inst], axis=-1) * log_base[inst]  # target order
+        # ufunc.at takes a flat index several times faster than a tuple
+        np.maximum.at(rate.reshape(-1), inst * len(below) + setting, np.add.accumulate(terms, axis=-1)[:, -1])
     return count, rate, undecided
 
 

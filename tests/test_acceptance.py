@@ -204,12 +204,19 @@ def test_c06d_composition_dp_matches_enumeration(bench_gains, mixed_pairs):
 
 
 def test_c07_cumulative_power_closed_form_matches_running_sum():
+    levels = np.array([5.0, 10.0, 15.0])
     rng = np.random.default_rng(107)
     draws = []
     for _ in range(100_000):
         size = int(rng.integers(2, 9))
         g = np.sort(10.0 ** rng.uniform(-2, 4, size))[::-1]
-        draws.append((g, db_to_linear(rng.choice([5.0, 10.0, 15.0], size=size))))
+        draws.append((g, db_to_linear(levels[rng.integers(0, 3, size)])))
+    # the same targets, bit for bit, as rng.choice(levels, size=size), which takes twice as long
+    replay = np.random.default_rng(107)
+    for g, t in draws[:1000]:
+        size = int(replay.integers(2, 9))
+        assert np.sort(10.0 ** replay.uniform(-2, 4, size))[::-1].tobytes() == g.tobytes()
+        assert db_to_linear(replay.choice(levels, size=size)).tobytes() == t.tobytes()
     result = CLOSED_FORM.tally(evaluate_by_size(closed_form_error, draws))
     assert result.passed, result
 

@@ -786,9 +786,9 @@ class TestOptimalBatch:
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(t, cost, level, dims, budget):
-            passes.append((len(cost), dims))
-            return run_pass(t, cost, level, dims, budget)
+        def spy(t, cost, level, segments, budget):
+            passes.append((len(cost), segments))
+            return run_pass(t, cost, level, segments, budget)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(24)
@@ -796,17 +796,17 @@ class TestOptimalBatch:
         thresholds = 10.0 ** rng.uniform(-1, 1, (300, 8))  # eight distinct targets per instance
         self.assert_matches_enumeration(gains, thresholds)
         assert len(passes) > 1
-        for batch, dims in passes:
-            assert dims == (2,) * 8
-            assert batch * math.prod(dims) <= admission._PASS_STATES
+        for batch, segments in passes:
+            assert segments == [(batch, (2,) * 8)]
+            assert batch * 2**8 <= admission._PASS_STATES
 
-    def test_each_pass_holds_one_canonical_shape(self, monkeypatch):
+    def test_each_segment_holds_one_canonical_shape(self, monkeypatch):
         passes = []
         run_pass = admission._composition_pass
 
-        def spy(t, cost, level, dims, budget):
-            passes.append((cost, level, dims))
-            return run_pass(t, cost, level, dims, budget)
+        def spy(t, cost, level, segments, budget):
+            passes.append((cost, level, segments))
+            return run_pass(t, cost, level, segments, budget)
 
         monkeypatch.setattr(admission, "_composition_pass", spy)
         rng = np.random.default_rng(30)
@@ -818,15 +818,70 @@ class TestOptimalBatch:
         ordered = [np.unique(row, return_counts=True)[1] for row in thresholds]
         instance = {row.tobytes(): i for i, row in enumerate(thresholds / gains)}  # a cost row names its instance
         seen = []
-        for cost, level, dims in passes:
-            assert np.all((level[:, :, None] == np.arange(len(dims))).sum(axis=1) + 1 == dims)  # relabelled levels
-            assert len(cost) == 1 or len(cost) * math.prod(dims) <= admission._PASS_STATES
-            for row in cost:
-                seen.append(instance[row.tobytes()])
-                own = np.sort(ordered[seen[-1]])[::-1] + 1  # sorted counts, plus one
-                assert tuple(own.tolist()) + (1,) * (len(dims) - len(own)) == dims
+        for cost, level, segments in passes:
+            width = math.prod(segments[0][1])
+            assert len(cost) == 1 or len(cost) * width <= admission._PASS_STATES
+            assert segments[-1][0] == len(cost)
+            start = 0
+            for stop, dims in segments:
+                assert start < stop and math.prod(dims) <= width  # a run of rows, no wider than the first
+                rows = level[start:stop, :, None] == np.arange(len(dims))
+                assert np.all(rows.sum(axis=1) + 1 == dims)  # relabelled levels
+                for row in cost[start:stop]:
+                    seen.append(instance[row.tobytes()])
+                    own = np.sort(ordered[seen[-1]])[::-1] + 1  # sorted counts, plus one
+                    assert tuple(own.tolist()) + (1,) * (len(dims) - len(own)) == dims
+                start = stop
         assert sorted(seen) == list(range(len(gains)))  # every instance exactly once
         assert len(passes) < len({tuple(c.tolist()) for c in ordered})  # fewer than the ordered shapes
+        # an oracle block of 50 instances runs in fewer passes than it has canonical shapes
+        passes.clear()
+        _optimal_admit_batch(gains[:50], thresholds[:50])
+        shapes = {tuple(sorted(c.tolist())) for c in ordered[:50]}
+        assert len(shapes) == sum(len(segments) for *_, segments in passes) > 2 * len(passes)
+
+    def test_a_mixed_shape_pass_gives_each_row_its_own_results(self, monkeypatch):
+        # 40 users over 1 to 5 target levels: shapes of 41 to about 59000 states, so passes mix shapes, pad
+        # rows, and hold a row above the budget alone; some users have a zero gain (an inf cost)
+        rng = np.random.default_rng(38)
+        values = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        levels = np.repeat(np.arange(1, 6), [10, 10, 10, 6, 2])
+        thresholds = values[rng.integers(0, levels[:, None], (len(levels), 40))]
+        gains = np.sort(10.0 ** rng.uniform(0.5, 3, thresholds.shape), axis=-1)[:, ::-1]
+        gains[::3, -5:] = 0.0
+        with np.errstate(divide="ignore"):
+            cost = thresholds / gains
+        passes = []
+        run_pass = admission._composition_pass
+
+        def spy(t, cost, level, segments, budget):
+            passes.append((t, cost, level, segments, budget, run_pass(t, cost, level, segments, budget)))
+            return passes[-1][-1]
+
+        monkeypatch.setattr(admission, "_composition_pass", spy)
+        settings = [  # both walks, with settings where every row, no row and some rows are decided
+            (np.array([np.inf, 0.5, 1e-300]), np.array([np.inf, 0.6, 1e-10]), True),
+            (np.array([1e-300, 1.0, 1e300]), np.array([1e-10, 4.0, np.inf]), False),
+        ]
+        for below, above, budget in settings:
+            passes.clear()
+            got = admission._best_compositions(thresholds, cost, below, above, budget)
+            assert any(len(p[3]) > 2 for p in passes)  # passes of several shapes
+            assert any(len(p[0]) == 1 and math.prod(p[3][0][1]) > admission._PASS_STATES for p in passes)
+            for t, c, level, segments, _, power in passes:  # each row's states as in a pass of its own
+                start = 0
+                for stop, dims in segments:
+                    states = math.prod(dims)
+                    for row in range(start, stop):
+                        alone = run_pass(t[row : row + 1], c[row : row + 1], level[row : row + 1], [(1, dims)], budget)
+                        assert power[row, :states].tobytes() == alone[0].tobytes()
+                        assert np.all(power[row, states:] == np.inf)  # the padding is never written
+                    start = stop
+            for i in range(len(thresholds)):
+                alone = admission._best_compositions(thresholds[i : i + 1], cost[i : i + 1], below, above, budget)
+                for x, y in zip(got, alone):
+                    assert x[i].tobytes() == y[0].tobytes()
+            assert got[0].max() > 0 and got[2].any() and not got[2].all()
 
     def test_rates_add_up_in_ascending_target_order(self):
         # the DP's rate is 0.0 + sum_l c_l * log2(1 + v_l) over the winner's
@@ -971,15 +1026,16 @@ class TestOptimalPowers:
 
     def test_a_pass_flags_only_its_rows_between_the_bounds(self, monkeypatch):
         # one user of cost c, then a zero-gain one (cost inf): the walk's least totals are 0, c and inf, so a
-        # row is undecided in a setting exactly when below <= c <= above. Rows 0-1 hold one target and rows 2-3
-        # two, so each pair is a pass of its own shape, with undecided and decided rows in both settings
+        # row is undecided in a setting exactly when below <= c <= above. Rows 0-1 hold one target (3 states)
+        # and rows 2-3 two (4 states), so one pass holds both shapes, the first pair's rows padded by a column,
+        # with undecided and decided rows of each shape in both settings
         t = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 3.0], [1.0, 3.0]])
         cost = np.array([[0.5, 2.0, 1.0, 3.0], [math.inf] * 4]).T
         below, above = np.array([1.0, 2.5]), np.array([2.0, 4.0])
         passes, run_pass = [], admission._composition_pass
-        monkeypatch.setattr(admission, "_composition_pass", lambda t, *a: passes.append(len(t)) or run_pass(t, *a))
+        monkeypatch.setattr(admission, "_composition_pass", lambda *a: passes.append(a[3]) or run_pass(*a))
         count, rate, undecided = admission._best_compositions(t, cost, below, above, budget=False)
-        assert passes == [2, 2]
+        assert passes == [[(2, (2, 2)), (4, (3, 1))]]
         np.testing.assert_array_equal(undecided, [[False, False], [True, False], [True, False], [False, True]])
         np.testing.assert_array_equal(count, [[1, 1], [0, 1], [0, 1], [0, 0]])
         np.testing.assert_array_equal(rate, count * 1.0)  # log2(1 + 1)
