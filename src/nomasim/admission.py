@@ -288,6 +288,9 @@ def _composition_pass(t, cost, level, segments, budget: bool = True) -> np.ndarr
     rounded walk ``T <- T + (t*T + c)`` over all subsets of its composition.
     Each step runs once over the whole pass, and each state's operations
     are its own, so a row's totals do not depend on the rows beside it.
+    A run's shift at a step is masked to its rows whose user is at that
+    level; where every row of the run adds there (always, in a run of one
+    row) it has no mask, which ``min``, being exact, leaves bit for bit.
 
     States are flattened in C order, so adding a user at level ``l`` is a
     shift by that level's stride. A shift off the top of level ``l`` wraps
@@ -301,11 +304,12 @@ def _composition_pass(t, cost, level, segments, budget: bool = True) -> np.ndarr
     width = math.prod(segments[0][1])
     at = level[:, :, None] == np.arange(len(segments[0][1]))  # (batch, users, levels)
     starts = [0] + [stop for stop, _ in segments[:-1]]
-    present = np.logical_or.reduceat(at, starts, axis=0).tolist()  # (runs, users, levels)
+    some, every = (ufunc.reduceat(at, starts, axis=0) for ufunc in (np.logical_or, np.logical_and))
+    present = np.add(some, every, dtype=np.int8).tolist()  # (runs, users, levels): 0 no row at it, 1 some, 2 all
     power = np.full((len(cost), width), np.inf)
     power[:, 0] = 0.0
     joined = np.empty_like(power)
-    shifts = []  # per run and level: whether each step adds to it, and the views its shift reads and writes
+    shifts = []  # per run and level: whether no, some or every row adds to it at each step, and its shift's views
     for lo, (stop, dims), adds in zip(starts, segments, present):
         states = math.prod(dims)
         for l, stride in enumerate(_composition_table(dims)[2]):
@@ -315,7 +319,9 @@ def _composition_pass(t, cost, level, segments, budget: bool = True) -> np.ndarr
         _append(power, t[:, k, None], cost[:, k, None], budget, out=joined)
         joined += power
         for adds, grown, source, where in shifts:
-            if adds[k]:
+            if adds[k] == 2:  # every row adds: no mask
+                np.minimum(grown, source, out=grown)
+            elif adds[k]:
                 np.minimum(grown, source, out=grown, where=where[:, k])
     return power
 
@@ -380,16 +386,16 @@ def _best_compositions(t, cost, below, above=None, budget: bool = True) -> tuple
         lo = stop
         canonical = np.take_along_axis(rank[part], level[part], axis=-1)
         power = _composition_pass(t[part], cost[part], canonical, segments, budget)
+        tables = [_composition_table(dims) for _, dims in segments]
         if len(segments) == 1:  # the shape's own tables, as they are
-            counts, total, _ = _composition_table(segments[0][1])
-        else:  # each row's tables in its first columns; a total of -1 marks padding
-            counts = np.zeros((n_levels, *power.shape), dtype=int)
-            total, start = np.full(power.shape, -1), 0
-            for end, dims in segments:
-                own_counts, own_total, _ = _composition_table(dims)
-                counts[:, start:end, : len(own_total)] = own_counts[:, None, :]
+            counts, total, _ = tables[0]
+        else:  # the runs' counts side by side, each row's first column in them, its total padded with -1
+            counts = np.concatenate([own_counts for own_counts, _, _ in tables], axis=1)
+            total, offset, start, column = np.full(power.shape, -1), np.empty(len(power), dtype=int), 0, 0
+            for (end, _), (_, own_total, _) in zip(segments, tables):
                 total[start:end, : len(own_total)] = own_total
-                start = end
+                offset[start:end] = column
+                start, column = end, column + len(own_total)
         fit = power < below
         best = (fit * total).max(axis=-1)
         count[part] = best.T
@@ -399,7 +405,9 @@ def _best_compositions(t, cost, below, above=None, budget: bool = True) -> tuple
                 decided |= total < 0
             undecided[part] = ~decided.all(axis=-1).T
         setting, inst, state = np.nonzero(fit & (total == best[..., None]))
-        terms = counts[:, state] if len(segments) == 1 else counts[:, inst, state]
+        if len(segments) > 1:  # each winner's state in its run's counts
+            state = state + offset[inst]
+        terms = counts[:, state]
         inst = part[inst]
         terms = np.take_along_axis(terms.T, rank[inst], axis=-1) * log_base[inst]  # target order
         # ufunc.at takes a flat index several times faster than a tuple

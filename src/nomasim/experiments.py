@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .admission import _optimal_admit_powers, _require_dp_states, _sequential_admit_batch
-from .channel import ClusterRealization, SystemConfig, _trial_streams, draw_cluster
+from .channel import _MASK32, ClusterRealization, SystemConfig, _trial_streams, draw_cluster
 from .rates import _columns, _noma_columns, _optimal_oma_columns, _sum_users, extend_split, jain_index
 from .units import db_to_linear, is_whole, require_finite, require_linear, store_python_numbers
 
@@ -331,10 +331,27 @@ def _oracle_equal_values(spec: SweepSpec, realization: ClusterRealization, trial
 
 
 def _mixed_thresholds_db(spec: SweepSpec, trials) -> np.ndarray:
-    """Targets of shape (trials, users); trial t's stream is keyed ``[rng_seed, t, _THRESHOLD_STREAM]``."""
-    picks = np.empty((len(trials), spec.requesting_users), dtype=np.int64)
-    for row, rng in zip(picks, _trial_streams((spec.config.rng_seed,), trials, (_THRESHOLD_STREAM,))):
-        row[:] = rng.integers(0, len(spec.threshold_choices_db), size=spec.requesting_users)  # choice()'s bits
+    """Targets of shape (trials, users): trial t's are ``rng.choice(threshold_choices_db, users)`` on the stream
+    keyed ``[rng_seed, t, _THRESHOLD_STREAM]``, bit for bit.
+
+    ``choice`` picks by numpy's bounded-integer rule (Lemire's) among ``c`` choices. It reads uint32 draws, each
+    PCG64 output's low half and then its high half, and draw ``u`` picks ``(u * c) >> 32``; but it rejects ``u``
+    when ``(u * c) mod 2**32 < (2**32 - c) mod c`` and draws again, which shifts the rest of the row. So the picks
+    are read from each trial's raw words on one array, and a trial with a rejected draw among its own (at odds
+    below ``users * c / 2**32``, and never when ``c`` is a power of two) is drawn by ``Generator.integers``
+    itself, on a fresh generator of its key.
+    """
+    users, c = spec.requesting_users, len(spec.threshold_choices_db)
+    head, tail = (spec.config.rng_seed,), (_THRESHOLD_STREAM,)
+    words = np.empty((len(trials), -(-users // 2)), dtype=np.uint64)
+    for row, rng in zip(words, _trial_streams(head, trials, tail)):
+        row[:] = rng.bit_generator.random_raw(len(row))
+    scaled = np.stack((words & _MASK32, words >> 32), axis=-1).reshape(len(words), -1)[:, :users] * c
+    picks = scaled >> 32
+    redrawn = np.flatnonzero(((scaled & _MASK32) < (2**32 - c) % c).any(axis=-1)).tolist()
+    if redrawn:
+        for i, rng in zip(redrawn, _trial_streams(head, [trials[i] for i in redrawn], tail)):
+            picks[i] = rng.integers(0, c, size=users)
     return np.asarray(spec.threshold_choices_db, dtype=float)[picks]
 
 

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ def series_means(result, scheme, metric):
     return np.array(
         [r.mean for r in result.rows if r.scheme == scheme and r.metric == metric]
     )
+
+
+def keyed_trials(monkeypatch) -> list:
+    """The trials of each call to the trial streams from here on, in a list that fills as they are made."""
+    streams, keyed = experiments._trial_streams, []
+
+    def spy(head, trials, tail=()):
+        keyed.append([*map(int, trials)])
+        return streams(head, trials, tail)
+
+    monkeypatch.setattr(experiments, "_trial_streams", spy)
+    return keyed
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +190,34 @@ class TestSweepSpec:
         for row, t in zip(targets, trials.tolist()):
             rng = np.random.default_rng(np.random.SeedSequence([CFG.rng_seed, t, experiments._THRESHOLD_STREAM]))
             np.testing.assert_array_equal(row, rng.choice(np.asarray(choices), size=7))
+
+    @pytest.mark.parametrize("choices", [1, 2, 4, 6, 7])
+    @pytest.mark.parametrize("users", [1, 2, 12, 13])
+    def test_mixed_targets_are_choice_draws_at_any_choice_count_and_pool(self, monkeypatch, choices, users):
+        # A pool of one is no sweep's, but it reads one half word; an odd pool leaves a half word unused.
+        values = tuple(5.0 * i for i in range(choices))
+        spec = SimpleNamespace(config=CFG, requesting_users=users, threshold_choices_db=values)
+        trials, keyed = [*range(40), 2**32, 2**64 - 1], keyed_trials(monkeypatch)
+        targets = experiments._mixed_thresholds_db(spec, trials)
+        assert targets.shape == (len(trials), users)
+        assert keyed == [trials]  # no draw here is rejected (at most 4 in 2**32 are), so no row is drawn again
+        for row, t in zip(targets, trials):
+            rng = np.random.default_rng(np.random.SeedSequence([CFG.rng_seed, t, experiments._THRESHOLD_STREAM]))
+            np.testing.assert_array_equal(row, rng.choice(np.asarray(values), size=users))
+
+    @pytest.mark.parametrize("users, redrawn", [(12, [293, 294, 347]), (11, [294, 347])])
+    def test_only_a_row_numpy_would_redraw_is_drawn_by_numpy(self, monkeypatch, users, redrawn):
+        # With 10**6 choices numpy's bounded-integer rule rejects about 2.3e-4 of its uint32 draws. Of trials 290
+        # to 349 at the default seed, it rejects draw 11 of trial 293, draw 10 of 294 and draw 0 of 347, each
+        # shifting the rest of its row; a pool of 11 users never reads draw 11.
+        values = np.arange(1e6)
+        spec = SimpleNamespace(config=CFG, requesting_users=users, threshold_choices_db=values)
+        trials, keyed = np.arange(290, 350), keyed_trials(monkeypatch)
+        targets = experiments._mixed_thresholds_db(spec, trials)
+        assert keyed[1:] == [redrawn]  # every other row is read from its raw words
+        for row, t in zip(targets, trials.tolist()):
+            rng = np.random.default_rng(np.random.SeedSequence([CFG.rng_seed, t, experiments._THRESHOLD_STREAM]))
+            np.testing.assert_array_equal(row, rng.choice(values, size=users))
 
     def test_threshold_choices_must_be_non_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
