@@ -27,7 +27,7 @@ gains, read at each power against the two bounds of a proven rounding margin,
 and the DP at that power wherever they cannot decide, so the results are the
 DP's bit for bit. :func:`exhaustive_admit` reads its count from the DP and
 rates only the subsets of that size, each on its own columns. The kernels
-match the tests' scalar reference bit for bit; the enumeration is tests-only.
+match the tests' scalar reference bit for bit; the full enumeration is tests-only.
 """
 
 from __future__ import annotations
@@ -523,16 +523,17 @@ def _optimal_admit_powers(gains, thresholds, rho) -> tuple[np.ndarray, np.ndarra
     return count.reshape(shape + rho.shape), rate.reshape(shape + rho.shape)
 
 
-def _require_dp_states(users: int, levels: int) -> None:
-    """Refuse pools of ``users`` whose instances, drawing from ``levels``
-    distinct targets, can need more than ``_DP_STATE_BOUND`` DP states. The
-    most states, ``prod_l (s_l + 1)``, come from users spread evenly."""
+def _require_dp_states(users: int, levels: int) -> int:
+    """The most DP states an instance of ``users`` drawing from ``levels``
+    distinct targets can need, refused above ``_DP_STATE_BOUND``. The most
+    states, ``prod_l (s_l + 1)``, come from users spread evenly."""
     spread = min(levels, users)
     q, r = divmod(users, spread)
     if (states := (q + 2) ** r * (q + 1) ** (spread - r)) > _DP_STATE_BOUND:
         raise ValueError(
             f"requesting_users {users} can need {states} DP states per instance, above the bound {_DP_STATE_BOUND}"
         )
+    return states
 
 
 def greedy_optimality_condition(gains, thresholds, count) -> np.ndarray:

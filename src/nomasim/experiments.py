@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
@@ -56,12 +55,14 @@ _EQUAL_MODE_RATE_TOL = 1e-12
 # but 11-12 MiB on a three-user share surface (1.6 MiB of values): there its temporaries set a small sweep's peak.
 _CHUNK_TRIALS = 256
 
-# Least CPU time of a share, estimated from the caller's first chunk, for which a child process starts. A child
-# costs 6-9 ms on a shared 2-core VM (fork; 1000-trial ergodic sweep at two workers): start() takes 0.7-0.9 ms,
-# its target begins 2.1-2.8 ms after, its 500 trials take 6.3-6.9 ms against 4.7-5.2 ms in the warm caller, and
-# the join 1 ms. Over 3x that keeps such a 500-trial share serial on a host three times slower. The timed chunk
-# runs with numpy.random loaded: in a fresh process its import took the chunk from 2.2-2.4 ms to 8.5-9.9 ms.
+# Least estimated CPU time of a share for which a child process starts. A child costs 6-9 ms on a shared 2-core VM
+# (fork; 500-trial ergodic shares): start() takes 0.7-0.9 ms, its target begins 2.1-2.8 ms after, its trials take
+# 6.3-6.9 ms against 4.7-5.2 ms in the warm caller, the join 1 ms. Over 3x that keeps such a share serial.
 _CHILD_MIN_CPU_S = 0.03
+
+# A trial's CPU seconds per user and drawn channel entry, value cell and DP state, fitted to a warm 256-trial chunk
+# of 16 setups (every kind, 8x8 antennas, larger oracle pools) on a shared 2-core VM: all came within 1.82x.
+_ENTRY_CPU_S, _CELL_CPU_S, _STATE_CPU_S = 2.0e-7, 2.2e-8, 2.4e-9
 
 
 def value_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -472,10 +473,26 @@ def _send_share(writer, spec: SweepSpec, block, shape: tuple, start: int, stop: 
         writer.send(report)
 
 
-def _shares(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` shares of the trials, at most ``workers`` of them."""
-    share = math.ceil(trials / workers)
-    return [(start, min(start + share, trials)) for start in range(0, trials, share)]
+def _trial_cpu_s(spec: SweepSpec) -> float:
+    """Estimated CPU time of a trial: per user, its drawn channel entries, value cells and oracle DP states."""
+    config, levels = spec.config, _KINDS[spec.kind].levels
+    cost = config.rx_antennas * config.tx_antennas * _ENTRY_CPU_S
+    cost += len(sweep_series(spec)) * len(spec.grid) * _CELL_CPU_S
+    if levels:
+        cost += _require_dp_states(config.users_per_cluster, levels(spec)) * _STATE_CPU_S
+    return config.users_per_cluster * cost
+
+
+def _shares(spec: SweepSpec, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` shares of the trials: at most ``workers``, at most one per chunk, and as many
+    as leave each share an estimated ``_CHILD_MIN_CPU_S`` of CPU time, down to one."""
+    count = min(workers, math.ceil(spec.trials / _CHUNK_TRIALS))
+    while True:
+        share = math.ceil(spec.trials / count)
+        shares = [(start, min(start + share, spec.trials)) for start in range(0, spec.trials, share)]
+        if len(shares) == 1 or (shares[-1][1] - shares[-1][0]) * _trial_cpu_s(spec) >= _CHILD_MIN_CPU_S:
+            return shares
+        count = len(shares) - 1
 
 
 def _shared_array(shape: tuple):
@@ -495,40 +512,22 @@ def _shared_array(shape: tuple):
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute a sweep and reduce per-trial values to mean and stderr rows.
 
-    ``workers`` only changes how trials are scheduled: they are cut into at
-    most that many contiguous shares, each evaluated chunk by chunk into its
-    rows of one array. This process evaluates its first chunk and times it,
-    and starts a child process for the other shares only when each one's
-    estimated CPU time is at least ``_CHILD_MIN_CPU_S``, what a child costs
-    with a margin; otherwise it takes fewer, larger shares, down to one. With
-    children, the array is in shared memory: this process fills the first
-    share while each child fills its own rows in place and reports over a
-    pipe. A child's exception is raised here, a child that dies raises
-    ``RuntimeError``, and no child outlives the call. A single chunk starts
-    no child. The reduction always happens in trial order, so results are
-    identical for any width.
+    ``workers`` only schedules trials: :func:`_shares` plans contiguous shares from the spec alone, each
+    evaluated chunk by chunk into its rows of one array. Several shares put the array in shared memory: this
+    process fills the first while a child process per other share fills its own and reports over a pipe. A
+    child's exception is raised here, a child that dies raises ``RuntimeError``, and no child outlives the call.
+    The reduction is in trial order, so results are identical for any width.
     """
     if not is_whole(workers, 1):
         raise ValueError("workers must be a positive integer")
     shape = (spec.trials, len(sweep_series(spec)), len(spec.grid))
-    shares = _shares(spec.trials, min(workers, math.ceil(spec.trials / _CHUNK_TRIALS)))
-    values, done = np.empty(shape), 0
+    shares = _shares(spec, workers)
     if len(shares) > 1:
-        done = min(_CHUNK_TRIALS, shares[0][1])
-        import numpy.random  # noqa: F401  # loaded before the timer: its import tripled a fresh process's chunk
-        began = time.process_time()
-        _evaluate_trials(spec, 0, values[:done])
-        per_trial = (time.process_time() - began) / done
-        while len(shares) > 1 and per_trial * (shares[-1][1] - shares[-1][0]) < _CHILD_MIN_CPU_S:
-            shares = _shares(spec.trials, len(shares) - 1)
+        import multiprocessing  # only a sweep that starts children pays for the import
+        import numpy.random  # noqa: F401  # loaded once here, not again in each forked child
+    values, block = _shared_array(shape) if len(shares) > 1 else (np.empty(shape), None)
     children, readers = [], []
     try:
-        if len(shares) > 1:
-            import multiprocessing  # only a sweep that starts children pays for the import
-
-            serial, (values, block) = values, _shared_array(shape)
-            values[:done] = serial[:done]
-            del serial  # only its first chunk's pages were touched
         for start, stop in shares[1:]:
             reader, writer = multiprocessing.Pipe(duplex=False)
             readers.append(reader)
@@ -537,7 +536,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 child = multiprocessing.Process(target=_send_share, args=(writer, spec, block, shape, start, stop))
                 child.start()
             children.append(child)
-        _evaluate_trials(spec, done, values[done : shares[0][1]])
+        _evaluate_trials(spec, 0, values[: shares[0][1]])
         for child, reader, (start, stop) in zip(children, readers, shares[1:]):
             try:
                 report = reader.recv()

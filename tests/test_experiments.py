@@ -3,10 +3,12 @@
 import csv
 import errno
 import gc
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,11 +38,13 @@ from nomasim import (
     write_csv,
     write_metadata,
 )
-from nomasim import experiments
+import nomasim
+from nomasim import cli, experiments
 
 
 CFG = SystemConfig()
 CFG3 = SystemConfig(users_per_cluster=3)
+DENSE = SystemConfig(cell_radius_range_km=ORACLE_BENCHMARK_RADIUS_KM)
 
 # A one- or two-point grid per sweep kind, for runs that cover every kind.
 SMALL_GRIDS = {
@@ -613,16 +618,12 @@ def test_any_setting_runs_finite_or_is_refused_by_key(case):
 
 def hook_shares(monkeypatch, parent, child):
     """Run ``child()`` before each child's share, and ``parent()`` before the
-    parent's share past its first chunk, which it evaluates once its children
-    have started."""
+    parent's share, which it evaluates once its children have started."""
     evaluate = experiments._evaluate_trials
     caller = os.getpid()
 
     def patched(spec, start, out):
-        if os.getpid() != caller:
-            child()
-        elif start:
-            parent()
+        parent() if os.getpid() == caller else child()
         return evaluate(spec, start, out)
 
     monkeypatch.setattr(experiments, "_evaluate_trials", patched)
@@ -650,35 +651,97 @@ def deadline():
 
 
 def test_a_sweep_whose_shares_do_not_pay_loads_no_pool():
-    # a warm serial run first, then four workers on shares of about 2 ms each
+    # four workers on shares of about 2 ms each, in a fresh process
     sweep = "nomasim.make_sweep('ergodic_power_sweep', nomasim.SystemConfig(), trials=1000, grid=(30.0,))"
-    code = f"import sys, nomasim; spec = {sweep}; nomasim.run_sweep(spec); nomasim.run_sweep(spec, workers=4); "
-    code += "print('multiprocessing' in sys.modules)"
+    code = f"import sys, nomasim; nomasim.run_sweep({sweep}, workers=4); print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
     assert out.stdout == "False\n"
 
 
-# A two-worker sweep in a fresh interpreter, recording at each read of the cost rule's timer whether numpy.random,
-# which the first draw of a process imports, is loaded.
-TIMER_SCRIPT = """
-import sys, time, types
-import nomasim
-
-reads = []
-def process_time():
-    reads.append("numpy.random" in sys.modules)
-    return time.process_time()
-
-nomasim.experiments.time = types.SimpleNamespace(process_time=process_time)
-nomasim.run_sweep(nomasim.make_sweep("ergodic_power_sweep", nomasim.SystemConfig(), trials=300), workers=2)
-print(reads)
-"""
+class _Planned(Exception):
+    pass
 
 
-def test_the_timed_chunk_runs_with_numpy_random_loaded():
-    # a cold chunk would make the estimate, and so whether a child starts, differ between a fresh and a warm process
-    out = subprocess.run([sys.executable, "-c", TIMER_SCRIPT], check=True, capture_output=True, text=True)
-    assert out.stdout == "[True, True]\n"
+def cli_spec(monkeypatch, argv) -> SweepSpec:
+    """The spec the command line ``argv`` runs, caught before any trial."""
+
+    def stop(spec, workers):
+        raise _Planned(spec)
+
+    monkeypatch.setattr(cli, "run_sweep", stop)
+    with pytest.raises(_Planned) as planned:
+        cli.main(argv)
+    return planned.value.args[0]
+
+
+def shares_at(spec, workers) -> list[int]:
+    return [len(experiments._shares(spec, w)) for w in workers]
+
+
+# Each `check NAME COUNTS ARGS...` line of the CI step that compares worker counts: its name, the worker counts it
+# runs besides one, and the command line.
+CI_CHECKS = [
+    (name, [int(w) for w in counts.split()], argv)
+    for line in (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+    if line.strip().startswith("check ")
+    for _, name, counts, *argv in [shlex.split(line)]
+]
+
+
+@pytest.mark.parametrize("counts,argv", [check[1:] for check in CI_CHECKS], ids=[check[0] for check in CI_CHECKS])
+def test_every_pooled_ci_run_starts_a_child_per_worker(monkeypatch, counts, argv):
+    # a run whose shares fell back to one would compare the serial path with itself
+    assert shares_at(cli_spec(monkeypatch, argv), counts) == counts
+
+
+def test_the_ci_checks_are_found():
+    assert len(CI_CHECKS) >= 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-split"], ["sweep-split", "--surface"], ["sweep-power"], ["ergodic"], ["fairness"],
+    ["fairness", "--surface"], ["admission"], ["admission", "--by-requesting"], ["oracle-compare"],
+    ["oracle-compare", "--mixed"],
+])
+def test_default_sweeps_stay_serial_at_two_workers(monkeypatch, argv):
+    # 1000 trials at most: a child would cost about as much as the share it takes
+    assert shares_at(cli_spec(monkeypatch, argv), [2]) == [1]
+
+
+def test_every_benchmark_block_is_one_share_at_any_worker_count(monkeypatch):
+    # so that pool_trials_per_s times the serial path on every host, whatever its core count
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    bench = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, "workloads", bench)  # its dataclass looks its module up there
+    module_spec.loader.exec_module(bench)
+    sweeps = [wl for wl in bench.WORKLOADS.values() if wl.is_sweep]
+    assert len(sweeps) == 3
+    for wl in sweeps:
+        _, spec = bench.build(nomasim, wl, bench.REFERENCE_SEED, wl.block_trials)
+        assert shares_at(spec, [2, 4, 8, 64]) == [1, 1, 1, 1], wl.name
+
+
+def test_children_start_before_the_caller_evaluates(monkeypatch):
+    # Shares of 150 trials, under one chunk each: a caller that timed its first chunk before starting the child
+    # would have evaluated its whole share by then.
+    events = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def record_start(process):
+        events.append("start")
+        start(process)
+
+    def record_evaluate(spec, first, out):
+        events.append("evaluate")  # a forked child's appends stay in the child
+        out[:] = 0.0
+        return out
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record_start)
+    monkeypatch.setattr(experiments, "_evaluate_trials", record_evaluate)
+    spec = make_sweep("oracle_compare_mixed", DENSE, trials=300, requesting_users=48)
+    run_sweep(spec, workers=2)
+    assert events == ["start", "evaluate"]
 
 
 # Peak RSS of this process and of its largest child after a 10000-trial share surface (67 MB of values) at argv[1]
@@ -776,7 +839,7 @@ class TestExecution:
 
         # Four chunks, but at four workers a share is 250 one-point trials, about 2 ms warm.
         spec = make_sweep("ergodic_power_sweep", CFG, trials=1000, grid=(30.0,))
-        serial = run_sweep(spec).rows  # first, so that the pooled run times a warm chunk
+        serial = run_sweep(spec).rows
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
         assert run_sweep(spec, workers=4).rows == serial
 
